@@ -15,13 +15,20 @@ the Hermitian matrix with entries
     Q[beta, alpha] = sum_{t : alpha+gamma_t = beta+delta_t}
                      c_t h(alpha+gamma_t) / sqrt(h(alpha) h(beta)).
 
-Symbols whose terms all have gamma = delta depend only on the squared
-coordinate sizes a_i = |z_i|^2 / |z|^2; their blocks are diagonal with
-exactly rational entries, kept here as Fractions end to end.
+Each term moves alpha by its shift gamma_t - delta_t, so every integer
+vector c orthogonal to all shifts is a conserved torus charge: Q only
+couples monomials with equal charges c.alpha.  Blocks are therefore
+assembled and stored sector by sector, one Hermitian matrix per charge
+value, and never as the dense dim x dim matrix.  Symbols whose terms all
+have gamma = delta have no shifts; they depend only on the squared
+coordinate sizes a_i = |z_i|^2 / |z|^2, every monomial is its own
+sector, and the diagonal entries are exactly rational, kept here as
+Fractions end to end.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, isqrt
@@ -29,6 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _exact
 from .errors import SymbolFormatError, ValidationError
 from .multiindex import MultiIndex, enumerate_degree, grlex_key
 
@@ -40,6 +48,8 @@ __all__ = [
     "assemble_block",
     "invariant_eigenvalue",
 ]
+
+CONJUGATE_ULPS = 4
 
 
 def monomial_norm(mu: Sequence[int], n: int) -> Fraction:
@@ -82,6 +92,16 @@ def _sqrt_fraction(q: Fraction) -> Fraction | None:
     return None
 
 
+def _is_conjugate(c, cc) -> bool:
+    """cc == conj(c): exactly for int and Fraction pairs, else up to
+    CONJUGATE_ULPS units in the last place of the larger modulus, which
+    absorbs the rounding of a float sum such as 0.1 + 0.2 against 0.3."""
+    gap = abs(cc - c.conjugate())
+    if isinstance(c, (int, Fraction)) and isinstance(cc, (int, Fraction)):
+        return gap == 0
+    return gap <= CONJUGATE_ULPS * sys.float_info.epsilon * max(abs(c), abs(cc))
+
+
 def _as_multiindex(mi) -> MultiIndex:
     t = tuple(int(e) for e in mi)
     if any(e < 0 for e in t):
@@ -95,7 +115,9 @@ class SymbolPoly:
 
     Each term is (gamma, delta, coeff) with |gamma| = |delta|; the whole
     term list must be closed under (gamma, delta, c) -> (delta, gamma,
-    conj(c)), which makes the assembled block Hermitian.  Coefficients may
+    conj(c)), which makes the assembled block Hermitian; repeated terms
+    are summed first, and float sums need only match their partner to
+    CONJUGATE_ULPS units in the last place.  Coefficients may
     be int, float, Fraction or complex; they are kept as given so exact
     inputs stay exact.
     """
@@ -118,7 +140,7 @@ class SymbolPoly:
             merged[(gamma, delta)] = merged.get((gamma, delta), 0) + c
         for (gamma, delta), c in merged.items():
             cc = merged.get((delta, gamma))
-            if cc is None or cc != c.conjugate():
+            if cc is None or not _is_conjugate(c, cc):
                 raise SymbolFormatError(
                     f"missing or mismatched conjugate partner for term ({gamma}, {delta})",
                     operation="hardy_sphere.SymbolPoly",
@@ -278,22 +300,36 @@ class InvariantSymbol:
 class ToeplitzBlock:
     """Compressed multiplication block on the degree-k monomial basis.
 
-    ``basis`` lists the multi-indices in graded-lex order; ``matrix`` is
-    the Hermitian complex matrix in the orthonormalized basis.  When every
-    diagonal-touching term of the symbol has an exactly-representable real
-    coefficient, ``exact_diagonal`` carries the diagonal as Fractions and
+    ``basis`` lists the multi-indices in graded-lex order.  The Hermitian
+    complex matrix in the orthonormalized basis is stored as ``sectors``:
+    one (positions, matrix) pair per torus-charge sector, where
+    ``positions`` are ascending indices into ``basis`` and ``matrix`` is
+    the block restricted to them.  Entries between different sectors are
+    zero; the sector sizes sum to ``dim``.  ``matrix`` scatters the sectors
+    into the dense array on demand.  When every diagonal-touching term of
+    the symbol has an exactly-representable real coefficient,
+    ``exact_diagonal`` carries the diagonal (grlex order) as Fractions and
     the float diagonal is its rounded image.
     """
 
     n: int
     k: int
     basis: tuple[MultiIndex, ...]
-    matrix: np.ndarray
+    sectors: tuple[tuple[tuple[int, ...], np.ndarray], ...]
     exact_diagonal: tuple[Fraction, ...] | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense dim x dim matrix, zero between sectors."""
+        dense = np.zeros((self.dim, self.dim), dtype=complex)
+        for positions, q in self.sectors:
+            idx = np.array(positions)
+            dense[np.ix_(idx, idx)] = q
+        return dense
 
     def hermiticity_defect(self) -> float:
         m = self.matrix
@@ -303,25 +339,46 @@ class ToeplitzBlock:
     def to_csv(self, path) -> None:
         import csv
 
+        matrix = self.matrix
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["row", "col", "row_beta", "col_alpha", "re", "im"])
             for i, beta in enumerate(self.basis):
                 for j, alpha in enumerate(self.basis):
-                    v = self.matrix[i, j]
+                    v = matrix[i, j]
                     w.writerow([i, j, " ".join(map(str, beta)), " ".join(map(str, alpha)),
                                 repr(float(v.real)), repr(float(v.imag))])
 
 
+def _charge_sectors(symbol: SymbolPoly, basis: Sequence[MultiIndex]) -> list[list[int]]:
+    """Basis positions grouped by conserved torus charge, in first-seen order.
+
+    The charges are an integer basis of the vectors orthogonal to every
+    shift gamma - delta, so no term couples two groups.  Without shifts
+    the nullspace of the zero row is the identity and each monomial is its
+    own group; torsion in the shift lattice (a shift 2(e_1 - e_2), say)
+    leaves groups coarser than the finest invariant split, which is still
+    exact.
+    """
+    shifts = [[g - d for g, d in zip(gamma, delta)] for gamma, delta, _ in symbol.terms if gamma != delta]
+    charges = _exact.integer_nullspace(shifts or [[0] * symbol.n])
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j, alpha in enumerate(basis):
+        key = tuple(sum(c * a for c, a in zip(row, alpha)) for row in charges)
+        groups.setdefault(key, []).append(j)
+    return list(groups.values())
+
+
 def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
-    """Assemble the degree-k block of a polynomial symbol.
+    """Assemble the degree-k block of a polynomial symbol, sector by sector.
 
     Each term (gamma, delta, c) couples alpha to beta = alpha + gamma -
-    delta, so assembly is O(#terms * dim).  Entry magnitudes involve
-    sqrt(h(alpha+gamma)^2 / (h(alpha) h(beta))); the radicand is computed
-    exactly and the root taken exactly whenever it is a perfect square,
-    so diagonal entries (always rational) incur no rounding before the
-    final float conversion.
+    delta inside one charge sector, so assembly is O(#terms * dim) and
+    storage is the sum of the squared sector sizes.  Entry magnitudes
+    involve sqrt(h(alpha+gamma)^2 / (h(alpha) h(beta))); the radicand is
+    computed exactly and the root taken exactly whenever it is a perfect
+    square, so diagonal entries (always rational) incur no rounding before
+    the final float conversion.
     """
     if symbol.n != n:
         raise SymbolFormatError("symbol coordinate count does not match n", operation="hardy_sphere.assemble_block")
@@ -330,9 +387,15 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
     basis = tuple(enumerate_degree(n, k))
     index = {mi: i for i, mi in enumerate(basis)}
     dim = len(basis)
-    matrix = np.zeros((dim, dim), dtype=complex)
+    groups = _charge_sectors(symbol, basis)
+    mats = [np.zeros((len(g), len(g)), dtype=complex) for g in groups]
+    where = [None] * dim  # basis position -> (sector matrix, local index)
+    for g, q in zip(groups, mats):
+        for local, j in enumerate(g):
+            where[j] = (q, local)
     diag = [Fraction(0)] * dim
 
+    # Terms stay the outer loop so each entry sums its terms in symbol order.
     for gamma, delta, c in symbol.terms:
         shift = tuple(g - d for g, d in zip(gamma, delta))
         for j, alpha in enumerate(basis):
@@ -348,11 +411,15 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
                 r_beta = _norm_ratio(beta, delta, n)
                 root = _sqrt_fraction(r_alpha * r_beta)
                 mag = float(root) if root is not None else float(np.sqrt(float(r_alpha * r_beta)))
-                matrix[i, j] += complex(c) * mag
+                q, lj = where[j]
+                li = where[i][1]  # beta shares alpha's sector
+                q[li, lj] += complex(c) * mag
 
     for j in range(dim):
-        matrix[j, j] = float(diag[j])
-    return ToeplitzBlock(n=n, k=k, basis=basis, matrix=matrix, exact_diagonal=tuple(diag))
+        q, lj = where[j]
+        q[lj, lj] = float(diag[j])
+    sectors = tuple((tuple(g), q) for g, q in zip(groups, mats))
+    return ToeplitzBlock(n=n, k=k, basis=basis, sectors=sectors, exact_diagonal=tuple(diag))
 
 
 def invariant_eigenvalue(symbol: InvariantSymbol, alpha: Sequence[int]) -> Fraction:

@@ -97,12 +97,21 @@ class TestFunction:
         return np.array([float(self.fn(float(v))) for v in arr])
 
 
+def _sector_stacks(block: ToeplitzBlock) -> list[np.ndarray]:
+    """The block's sector matrices stacked by size, one (count, s, s) array per size."""
+    by_size: dict[int, list[np.ndarray]] = {}
+    for _, q in block.sectors:
+        by_size.setdefault(q.shape[0], []).append(q)
+    return [np.stack(qs) for qs in by_size.values()]
+
+
 def measure_poly(block: ToeplitzBlock, f: TestFunction) -> float:
     """trace f(Q) for polynomial f via iterated matrix products.
 
-    No eigensolve: tr Q^j is accumulated from explicit powers, which makes
-    this path an independent check on measure_eigen.  Degree is capped at
-    MAX_TRACE_DEGREE.
+    No eigensolve: tr Q^j is accumulated from explicit powers of each
+    sector matrix (sectors of one size are multiplied as one batch), which
+    makes this path an independent check on measure_eigen.  Degree is
+    capped at MAX_TRACE_DEGREE.
     """
     if f.kind != "polynomial":
         raise ValidationError("measure_poly requires a polynomial test function", operation="spectral.measure_poly")
@@ -111,20 +120,20 @@ def measure_poly(block: ToeplitzBlock, f: TestFunction) -> float:
             f"degree {f.degree} exceeds the trace-power cap {MAX_TRACE_DEGREE}",
             operation="spectral.measure_poly",
         )
-    q = block.matrix
     total = f.coeffs[0] * block.dim
-    power = None
-    for j in range(1, f.degree + 1):
-        power = q if power is None else power @ q
-        if f.coeffs[j]:
-            total += f.coeffs[j] * float(np.trace(power).real)
+    for q in _sector_stacks(block):
+        power = None
+        for j in range(1, f.degree + 1):
+            power = q if power is None else power @ q
+            if f.coeffs[j]:
+                total += f.coeffs[j] * float(np.trace(power, axis1=1, axis2=2).real.sum())
     return float(total)
 
 
 def measure_eigen(block: ToeplitzBlock, f: TestFunction) -> float:
-    """trace f(Q) through the Hermitian eigendecomposition."""
+    """trace f(Q) through Hermitian eigensolves, one batched call per sector size."""
     try:
-        lam = np.linalg.eigvalsh(block.matrix)
+        lam = np.concatenate([np.linalg.eigvalsh(q).ravel() for q in _sector_stacks(block)])
     except np.linalg.LinAlgError as exc:
         raise EigensolveError(
             f"eigensolve failed to converge on the k={block.k} block (dim {block.dim})",
@@ -162,6 +171,8 @@ class AsymptoticFit:
             "c": [float(c) for c in self.coefficients],
             "residual": float(self.residual_norm),
             "k_range": [int(min(self.ks)), int(max(self.ks))],
+            "condition": float(self.condition),
+            "c0_uncertainty": float(self.c0_uncertainty),
         }
 
 

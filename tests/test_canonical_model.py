@@ -9,6 +9,7 @@ from toeplab.canonical_model import (
     ModelIndex,
     QuadratureSpec,
     annihilation_residual,
+    _design_matrix,
     check_isometry,
     fm_eval,
     fm_normalization,
@@ -87,6 +88,25 @@ def test_check_isometry_defaults():
     js = rep.to_json()
     assert js["ok"] is True
     assert js["quad"] == {"hermite_points": 64, "fourier_points": 24}
+
+
+def test_check_isometry_flags_aliased_rule():
+    """The factored Pi^2 - Pi = F (G - I) B still exposes a bad rule."""
+    fam = [ModelIndex(m=(s * m,), k_dim=1) for m in range(1, 6) for s in (1, -1)]
+    quad = QuadratureSpec(24, 8)
+    with pytest.warns(UserWarning, match="alias"):
+        rep = check_isometry(fam, quad)
+    with pytest.warns(UserWarning, match="alias"):
+        _, _, weights, F = _design_matrix(fam, quad)
+    proj = F @ (F.conj().T * weights[None, :])
+    dense = float(np.max(np.abs(proj @ proj - proj)))
+    assert rep.max_idempotency_defect > 1e-3
+    assert rep.max_idempotency_defect == pytest.approx(dense, abs=1e-12)
+    wp = weights[:, None] * proj
+    selfadj = float(np.max(np.abs(wp - wp.conj().T)))
+    assert selfadj > 0
+    assert rep.max_selfadjoint_defect == pytest.approx(selfadj, rel=1e-6, abs=0)
+    assert not rep.ok
 
 
 def test_check_isometry_pure_torus_states():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from toeplab.hardy_sphere import (
     invariant_eigenvalue,
     monomial_norm,
 )
+from toeplab.spectral import TestFunction, measure_eigen, measure_poly
 
 
 def test_monomial_norm_small_cases():
@@ -51,6 +53,17 @@ def test_symbol_requires_hermitian_closure():
 def test_symbol_requires_degree_balance():
     with pytest.raises(SymbolFormatError):
         SymbolPoly.from_terms([((2, 0), (0, 1), 1.0)], hermitize=True)
+
+
+def test_symbol_conjugate_partner_tolerance():
+    e, f = (1, 0), (0, 1)
+    # 0.1 + 0.2 rounds to 0.30000000000000004, one ulp away from 0.3
+    sym = SymbolPoly(terms=((e, f, 0.1), (e, f, 0.2), (f, e, 0.3)))
+    assert len(sym.terms) == 3
+    with pytest.raises(SymbolFormatError, match="conjugate partner"):
+        SymbolPoly(terms=((e, f, 0.3),))
+    with pytest.raises(SymbolFormatError, match="conjugate partner"):
+        SymbolPoly(terms=((e, f, 0.3), (f, e, 0.3001)))
 
 
 def test_symbol_diagonal_term_must_be_real():
@@ -169,3 +182,58 @@ def test_block_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "row,col,row_beta,col_alpha,re,im"
     assert len(lines) == 1 + block.dim ** 2
+
+
+def dense_oracle(sym: SymbolPoly, n: int, basis) -> np.ndarray:
+    """Q[beta, alpha] = sum_t c_t h(alpha+gamma_t) / sqrt(h(alpha) h(beta)), from monomial_norm."""
+    index = {mi: i for i, mi in enumerate(basis)}
+    q = np.zeros((len(basis), len(basis)), dtype=complex)
+    for gamma, delta, c in sym.terms:
+        for j, alpha in enumerate(basis):
+            beta = tuple(a + g - d for a, g, d in zip(alpha, gamma, delta))
+            if min(beta) < 0:
+                continue
+            top = monomial_norm(tuple(a + g for a, g in zip(alpha, gamma)), n)
+            q[index[beta], j] += complex(c) * sqrt(top * top / (monomial_norm(alpha, n) * monomial_norm(beta, n)))
+    return q
+
+
+ORACLE_SYMBOLS = {
+    # the benchmark's sphere shape: a_1/2 + c z_1 conj(z_2) + c.c.
+    "sphere_shape": (SymbolPoly.from_terms(
+        [((1, 0, 0), (1, 0, 0), 0.5), ((1, 0, 0), (0, 1, 0), 0.3 + 0.4j)], hermitize=True), 11),
+    # shifts e_1 - e_2 and e_2 - e_3 span the degree-zero lattice
+    "one_sector": (SymbolPoly.from_terms(
+        [((1, 0, 0), (0, 1, 0), 0.25), ((0, 1, 0), (0, 0, 1), -0.5j), ((0, 0, 1), (0, 0, 1), 0.75)],
+        hermitize=True), 1),
+    # shift 2(e_1 - e_2): the charge lattice misses the parity of alpha_1
+    "torsion": (SymbolPoly.from_terms([((2, 0, 0), (0, 2, 0), 0.7)], hermitize=True), 11),
+    "invariant": (InvariantSymbol.from_poly(
+        [((2, 0, 0), 1), ((0, 1, 1), Fraction(1, 2))], 3).to_symbol_poly(), 66),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYMBOLS))
+def test_block_sectors_match_dense_oracle(name):
+    sym, n_sectors = ORACLE_SYMBOLS[name]
+    block = assemble_block(sym, 3, 10)
+    q = dense_oracle(sym, 3, block.basis)
+    assert np.max(np.abs(block.matrix - q)) <= 1e-15
+
+    positions = [j for pos, _ in block.sectors for j in pos]
+    assert sorted(positions) == list(range(block.dim))
+    assert sum(m.shape[0] for _, m in block.sectors) == block.dim
+    assert len(block.sectors) == n_sectors
+    label = np.empty(block.dim, dtype=int)
+    for s, (pos, _) in enumerate(block.sectors):
+        label[list(pos)] = s
+    assert np.all(q[label[:, None] != label[None, :]] == 0)
+
+    f = TestFunction.polynomial([0.1, -0.5, 0.0, 1.0, 0.25])
+    want_eig = float(np.sum(f(np.linalg.eigvalsh(q))))
+    power, want_poly = np.eye(block.dim), f.coeffs[0] * block.dim
+    for c in f.coeffs[1:]:
+        power = power @ q
+        want_poly += c * float(np.trace(power).real)
+    assert measure_eigen(block, f) == pytest.approx(want_eig, rel=1e-12)
+    assert measure_poly(block, f) == pytest.approx(want_poly, rel=1e-12)

@@ -81,6 +81,8 @@ def test_fit_expansion_recovers_coefficients():
     js = fit.to_json()
     assert js["k_range"] == [10, 40]
     assert len(js["c"]) == 3
+    assert js["condition"] == fit.condition > 1
+    assert js["c0_uncertainty"] == fit.c0_uncertainty < 1e-9
 
 
 def test_fit_expansion_window_requirements():
