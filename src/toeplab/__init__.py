@@ -54,7 +54,6 @@ from .multiindex import (
     dimension_of_degree_space,
     enumerate_degree,
     enumerate_fiber,
-    fiber_count_growth,
     fiber_polytope_vertices,
     full_torus,
     grlex_key,

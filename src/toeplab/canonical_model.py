@@ -186,15 +186,16 @@ def check_isometry(indices: Sequence[ModelIndex], quad: QuadratureSpec = Quadrat
     G = B @ F
     off = G - np.diag(np.diag(G))
     defect = (G - np.eye(len(G))) @ B
-    wp = F @ B
-    wp *= weights[:, None]
-    # Row strips keep the grid x grid temporaries small.  W Pi - (W Pi)^H
-    # is anti-Hermitian, so its upper triangle holds every entry's modulus.
+    # Row strips keep every grid x grid temporary to 256 rows; W Pi = W F B
+    # is formed strip by strip and never whole.  W Pi - (W Pi)^H is
+    # anti-Hermitian, so its upper triangle holds every entry's modulus.
     idem = selfadj = 0.0
-    for i in range(0, len(wp), 256):
+    for i in range(0, len(weights), 256):
         rows = slice(i, i + 256)
         idem = max(idem, float(np.max(np.abs(F[rows] @ defect))))
-        selfadj = max(selfadj, float(np.max(np.abs(wp[rows, i:] - wp[i:, rows].conj().T))))
+        wp_rows = (F[rows] @ B[:, i:]) * weights[rows, None]
+        wp_cols = (F[i:] @ B[:, rows]) * weights[i:, None]
+        selfadj = max(selfadj, float(np.max(np.abs(wp_rows - wp_cols.conj().T))))
     return IsometryReport(
         quad=quad,
         states=F.shape[1],

@@ -31,7 +31,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, isqrt, lcm, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -422,6 +422,58 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
     return ToeplitzBlock(n=n, k=k, basis=basis, sectors=sectors, exact_diagonal=tuple(diag))
 
 
+def _invariant_numerators(symbol: InvariantSymbol, points) -> tuple[tuple[int, ...], int]:
+    """Exact eigenvalues of a polynomial invariant symbol on many monomials.
+
+    Returns integer numerators N_alpha and one positive common denominator
+    D with lambda_alpha = N_alpha / D.  With G = max |gamma|, L the lcm of
+    the coefficient denominators and D(b) = prod_{s=1..G} (n-1+b+s),
+
+        N_alpha = sum_gamma (c_gamma L) prod_i (alpha_i+1)...(alpha_i+gamma_i)
+                  * prod_{s=|gamma|+1..G} (n-1+b+s) * M / D(b),
+
+    where b = |alpha| and M is the lcm of D(b) over the degrees present,
+    so D = L M.  Every partial product has G factors of size at most
+    n-1+G+sum_i |alpha_i|; the sum runs on int64 arrays when that bound
+    rules out overflow, and on Python integers otherwise.
+    """
+    if symbol.poly is None:
+        raise SymbolFormatError(
+            "eigenvalues need the polynomial form of the symbol",
+            operation="hardy_sphere.invariant_eigenvalue",
+        )
+    n = symbol.n
+    pts = np.asarray(points, dtype=np.int64)
+    if pts.size == 0:
+        pts = pts.reshape(0, n)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValidationError("alpha length must equal n", operation="hardy_sphere.invariant_eigenvalue")
+    G = max((sum(g) for g, _ in symbol.poly), default=0)
+    L = lcm(*(c.denominator for _, c in symbol.poly))
+    coeffs = [c.numerator * (L // c.denominator) for _, c in symbol.poly]
+    degrees, where = np.unique(pts.sum(axis=1), return_inverse=True)
+    dens = [prod(n - 1 + int(b) + s for s in range(1, G + 1)) for b in degrees]
+    M = lcm(*dens)
+    scales = [M // den for den in dens]
+    top = n - 1 + G + int(np.abs(pts).sum(axis=1).max(initial=0))
+    bound = sum(abs(c) for c in coeffs) * top**G * max(scales, default=1)
+    dtype = np.int64 if bound < 2**63 else object
+    pts = pts.astype(dtype)
+    base = pts.sum(axis=1) + (n - 1)
+    total = np.zeros(len(pts), dtype=dtype)
+    for (gamma, _), c in zip(symbol.poly, coeffs):
+        term = np.full(len(pts), c, dtype=dtype)
+        for i, e in enumerate(gamma):
+            for t in range(1, e + 1):
+                term *= pts[:, i] + t
+        for s in range(sum(gamma) + 1, G + 1):
+            term *= base + s
+        total += term
+    if len(dens) > 1:
+        total *= np.array(scales, dtype=dtype)[where]
+    return tuple(total.tolist()), L * M
+
+
 def invariant_eigenvalue(symbol: InvariantSymbol, alpha: Sequence[int]) -> Fraction:
     """Exact eigenvalue of a polynomial invariant symbol on z^alpha.
 
@@ -429,17 +481,8 @@ def invariant_eigenvalue(symbol: InvariantSymbol, alpha: Sequence[int]) -> Fract
 
     For F = a_1 on two coordinates this is (alpha_1 + 1) / (k + 2) with
     k = |alpha|; for F = a_1^2 it is
-    (alpha_1 + 2)(alpha_1 + 1) / ((k + 3)(k + 2)).
+    (alpha_1 + 2)(alpha_1 + 1) / ((k + 3)(k + 2)).  This is the one-point
+    case of the batched fiber computation.
     """
-    if symbol.poly is None:
-        raise SymbolFormatError(
-            "eigenvalues need the polynomial form of the symbol",
-            operation="hardy_sphere.invariant_eigenvalue",
-        )
-    alpha = tuple(int(e) for e in alpha)
-    if len(alpha) != symbol.n:
-        raise ValidationError("alpha length must equal n", operation="hardy_sphere.invariant_eigenvalue")
-    total = Fraction(0)
-    for gamma, c in symbol.poly:
-        total += c * _norm_ratio(alpha, gamma, symbol.n)
-    return total
+    (num,), den = _invariant_numerators(symbol, [tuple(int(e) for e in alpha)])
+    return Fraction(num, den)

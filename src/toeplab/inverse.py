@@ -222,6 +222,18 @@ class DistinguishReport:
         }
 
 
+def _differ(xs: Sequence[int], dx: int, ys: Sequence[int], dy: int, tol: float) -> bool:
+    """Whether the eigenvalues xs / dx and ys / dy differ pairwise by more than tol.
+
+    (x dy - y dx) / (dx dy) is one correctly rounded division of the exact
+    difference, so it is the float of the Fraction difference.
+    """
+    if len(xs) != len(ys):
+        return True
+    dd = dx * dy
+    return any(abs(x * dy - y * dx) / dd > tol for x, y in zip(xs, ys))
+
+
 def spectral_distinguishability(
     oracle_a: Callable[[int], EquivariantSpectrum],
     oracle_b: Callable[[int], EquivariantSpectrum],
@@ -242,15 +254,15 @@ def spectral_distinguishability(
     for k in range(1, k_max + 1):
         sa = oracle_a(k)
         sb = oracle_b(k)
-        da = dict(zip((b for b, _ in sa.entries), sa.lambdas_exact))
-        db = dict(zip((b for b, _ in sb.entries), sb.lambdas_exact))
         if first_labeled is None:
-            if set(da) != set(db) or any(abs(float(da[b] - db[b])) > tol for b in da):
+            same_fiber = [b for b, _ in sa.entries] == [b for b, _ in sb.entries]
+            if not same_fiber or _differ(sa.numerators, sa.denominator, sb.numerators, sb.denominator, tol):
                 first_labeled = k
-        if first_multiset is None:
-            la, lb = sorted(da.values()), sorted(db.values())
-            if len(la) != len(lb) or any(abs(float(x - y)) > tol for x, y in zip(la, lb)):
-                first_multiset = k
+        # one positive denominator per spectrum: numerators sort like eigenvalues
+        if first_multiset is None and _differ(
+            sorted(sa.numerators), sa.denominator, sorted(sb.numerators), sb.denominator, tol
+        ):
+            first_multiset = k
         if first_labeled is not None and first_multiset is not None:
             break
     return DistinguishReport(

@@ -7,7 +7,10 @@ subtorus of the standard n-torus is described by its integer weight matrix
 acting on the coordinates; the fiber of that action at level k collects
 the lattice points beta with  Bt beta = k alpha.
 
-All arithmetic in this module is exact: Python integers and Fractions.
+All arithmetic in this module is exact.  Polytope vertices are Fractions;
+the fiber search runs on numpy int64 arrays, level by level over every
+live prefix at once, after a check that the level and the bounding box
+stay far inside the int64 range.
 """
 
 from __future__ import annotations
@@ -19,28 +22,29 @@ from itertools import combinations
 from math import comb, floor
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from . import _exact
 from .errors import UnboundedFiberError, ValidationError
 
 MultiIndex = tuple[int, ...]
 
+# Largest magnitude the int64 fiber search accepts for a level, a box
+# bound or a weighted box sum; half the int64 range leaves room for the
+# residual updates.
+_INT64_SAFE = 2**62
+
 __all__ = [
     "MultiIndex",
     "SubtorusData",
-    "degree",
     "grlex_key",
     "enumerate_degree",
     "enumerate_fiber",
-    "fiber_count_growth",
     "fiber_polytope_vertices",
     "recession_pointed",
     "diagonal_circle",
     "full_torus",
 ]
-
-
-def degree(mi: Sequence[int]) -> int:
-    return sum(mi)
 
 
 def grlex_key(mi: Sequence[int]):
@@ -197,7 +201,9 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
     """Lattice points beta >= 0 with Bt beta = k * alpha, graded-lex order.
 
     Raises UnboundedFiberError when the recession cone of the level
-    polytope is nontrivial, since the lattice set is then infinite.
+    polytope is nontrivial, since the lattice set is then infinite, and
+    ValidationError when the level or the bounding box is too large for
+    int64 arithmetic.
     """
     if k < 1:
         raise ValidationError("level multiplier k must be >= 1", operation="multiindex.enumerate_fiber")
@@ -214,6 +220,12 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
     Bt = sub.weight_matrix
     target = [k * a for a in sub.alpha]
     bounds = [floor(k * max(v[i] for v in vertices)) for i in range(n)]
+    reach = max(abs(t) + sum(abs(w) * b for w, b in zip(row, bounds)) for row, t in zip(Bt, target))
+    if max(reach, sum(bounds)) >= _INT64_SAFE:
+        raise ValidationError(
+            f"level {k} fiber exceeds the int64 range of the lattice search",
+            operation="multiindex.enumerate_fiber",
+        )
 
     # suffix_lo[r][j], suffix_hi[r][j]: achievable range of
     # sum_{i >= j} x_i * Bt[r][i] over the coordinate boxes.
@@ -227,44 +239,39 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
             suffix_lo[r][j] = suffix_lo[r][j + 1] + lo
             suffix_hi[r][j] = suffix_hi[r][j + 1] + hi
 
-    out: list[MultiIndex] = []
-    partial = [0] * n
-
-    def extend(j: int, residual: list[int]) -> None:
-        if j == n:
-            # the clamp below left every residual in [0, 0]
-            out.append(tuple(partial))
-            return
-        # clamp x_j so that each residual[r] - x_j * w stays inside the
+    # Every live prefix at once: row p of `points` holds x_0..x_{j-1} and
+    # row p of `residual` what the later coordinates must still supply.
+    points = np.zeros((1, 0), dtype=np.int64)
+    residual = np.array([target], dtype=np.int64)
+    for j in range(n):
+        # clamp x_j so that each residual[:, r] - x_j * w stays inside the
         # range [suffix_lo[r][j+1], suffix_hi[r][j+1]] the later
         # coordinates can still reach
-        lo_val, hi_val = 0, bounds[j]
+        lo_val = np.zeros(len(points), dtype=np.int64)
+        hi_val = np.full(len(points), bounds[j], dtype=np.int64)
         for r in range(d):
             w = Bt[r][j]
-            below = residual[r] - suffix_hi[r][j + 1]  # need x_j * w >= below
-            above = residual[r] - suffix_lo[r][j + 1]  # need x_j * w <= above
+            below = residual[:, r] - suffix_hi[r][j + 1]  # need x_j * w >= below
+            above = residual[:, r] - suffix_lo[r][j + 1]  # need x_j * w <= above
             if w > 0:
-                lo_val = max(lo_val, -(-below // w))
-                hi_val = min(hi_val, above // w)
+                np.maximum(lo_val, -(-below // w), out=lo_val)
+                np.minimum(hi_val, above // w, out=hi_val)
             elif w < 0:
-                lo_val = max(lo_val, -(-above // w))
-                hi_val = min(hi_val, below // w)
-            elif not below <= 0 <= above:
-                return
-        col = [Bt[r][j] for r in range(d)]
-        for val in range(lo_val, hi_val + 1):
-            partial[j] = val
-            extend(j + 1, [residual[r] - val * col[r] for r in range(d)])
-        partial[j] = 0
-
-    extend(0, target)
-    out.sort(key=grlex_key)
-    return out
-
-
-def fiber_count_growth(sub: SubtorusData, k_list: Sequence[int]) -> list[tuple[int, int]]:
-    """Pairs (k, #fiber(k)); propagates the unbounded-fiber error."""
-    return [(k, len(enumerate_fiber(sub, k))) for k in k_list]
+                np.maximum(lo_val, -(-above // w), out=lo_val)
+                np.minimum(hi_val, below // w, out=hi_val)
+            else:  # x_j is free in this row; drop prefixes already out of reach
+                hi_val[(below > 0) | (above < 0)] = -1
+        counts = np.maximum(hi_val - lo_val + 1, 0)
+        total = int(counts.sum())
+        starts = np.cumsum(counts) - counts
+        vals = np.repeat(lo_val, counts) + (np.arange(total, dtype=np.int64) - np.repeat(starts, counts))
+        points = np.column_stack([np.repeat(points, counts, axis=0), vals])
+        col = np.array([Bt[r][j] for r in range(d)], dtype=np.int64)
+        residual = np.repeat(residual, counts, axis=0) - vals[:, None] * col[None, :]
+    # the last clamp left every residual at exactly zero; sort by
+    # grlex_key: total degree first, then larger leading entries first
+    order = np.lexsort([-points[:, j] for j in range(n - 1, -1, -1)] + [points.sum(axis=1)])
+    return list(map(tuple, points[order].tolist()))
 
 
 def dimension_of_degree_space(n: int, k: int) -> int:

@@ -10,6 +10,11 @@ whose column minors are unimodular.  This module computes the spectra,
 runs that regularity check exactly, and estimates the limit integral by
 a volume fit plus rejection sampling, giving an oracle that never sees
 the operator side.
+
+A fiber's spectrum is computed in one batch and stored as integer
+numerators over one common denominator; Fractions are built only on
+demand, one per ``eigenvalue_of`` lookup or all at once through
+``lambdas_exact``.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import pi
 from typing import Sequence
 
@@ -29,7 +35,7 @@ from .errors import (
     UnboundedFiberError,
     ValidationError,
 )
-from .hardy_sphere import InvariantSymbol, invariant_eigenvalue
+from .hardy_sphere import InvariantSymbol, _invariant_numerators
 from .multiindex import (
     MultiIndex,
     SubtorusData,
@@ -58,12 +64,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EquivariantSpectrum:
-    """Eigenvalues of an invariant symbol on one weight fiber."""
+    """Eigenvalues of an invariant symbol on one weight fiber.
+
+    The exact eigenvalue of ``entries[i]`` is ``numerators[i] /
+    denominator``: integers over one positive common denominator, so
+    equal-level spectra compare and sort without Fractions.  The float in
+    each entry is that quotient, correctly rounded.
+    """
 
     sub: SubtorusData
     k: int
     entries: tuple[tuple[MultiIndex, float], ...]
-    lambdas_exact: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
     @property
     def count(self) -> int:
@@ -73,12 +86,20 @@ class EquivariantSpectrum:
     def eigenvalues(self) -> np.ndarray:
         return np.array([lam for _, lam in self.entries])
 
+    @cached_property
+    def lambdas_exact(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(num, self.denominator) for num in self.numerators)
+
+    @cached_property
+    def _position(self) -> dict[MultiIndex, int]:
+        return {beta: i for i, (beta, _) in enumerate(self.entries)}
+
     def eigenvalue_of(self, beta: Sequence[int]) -> Fraction:
         key = tuple(int(b) for b in beta)
-        for (b, _), lam in zip(self.entries, self.lambdas_exact):
-            if b == key:
-                return lam
-        raise ValidationError(f"beta {key} is not on the fiber", operation="toric.EquivariantSpectrum")
+        i = self._position.get(key)
+        if i is None:
+            raise ValidationError(f"beta {key} is not on the fiber", operation="toric.EquivariantSpectrum")
+        return Fraction(self.numerators[i], self.denominator)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -95,12 +116,13 @@ def equivariant_spectrum(symbol: InvariantSymbol, sub: SubtorusData, k: int) -> 
     if symbol.n != sub.n:
         raise ValidationError("symbol and subtorus dimensions differ", operation="toric.equivariant_spectrum")
     fiber = enumerate_fiber(sub, k)
-    lams = [invariant_eigenvalue(symbol, beta) for beta in fiber]
+    nums, den = _invariant_numerators(symbol, fiber)
     return EquivariantSpectrum(
         sub=sub,
         k=k,
-        entries=tuple((beta, float(lam)) for beta, lam in zip(fiber, lams)),
-        lambdas_exact=tuple(lams),
+        entries=tuple(zip(fiber, [num / den for num in nums])),
+        numerators=nums,
+        denominator=den,
     )
 
 
@@ -113,14 +135,12 @@ def fiber_measure(spectrum: EquivariantSpectrum, f: TestFunction) -> float:
 
 def fiber_measure_exact(spectrum: EquivariantSpectrum, coeffs: Sequence) -> Fraction:
     """Exact fiber measure of a polynomial test function, ascending coeffs."""
-    cs = [Fraction(c) for c in coeffs]
-    total = Fraction(0)
-    for lam in spectrum.lambdas_exact:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * lam + c
-        total += acc
-    return total
+    den = spectrum.denominator
+    # sum_j c_j sum_beta (N_beta / D)^j, with integer power sums of the numerators
+    return sum(
+        (Fraction(c) * Fraction(sum(x**j for x in spectrum.numerators), den**j) for j, c in enumerate(coeffs)),
+        Fraction(0),
+    )
 
 
 def fiber_measure_series(
@@ -147,7 +167,8 @@ def fiber_volume(sub: SubtorusData, k_list: Sequence[int] | None = None) -> floa
         raise UnboundedFiberError("level polytope is unbounded", operation="toric.fiber_volume")
     m = sub.n - sub.d
     if k_list is None:
-        k_list = range(4, 41)
+        # fit_expansion needs k >= 2 * order
+        k_list = range(max(4, 2 * m), 41)
     ks = sorted(set(int(k) for k in k_list))
     if len(ks) < m + 2:
         raise ValidationError(f"need at least {m + 2} k values", operation="toric.fiber_volume")

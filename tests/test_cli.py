@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from math import pi
+from pathlib import Path
 
 import pytest
 
+import toeplab
 from toeplab.cli import main
 
 A1_POLY = {"terms": [{"gamma": [1, 0], "delta": [1, 0], "re": 1.0, "im": 0.0}]}
@@ -188,10 +191,14 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_module_entry_point(tmp_path):
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps({"states": [{"m": [1], "k_dim": 0}]}))
+    # the child imports toeplab from where this process found it
+    src = str(Path(toeplab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "toeplab.cli", "--experiment", "model",
          "--manifest", str(mpath), "--out", str(tmp_path / "o")],
         capture_output=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "o" / "isometry.json").exists()

@@ -127,6 +127,23 @@ def test_distinguishability_identical_and_distinct():
     assert both.first_multiset_difference == 1
 
 
+def test_distinguishability_same_operator_other_denominator():
+    # a_1 (a_1 + a_2 + a_3) = a_1 on the simplex: the same operator, but
+    # |gamma| = 2 puts its spectra over a different common denominator
+    a1 = InvariantSymbol.coordinate(0, 3)
+    a1_sum = InvariantSymbol.from_poly([((2, 0, 0), 1), ((1, 1, 0), 1), ((1, 0, 1), 1)], 3)
+    sub = diagonal_circle(3)
+    for k in (1, 6):
+        sa, sb = equivariant_spectrum(a1, sub, k), equivariant_spectrum(a1_sum, sub, k)
+        assert sa.denominator != sb.denominator
+        assert sa.lambdas_exact == sb.lambdas_exact
+    for tol in (1e-12, 0.0):
+        rep = spectral_distinguishability(
+            lambda k: equivariant_spectrum(a1, sub, k), lambda k: equivariant_spectrum(a1_sum, sub, k), 6, tol=tol
+        )
+        assert not rep.labeled_differ and not rep.multiset_differ
+
+
 def test_loglog_slope():
     xs = [1.0, 2.0, 4.0, 8.0]
     assert loglog_slope(xs, [3.0 / x**2 for x in xs]) == pytest.approx(-2.0, abs=1e-12)

@@ -10,7 +10,6 @@ from toeplab.multiindex import (
     dimension_of_degree_space,
     enumerate_degree,
     enumerate_fiber,
-    fiber_count_growth,
     fiber_polytope_vertices,
     full_torus,
     grlex_key,
@@ -77,7 +76,7 @@ def test_fiber_weighted_mixes_degrees():
 
 def test_fiber_product_of_lines_counts():
     sub = SubtorusData(n=4, d=2, weight_matrix=((1, 1, 0, 0), (0, 0, 1, 1)), alpha=(1, 1))
-    assert fiber_count_growth(sub, [1, 2, 5]) == [(1, 4), (2, 9), (5, 36)]
+    assert [len(enumerate_fiber(sub, k)) for k in (1, 2, 5)] == [4, 9, 36]
 
 
 def test_fiber_full_torus_single_point():
@@ -92,15 +91,21 @@ def test_fiber_full_torus_single_point():
         # each negative weight has a later nonzero weight in its row, so the
         # lower and upper ends of its clamp differ
         (((1, 1, 1), (1, -1, -2)), (3, 0)),
+        # zero weights at the ends and inside the second row: those
+        # coordinates are free in that row, not pinned to zero
+        (((1, 1, 1, 1), (0, 1, -1, 0)), (3, 0)),
+        (((1, 1, 1, 1), (2, 0, -1, 0)), (4, 1)),
+        (((1, 2, 1, 1), (0, 0, 1, -1)), (4, 1)),
     ],
 )
 def test_fiber_mixed_sign_weights_match_brute_force(weight_matrix, alpha):
-    sub = SubtorusData(n=3, d=2, weight_matrix=weight_matrix, alpha=alpha)
+    n = len(weight_matrix[0])
+    sub = SubtorusData(n=n, d=2, weight_matrix=weight_matrix, alpha=alpha)
     for k in (1, 2, 5):
         box = range(alpha[0] * k + 1)
         brute = [
             beta
-            for beta in product(box, repeat=3)
+            for beta in product(box, repeat=n)
             if all(sum(w * b for w, b in zip(row, beta)) == k * a for row, a in zip(weight_matrix, alpha))
         ]
         assert brute
@@ -111,6 +116,19 @@ def test_fiber_unbounded_raises():
     sub = SubtorusData(n=2, d=1, weight_matrix=((1, -1),), alpha=(0,))
     with pytest.raises(UnboundedFiberError):
         enumerate_fiber(sub, 1)
+    # an all-zero weight column leaves its coordinate free
+    sub = SubtorusData(n=3, d=2, weight_matrix=((1, 0, 1), (0, 0, 1)), alpha=(1, 1))
+    with pytest.raises(UnboundedFiberError):
+        enumerate_fiber(sub, 1)
+
+
+def test_fiber_rejects_int64_overflow():
+    # full_torus((1, 2)) has the single point (k, 2k); the second row's
+    # reach 4k decides the cut at k = 2**60
+    sub = full_torus((1, 2))
+    assert enumerate_fiber(sub, 2**59) == [(2**59, 2**60)]
+    with pytest.raises(ValidationError):
+        enumerate_fiber(sub, 2**60)
 
 
 def test_fiber_rejects_bad_level():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import pi
+from math import factorial, pi
 
 import pytest
 
@@ -9,8 +9,8 @@ from toeplab.errors import (
     UnboundedFiberError,
     ValidationError,
 )
-from toeplab.hardy_sphere import InvariantSymbol
-from toeplab.multiindex import SubtorusData, diagonal_circle, full_torus, recession_pointed
+from toeplab.hardy_sphere import InvariantSymbol, monomial_norm
+from toeplab.multiindex import SubtorusData, diagonal_circle, enumerate_fiber, full_torus, recession_pointed
 from toeplab.spectral import TestFunction
 from toeplab.toric import (
     EXAMPLE_SUBTORI,
@@ -46,6 +46,53 @@ def test_spectrum_product_of_lines():
     assert sorted(spec.lambdas_exact) == [Fraction(1, 6), Fraction(1, 6), Fraction(1, 3), Fraction(1, 3)]
 
 
+def _oracle_eigenvalue(symbol, beta):
+    """sum_gamma c_gamma h(beta+gamma) / h(beta) from the monomial norms."""
+    n = symbol.n
+    h = monomial_norm(beta, n)
+    return sum(c * monomial_norm([b + g for b, g in zip(beta, gamma)], n) / h for gamma, c in symbol.poly)
+
+
+def _check_against_oracle(symbol, sub, k):
+    spec = equivariant_spectrum(symbol, sub, k)
+    fiber = enumerate_fiber(sub, k)
+    oracle = [_oracle_eigenvalue(symbol, beta) for beta in fiber]
+    assert [beta for beta, _ in spec.entries] == fiber
+    assert spec.lambdas_exact == tuple(oracle)
+    assert [lam for _, lam in spec.entries] == [float(x) for x in oracle]
+    assert all(spec.eigenvalue_of(beta) == x for beta, x in zip(fiber, oracle))
+    return spec
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_SUBTORI))
+def test_spectrum_matches_norm_ratio_oracle(name):
+    sub = EXAMPLE_SUBTORI[name]
+    n = sub.n
+    e = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    # coefficient denominators 6, 4, 7 and 9; |gamma| from 0 to 3
+    symbol = InvariantSymbol.from_poly(
+        [
+            ((0,) * n, Fraction(1, 6)),
+            (e[0], Fraction(3, 4)),
+            (tuple(2 * a + b for a, b in zip(e[-1], e[0])), Fraction(-5, 7)),
+            (tuple(a + b for a, b in zip(e[0], e[-1])), Fraction(2, 9)),
+        ],
+        n,
+    )
+    mixed = False
+    for k in (1, 4, 9):
+        spec = _check_against_oracle(symbol, sub, k)
+        mixed |= len({sum(beta) for beta, _ in spec.entries}) > 1
+    # only the weighted line mixes degrees within one fiber
+    assert mixed == (name == "weighted_line")
+
+
+def test_spectrum_beyond_int64():
+    symbol = InvariantSymbol.from_poly([((4, 2), Fraction(10**20, 7)), ((0, 1), Fraction(1, 3))], 2)
+    spec = _check_against_oracle(symbol, diagonal_circle(2), 60)
+    assert max(abs(x) for x in spec.numerators) > 2**63
+
+
 def test_spectrum_validation():
     with pytest.raises(ValidationError):
         equivariant_spectrum(A1_2, diagonal_circle(3), 2)
@@ -79,6 +126,13 @@ def test_fiber_measure_series():
 )
 def test_fiber_volume_examples(name, target):
     assert fiber_volume(EXAMPLE_SUBTORI[name]) == pytest.approx(target, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_fiber_volume_default_window_high_codimension(n):
+    # the default window must start at k = 2 (n - d) for the order n - d fit
+    m = n - 1
+    assert fiber_volume(diagonal_circle(n)) == pytest.approx((2 * pi) ** m / factorial(m), rel=1e-9)
 
 
 def test_fiber_volume_validation():
