@@ -433,9 +433,8 @@ def _invariant_numerators(symbol: InvariantSymbol, points) -> tuple[tuple[int, .
                   * prod_{s=|gamma|+1..G} (n-1+b+s) * M / D(b),
 
     where b = |alpha| and M is the lcm of D(b) over the degrees present,
-    so D = L M.  Every partial product has G factors of size at most
-    n-1+G+sum_i |alpha_i|; the sum runs on int64 arrays when that bound
-    rules out overflow, and on Python integers otherwise.
+    so D = L M.  The sums run on object arrays of Python integers, so no
+    size of alpha, coefficient or degree can overflow.
     """
     if symbol.poly is None:
         raise SymbolFormatError(
@@ -443,26 +442,21 @@ def _invariant_numerators(symbol: InvariantSymbol, points) -> tuple[tuple[int, .
             operation="hardy_sphere.invariant_eigenvalue",
         )
     n = symbol.n
-    pts = np.asarray(points, dtype=np.int64)
-    if pts.size == 0:
+    pts = np.array(points, dtype=object)
+    if len(pts) == 0:
         pts = pts.reshape(0, n)
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValidationError("alpha length must equal n", operation="hardy_sphere.invariant_eigenvalue")
     G = max((sum(g) for g, _ in symbol.poly), default=0)
     L = lcm(*(c.denominator for _, c in symbol.poly))
     coeffs = [c.numerator * (L // c.denominator) for _, c in symbol.poly]
-    degrees, where = np.unique(pts.sum(axis=1), return_inverse=True)
-    dens = [prod(n - 1 + int(b) + s for s in range(1, G + 1)) for b in degrees]
-    M = lcm(*dens)
-    scales = [M // den for den in dens]
-    top = n - 1 + G + int(np.abs(pts).sum(axis=1).max(initial=0))
-    bound = sum(abs(c) for c in coeffs) * top**G * max(scales, default=1)
-    dtype = np.int64 if bound < 2**63 else object
-    pts = pts.astype(dtype)
     base = pts.sum(axis=1) + (n - 1)
-    total = np.zeros(len(pts), dtype=dtype)
+    degrees, where = np.unique(base, return_inverse=True)
+    dens = [prod(b + s for s in range(1, G + 1)) for b in degrees]
+    M = lcm(*dens)
+    total = np.zeros(len(pts), dtype=object)
     for (gamma, _), c in zip(symbol.poly, coeffs):
-        term = np.full(len(pts), c, dtype=dtype)
+        term = np.full(len(pts), c, dtype=object)
         for i, e in enumerate(gamma):
             for t in range(1, e + 1):
                 term *= pts[:, i] + t
@@ -470,7 +464,7 @@ def _invariant_numerators(symbol: InvariantSymbol, points) -> tuple[tuple[int, .
             term *= base + s
         total += term
     if len(dens) > 1:
-        total *= np.array(scales, dtype=dtype)[where]
+        total *= np.array([M // den for den in dens], dtype=object)[where]
     return tuple(total.tolist()), L * M
 
 

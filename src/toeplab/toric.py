@@ -135,12 +135,14 @@ def fiber_measure(spectrum: EquivariantSpectrum, f: TestFunction) -> float:
 
 def fiber_measure_exact(spectrum: EquivariantSpectrum, coeffs: Sequence) -> Fraction:
     """Exact fiber measure of a polynomial test function, ascending coeffs."""
-    den = spectrum.denominator
-    # sum_j c_j sum_beta (N_beta / D)^j, with integer power sums of the numerators
-    return sum(
-        (Fraction(c) * Fraction(sum(x**j for x in spectrum.numerators), den**j) for j, c in enumerate(coeffs)),
-        Fraction(0),
-    )
+    cs = [Fraction(c) for c in coeffs]
+    total = Fraction(0)
+    for lam in spectrum.lambdas_exact:
+        acc = Fraction(0)
+        for c in reversed(cs):
+            acc = acc * lam + c
+        total += acc
+    return total
 
 
 def fiber_measure_series(

@@ -107,6 +107,16 @@ def test_invariant_eigenvalue_closed_forms():
             assert invariant_eigenvalue(a1sq, alpha) == Fraction((j + 2) * (j + 1), (k + 3) * (k + 2))
 
 
+def test_invariant_eigenvalue_alpha_length_and_size():
+    a1 = InvariantSymbol.coordinate(0, 2)
+    for alpha in [(), (1,), (1, 0, 0)]:
+        with pytest.raises(ValidationError):
+            invariant_eigenvalue(a1, alpha)
+    # entries beyond int64 stay exact
+    for j, k in [(2**63, 2**63 + 5), (2**70, 2**70)]:
+        assert invariant_eigenvalue(a1, (j, k - j)) == Fraction(j + 1, k + 2)
+
+
 def test_invariant_eigenvalue_needs_polynomial_form():
     sym = InvariantSymbol.from_callable(lambda a: 1.0, 2)
     with pytest.raises(SymbolFormatError):
