@@ -135,15 +135,18 @@ def _run_theorem1(manifest: dict, out: Path, seed: int) -> list[str]:
     m = n - 1
     rows = []
     samples = []
+    sectors = []
     for k in ks:
         block = assemble_block(symbol, n, k)
         mu = measure_eigen(block, f) if method == "eigen" else measure_poly(block, f)
         sm = scaled_measure(mu, m, k)
         rows.append({"n": n, "k": k, "m": m, "f_id": f.label, "mu": mu, "scaled_mu": sm})
         samples.append((k, sm))
+        sectors.append({"k": k, "count": len(block.sectors),
+                        "largest": max(len(pos) for pos, _ in block.sectors)})
     write_measure_csv(out / "measures.csv", rows)
     fit = fit_expansion(samples, order=order)
-    _write_json(out / "fit.json", fit.to_json())
+    _write_json(out / "fit.json", {**fit.to_json(), "sectors": sectors})
     return ["measures.csv", "fit.json"]
 
 

@@ -24,6 +24,14 @@ have gamma = delta have no shifts; they depend only on the squared
 coordinate sizes a_i = |z_i|^2 / |z|^2, every monomial is its own
 sector, and the diagonal entries are exactly rational, kept here as
 Fractions end to end.
+
+Assembly runs term by term over the whole basis at once.  All coupled
+monomials have degree k, so h(alpha+gamma)/h(alpha) has the scalar
+denominator D = prod_{s=1..|gamma|} (n-1+k+s) and every entry's radicand
+is an integer numerator P over D^2, computed on numpy object arrays of
+Python integers; the root is exact when P is a perfect square.  The
+diagonal is a sum of such ratios over one common denominator, one
+Fraction per monomial.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, isqrt, lcm, prod
+from math import comb, factorial, isqrt, lcm, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,6 +59,10 @@ __all__ = [
 
 CONJUGATE_ULPS = 4
 
+# Largest sector storage (16 bytes per complex entry, summed over the
+# squared sector sizes) assemble_block allocates.
+MAX_SECTOR_BYTES = 2 * 1024**3
+
 
 def monomial_norm(mu: Sequence[int], n: int) -> Fraction:
     """Exact squared norm of z^mu on the unit sphere of C^n.
@@ -67,29 +79,6 @@ def monomial_norm(mu: Sequence[int], n: int) -> Fraction:
     for e in mu:
         num *= factorial(e)
     return Fraction(num, factorial(n - 1 + sum(mu)))
-
-
-def _norm_ratio(alpha: Sequence[int], gamma: Sequence[int], n: int) -> Fraction:
-    """h(alpha+gamma)/h(alpha) as a product of small integer factors."""
-    num = 1
-    for a, g in zip(alpha, gamma):
-        for t in range(1, g + 1):
-            num *= a + t
-    den = 1
-    base = n - 1 + sum(alpha)
-    for s in range(1, sum(gamma) + 1):
-        den *= base + s
-    return Fraction(num, den)
-
-
-def _sqrt_fraction(q: Fraction) -> Fraction | None:
-    """Exact square root of a non-negative rational, or None."""
-    if q < 0:
-        return None
-    pn, pd = isqrt(q.numerator), isqrt(q.denominator)
-    if pn * pn == q.numerator and pd * pd == q.denominator:
-        return Fraction(pn, pd)
-    return None
 
 
 def _is_conjugate(c, cc) -> bool:
@@ -331,11 +320,6 @@ class ToeplitzBlock:
             dense[np.ix_(idx, idx)] = q
         return dense
 
-    def hermiticity_defect(self) -> float:
-        m = self.matrix
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-        return float(np.max(np.abs(m - m.conj().T)) / scale) if m.size else 0.0
-
     def to_csv(self, path) -> None:
         import csv
 
@@ -350,23 +334,47 @@ class ToeplitzBlock:
                                 repr(float(v.real)), repr(float(v.imag))])
 
 
-def _charge_sectors(symbol: SymbolPoly, basis: Sequence[MultiIndex]) -> list[list[int]]:
-    """Basis positions grouped by conserved torus charge, in first-seen order.
+def _charge_sectors(symbol: SymbolPoly, rows: np.ndarray) -> np.ndarray:
+    """Sector label of every basis row, sectors numbered in first-seen order.
 
     The charges are an integer basis of the vectors orthogonal to every
-    shift gamma - delta, so no term couples two groups.  Without shifts
+    shift gamma - delta, so no term couples two sectors.  Without shifts
     the nullspace of the zero row is the identity and each monomial is its
-    own group; torsion in the shift lattice (a shift 2(e_1 - e_2), say)
-    leaves groups coarser than the finest invariant split, which is still
+    own sector; torsion in the shift lattice (a shift 2(e_1 - e_2), say)
+    leaves sectors coarser than the finest invariant split, which is still
     exact.
     """
     shifts = [[g - d for g, d in zip(gamma, delta)] for gamma, delta, _ in symbol.terms if gamma != delta]
-    charges = _exact.integer_nullspace(shifts or [[0] * symbol.n])
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for j, alpha in enumerate(basis):
-        key = tuple(sum(c * a for c, a in zip(row, alpha)) for row in charges)
-        groups.setdefault(key, []).append(j)
-    return list(groups.values())
+    charges = np.array(_exact.integer_nullspace(shifts or [[0] * symbol.n]), dtype=np.int64)
+    _, first, label = np.unique(rows @ charges.T, axis=0, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[label.reshape(-1)]
+
+
+def _grlex_rank(rows: np.ndarray, k: int) -> np.ndarray:
+    """Positions of degree-k multi-indices (int64 rows) in enumerate_degree.
+
+    A row beta is preceded by the multi-indices that agree with it before
+    coordinate i and are larger at i; with S = beta_{i+1} + ... + beta_{n-1}
+    there are C(S + n-i-2, n-i-1) of them, none when S = 0.
+    """
+    n = rows.shape[1]
+    table = np.array([[comb(s + n - i - 2, n - i - 1) if s else 0 for s in range(k + 1)]
+                      for i in range(n - 1)], dtype=np.int64).reshape(n - 1, k + 1)
+    suffix = np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1]  # suffix[:, i] = beta_{i+1} + ... + beta_{n-1}
+    return table[np.arange(n - 1), suffix].sum(axis=1)
+
+
+def _rising(rows: np.ndarray, exponents: Sequence[int], scale: int = 1) -> np.ndarray:
+    """scale * prod_i (r_i+1)(r_i+2)...(r_i+e_i) for every row r.
+
+    The product is an object array, so int64 rows are cast to Python ints
+    before they multiply and no size of product can overflow.
+    """
+    out = np.full(len(rows), scale, dtype=object)
+    for i, e in enumerate(exponents):
+        for t in range(1, e + 1):
+            out *= rows[:, i] + t
+    return out
 
 
 def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
@@ -374,52 +382,72 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
 
     Each term (gamma, delta, c) couples alpha to beta = alpha + gamma -
     delta inside one charge sector, so assembly is O(#terms * dim) and
-    storage is the sum of the squared sector sizes.  Entry magnitudes
-    involve sqrt(h(alpha+gamma)^2 / (h(alpha) h(beta))); the radicand is
-    computed exactly and the root taken exactly whenever it is a perfect
-    square, so diagonal entries (always rational) incur no rounding before
-    the final float conversion.
+    storage is the sum of the squared sector sizes; a block whose sector
+    storage would exceed MAX_SECTOR_BYTES is refused before any of it is
+    allocated.  Every coupled alpha and beta has degree k, so with
+    D = prod_{s=1..|gamma|} (n-1+k+s) an entry's radicand
+    h(alpha+gamma)^2 / (h(alpha) h(beta)) is P / D^2 for the integer
+    P = prod_i (alpha_i+1)...(alpha_i+gamma_i) * prod_i (beta_i+1)...(beta_i+delta_i).
+    Each term computes P for all of its rows at once on Python integers; the
+    magnitude is isqrt(P) / D when P is a perfect square and sqrt(P / D^2)
+    otherwise, both from correctly rounded integer divisions.  Diagonal
+    entries are exact: one Fraction per monomial from the integer
+    numerators of the invariant terms, rounded once to float.
     """
     if symbol.n != n:
         raise SymbolFormatError("symbol coordinate count does not match n", operation="hardy_sphere.assemble_block")
     if k < 0:
         raise ValidationError("degree k must be non-negative", operation="hardy_sphere.assemble_block")
     basis = tuple(enumerate_degree(n, k))
-    index = {mi: i for i, mi in enumerate(basis)}
     dim = len(basis)
-    groups = _charge_sectors(symbol, basis)
-    mats = [np.zeros((len(g), len(g)), dtype=complex) for g in groups]
-    where = [None] * dim  # basis position -> (sector matrix, local index)
-    for g, q in zip(groups, mats):
-        for local, j in enumerate(g):
-            where[j] = (q, local)
-    diag = [Fraction(0)] * dim
+    rows = np.array(basis, dtype=np.int64).reshape(dim, n)
+    label = _charge_sectors(symbol, rows)
+    sizes = np.bincount(label)
+    areas = sizes * sizes
+    entries = int(areas.sum())
+    nbytes = 16 * entries
+    if nbytes > MAX_SECTOR_BYTES:
+        raise ValidationError(
+            f"block of dim {dim} (largest sector {int(sizes.max())}) needs {nbytes} bytes "
+            f"of sector storage, over the {MAX_SECTOR_BYTES}-byte limit",
+            operation="hardy_sphere.assemble_block",
+        )
+    # Sector s is the row-major slice offsets[s]:offsets[s]+sizes[s]**2 of
+    # one flat buffer; basis position j sits at local index local[j].
+    order = np.argsort(label, kind="stable")
+    local = np.empty(dim, dtype=np.int64)
+    local[order] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    offsets = np.cumsum(areas) - areas
+    start, width = offsets[label], sizes[label]
+    flat = np.zeros(entries, dtype=complex)
 
     # Terms stay the outer loop so each entry sums its terms in symbol order.
     for gamma, delta, c in symbol.terms:
-        shift = tuple(g - d for g, d in zip(gamma, delta))
-        for j, alpha in enumerate(basis):
-            beta = tuple(a + s for a, s in zip(alpha, shift))
-            if any(b < 0 for b in beta):
-                continue
-            i = index[beta]
-            r_alpha = _norm_ratio(alpha, gamma, n)
-            if i == j:
-                # gamma == delta here; Hermitian closure forces c real
-                diag[j] += Fraction(c.real) * r_alpha
-            else:
-                r_beta = _norm_ratio(beta, delta, n)
-                root = _sqrt_fraction(r_alpha * r_beta)
-                mag = float(root) if root is not None else float(np.sqrt(float(r_alpha * r_beta)))
-                q, lj = where[j]
-                li = where[i][1]  # beta shares alpha's sector
-                q[li, lj] += complex(c) * mag
+        if gamma == delta:
+            continue
+        beta = rows + np.subtract(gamma, delta)
+        cols = np.flatnonzero((beta >= 0).all(axis=1))
+        beta = beta[cols]
+        den = prod(n - 1 + k + s for s in range(1, sum(gamma) + 1))
+        products = (_rising(rows[cols], gamma) * _rising(beta, delta)).tolist()  # the P of each entry
+        roots = [isqrt(p) for p in products]
+        den2 = den * den
+        mag = np.sqrt(np.array([p / den2 for p in products], dtype=float))
+        square = [j for j, (r, p) in enumerate(zip(roots, products)) if r * r == p]
+        mag[square] = [roots[j] / den for j in square]
+        i = _grlex_rank(beta, k)
+        flat[start[cols] + local[i] * width[cols] + local[cols]] += complex(c) * mag
 
-    for j in range(dim):
-        q, lj = where[j]
-        q[lj, lj] = float(diag[j])
-    sectors = tuple((tuple(g), q) for g, q in zip(groups, mats))
-    return ToeplitzBlock(n=n, k=k, basis=basis, sectors=sectors, exact_diagonal=tuple(diag))
+    # gamma == delta terms touch only the diagonal; Hermitian closure forces c real
+    diagonal = InvariantSymbol.from_poly([(g, Fraction(c.real)) for g, d, c in symbol.terms if g == d], n)
+    numerators, den = _invariant_numerators(diagonal, basis)
+    flat[start + local * (width + 1)] = [num / den for num in numerators]
+    sectors = tuple(
+        (tuple(pos.tolist()), flat[o:o + s * s].reshape(s, s))
+        for pos, o, s in zip(np.split(order, np.cumsum(sizes)[:-1]), offsets.tolist(), sizes.tolist())
+    )
+    exact_diagonal = tuple(Fraction(num, den) for num in numerators)
+    return ToeplitzBlock(n=n, k=k, basis=basis, sectors=sectors, exact_diagonal=exact_diagonal)
 
 
 def _invariant_numerators(symbol: InvariantSymbol, points) -> tuple[tuple[int, ...], int]:
@@ -456,10 +484,7 @@ def _invariant_numerators(symbol: InvariantSymbol, points) -> tuple[tuple[int, .
     M = lcm(*dens)
     total = np.zeros(len(pts), dtype=object)
     for (gamma, _), c in zip(symbol.poly, coeffs):
-        term = np.full(len(pts), c, dtype=object)
-        for i, e in enumerate(gamma):
-            for t in range(1, e + 1):
-                term *= pts[:, i] + t
+        term = _rising(pts, gamma, c)
         for s in range(sum(gamma) + 1, G + 1):
             term *= base + s
         total += term

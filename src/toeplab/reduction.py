@@ -22,6 +22,7 @@ pins the constant without any integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, pi
 from typing import Sequence
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly
 from .multiindex import SubtorusData, dimension_of_degree_space
-from .spectral import TestFunction, fit_expansion
+from .spectral import TestFunction, richardson_limit
 
 __all__ = [
     "ReducedSpaceSpec",
@@ -194,14 +195,14 @@ def c0_simplex_quad(symbol: InvariantSymbol, f: TestFunction, n: int, mesh: int 
 def calibrate_volume(n: int, k_list: Sequence[int] | None = None) -> float:
     """Reduced-space volume from dimension counts.
 
-    (2 pi / k)^(n-1) * C(k+n-1, n-1) is a degree-(n-1) polynomial in 1/k
-    whose constant term is sigma_vol(n); fitting at that order recovers it
-    to float accuracy.  The window must span at least a decade.
+    C(k+n-1, n-1) / k^(n-1) = prod_{i<n} (1 + i/k) / (n-1)! is exactly a
+    degree-(n-1) polynomial in 1/k, so exact Richardson extrapolation on
+    its values at the window's last n k gives its constant term 1/(n-1)!
+    as a Fraction; times (2 pi)^(n-1) that is sigma_vol(n).  The window
+    must span at least a decade.
     """
     if n < 1:
         raise ValidationError("n must be positive", operation="reduction.calibrate_volume")
-    if n == 1:
-        return 1.0
     if k_list is None:
         k_list = range(6, 61)
     ks = sorted(set(int(k) for k in k_list))
@@ -209,8 +210,9 @@ def calibrate_volume(n: int, k_list: Sequence[int] | None = None) -> float:
         raise ValidationError("k values must be positive", operation="reduction.calibrate_volume")
     if ks[-1] < 10 * ks[0]:
         raise ValidationError("k window must span at least a decade", operation="reduction.calibrate_volume")
-    samples = [(k, (2.0 * pi / k) ** (n - 1) * dimension_of_degree_space(n, k)) for k in ks]
-    return fit_expansion(samples, order=n - 1).c0
+    counts = [Fraction(dimension_of_degree_space(n, k), k ** (n - 1)) for k in ks]
+    limit = richardson_limit(ks, counts, order=n - 1)
+    return (2.0 * pi) ** (n - 1) * limit.numerator / limit.denominator
 
 
 def c0_result_json(c0: float, stderr: float, samples: int, seed: int) -> dict:

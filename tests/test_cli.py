@@ -33,6 +33,8 @@ def test_theorem1_run(tmp_path):
     # scaled measure is pi (1 + 1/k) on the nose
     assert fit["c"][0] == pytest.approx(pi, abs=1e-9)
     assert fit["c"][1] == pytest.approx(pi, abs=1e-7)
+    # an invariant symbol: every monomial is its own 1x1 sector
+    assert fit["sectors"] == [{"k": k, "count": k + 1, "largest": 1} for k in (10, 20, 30, 40)]
     lines = (out / "measures.csv").read_text().splitlines()
     assert lines[0] == "n,k,m,f_id,mu,scaled_mu"
     assert len(lines) == 5

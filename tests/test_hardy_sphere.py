@@ -1,5 +1,6 @@
+import time
 from fractions import Fraction
-from math import sqrt
+from math import isqrt, prod, sqrt
 
 import numpy as np
 import pytest
@@ -123,12 +124,17 @@ def test_invariant_eigenvalue_needs_polynomial_form():
         invariant_eigenvalue(sym, (1, 0))
 
 
+def hermiticity_defect(m: np.ndarray) -> float:
+    """max|m - m^H| / max(1, max|m|)."""
+    return float(np.max(np.abs(m - m.conj().T)) / max(1.0, float(np.max(np.abs(m)))))
+
+
 def test_block_diagonal_invariant_case():
     a1 = InvariantSymbol.coordinate(0, 2)
     block = assemble_block(a1.to_symbol_poly(), 2, 2)
     assert block.exact_diagonal == (Fraction(3, 4), Fraction(2, 4), Fraction(1, 4))
     assert np.allclose(block.matrix, np.diag([0.75, 0.5, 0.25]))
-    assert block.hermiticity_defect() == 0.0
+    assert hermiticity_defect(block.matrix) == 0.0
 
 
 def test_block_constant_symbol_is_identity():
@@ -173,7 +179,7 @@ def test_block_offdiagonal_matches_sphere_integral():
 def test_block_hermiticity_nontrivial():
     sym = SymbolPoly.from_terms([((1, 0, 0), (0, 1, 0), 0.3 + 0.4j)], hermitize=True)
     block = assemble_block(sym, 3, 3)
-    assert block.hermiticity_defect() < 1e-15
+    assert hermiticity_defect(block.matrix) < 1e-15
 
 
 def test_symbol_permutation_relabels_block():
@@ -247,3 +253,103 @@ def test_block_sectors_match_dense_oracle(name):
         want_poly += c * float(np.trace(power).real)
     assert measure_eigen(block, f) == pytest.approx(want_eig, rel=1e-12)
     assert measure_poly(block, f) == pytest.approx(want_poly, rel=1e-12)
+
+
+def _entry_oracle_norm_ratio(alpha, gamma, n):
+    """h(alpha+gamma)/h(alpha) as a product of small integer factors."""
+    num = 1
+    for a, g in zip(alpha, gamma):
+        for t in range(1, g + 1):
+            num *= a + t
+    den = 1
+    base = n - 1 + sum(alpha)
+    for s in range(1, sum(gamma) + 1):
+        den *= base + s
+    return Fraction(num, den)
+
+
+def _entry_oracle_sqrt(q):
+    """Exact square root of a non-negative rational, or None."""
+    pn, pd = isqrt(q.numerator), isqrt(q.denominator)
+    if pn * pn == q.numerator and pd * pd == q.denominator:
+        return Fraction(pn, pd)
+    return None
+
+
+def entry_oracle(sym: SymbolPoly, n: int, k: int):
+    """The per-entry Fraction assembly: one Fraction radicand per (term, monomial) pair.
+
+    Returns the dense matrix, the exact diagonal, the sector positions (charge
+    groups in first-seen order) and every off-diagonal radicand.
+    """
+    from toeplab import _exact
+    from toeplab.multiindex import enumerate_degree
+
+    basis = enumerate_degree(n, k)
+    index = {mi: i for i, mi in enumerate(basis)}
+    shifts = [[g - d for g, d in zip(gamma, delta)] for gamma, delta, _ in sym.terms if gamma != delta]
+    charges = _exact.integer_nullspace(shifts or [[0] * n])
+    groups = {}
+    for j, alpha in enumerate(basis):
+        key = tuple(sum(c * a for c, a in zip(row, alpha)) for row in charges)
+        groups.setdefault(key, []).append(j)
+    q = np.zeros((len(basis), len(basis)), dtype=complex)
+    diag = [Fraction(0)] * len(basis)
+    radicands = []
+    for gamma, delta, c in sym.terms:
+        shift = tuple(g - d for g, d in zip(gamma, delta))
+        for j, alpha in enumerate(basis):
+            beta = tuple(a + s for a, s in zip(alpha, shift))
+            if any(b < 0 for b in beta):
+                continue
+            i = index[beta]
+            r_alpha = _entry_oracle_norm_ratio(alpha, gamma, n)
+            if i == j:
+                diag[j] += Fraction(c.real) * r_alpha
+            else:
+                r = r_alpha * _entry_oracle_norm_ratio(beta, delta, n)
+                radicands.append(r)
+                root = _entry_oracle_sqrt(r)
+                mag = float(root) if root is not None else float(np.sqrt(float(r)))
+                q[i, j] += complex(c) * mag
+    for j in range(len(basis)):
+        q[j, j] = float(diag[j])
+    return q, tuple(diag), [tuple(g) for g in groups.values()], radicands
+
+
+ENTRY_ORACLE_CASES = [
+    *[(name, sym, 3, k) for name, (sym, _) in sorted(ORACLE_SYMBOLS.items()) for k in (0, 1, 2, 10)],
+    ("z1_conj_z2", SymbolPoly.from_terms([((1, 0), (0, 1), 1.0)], hermitize=True), 2, 12),
+    ("one_coordinate", SymbolPoly.from_terms([((2,), (2,), 0.3)]), 1, 5),
+    ("complex_coefficient", SymbolPoly.from_terms(
+        [((2, 0), (1, 1), 0.3 - 0.7j), ((0, 1), (0, 1), Fraction(2, 7))], hermitize=True), 2, 10),
+    # |gamma| = |delta| = 6 at k = 60: P reaches 7.4e19 > 2^63
+    ("degree_six", SymbolPoly.from_terms([((6, 0), (5, 1), Fraction(1, 3))], hermitize=True), 2, 60),
+]
+
+
+@pytest.mark.parametrize("name,sym,n,k", ENTRY_ORACLE_CASES,
+                         ids=[f"{name}-k{k}" for name, _, _, k in ENTRY_ORACLE_CASES])
+def test_block_bitwise_matches_entry_oracle(name, sym, n, k):
+    block = assemble_block(sym, n, k)
+    q, diag, groups, radicands = entry_oracle(sym, n, k)
+    assert block.matrix.tobytes() == q.tobytes()
+    assert block.exact_diagonal == diag
+    assert [pos for pos, _ in block.sectors] == groups
+    if name == "z1_conj_z2":
+        assert any(_entry_oracle_sqrt(r) is not None for r in radicands)
+    if name == "degree_six":
+        den = prod(n - 1 + k + s for s in range(1, 7))
+        assert max(r * den * den for r in radicands) > 2**63
+
+
+def test_block_refuses_oversized_sectors():
+    sym, _ = ORACLE_SYMBOLS["one_sector"]
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError, match=r"dim 80601 \(largest sector 80601\) needs 103944339216 bytes"):
+        assemble_block(sym, 3, 400)
+    assert time.perf_counter() - t0 < 5.0
+    sym, _ = ORACLE_SYMBOLS["sphere_shape"]
+    block = assemble_block(sym, 3, 64)
+    assert block.dim == 2145
+    assert max(m.shape[0] for _, m in block.sectors) == 65

@@ -141,6 +141,12 @@ def test_calibrate_volume():
         calibrate_volume(2, k_list=range(20, 40))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_calibrate_volume_exact_for_every_n(n):
+    # C(k+n-1, n-1) / k^(n-1) is a polynomial in 1/k, so no n needs a fit
+    assert calibrate_volume(n) == pytest.approx(sphere_sigma_volume(n), rel=1e-14, abs=0)
+
+
 def test_c0_result_json():
     out = c0_result_json(3.14, 0.01, 100_000, 7)
     assert out == {"c0": 3.14, "stderr": 0.01, "samples": 100000, "seed": 7}
