@@ -16,7 +16,6 @@ from .canonical_model import (
     check_isometry,
     fm_eval,
     fm_normalization,
-    gram_matrix,
 )
 from .errors import (
     EigensolveError,
@@ -60,11 +59,9 @@ from .multiindex import (
     recession_pointed,
 )
 from .reduction import (
-    ReducedSpaceSpec,
     c0_simplex_quad,
     c0_sphere_mc,
     calibrate_volume,
-    moment_map,
     sample_sphere,
     sphere_sigma_volume,
 )
@@ -75,9 +72,7 @@ from .spectral import (
     measure_eigen,
     measure_poly,
     richardson_limit,
-    richardson_table,
     scaled_measure,
-    write_measure_csv,
 )
 from .toric import (
     EXAMPLE_SUBTORI,
@@ -86,7 +81,6 @@ from .toric import (
     VertexReport,
     equivariant_spectrum,
     fiber_measure,
-    fiber_measure_exact,
     fiber_measure_series,
     fiber_volume,
     regular_free_check,

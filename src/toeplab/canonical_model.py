@@ -36,7 +36,6 @@ __all__ = [
     "IsometryReport",
     "fm_normalization",
     "fm_eval",
-    "gram_matrix",
     "check_isometry",
     "annihilation_residual",
 ]
@@ -100,11 +99,11 @@ class QuadratureSpec:
 
 def _shared_dims(indices: Sequence[ModelIndex]) -> tuple[int, int]:
     if not indices:
-        raise ValidationError("need at least one model index", operation="canonical_model.gram_matrix")
+        raise ValidationError("need at least one model index", operation="canonical_model.check_isometry")
     k_dim = indices[0].k_dim
     l_dim = indices[0].l_dim
     if any(i.k_dim != k_dim or i.l_dim != l_dim for i in indices):
-        raise ValidationError("all indices must share k_dim and l_dim", operation="canonical_model.gram_matrix")
+        raise ValidationError("all indices must share k_dim and l_dim", operation="canonical_model.check_isometry")
     return k_dim, l_dim
 
 
@@ -135,12 +134,6 @@ def _design_matrix(indices: Sequence[ModelIndex], quad: QuadratureSpec):
     theta = grid[:, k_dim:]
     F = np.column_stack([fm_eval(idx, y, theta) for idx in indices])
     return y, theta, weights, F
-
-
-def gram_matrix(indices: Sequence[ModelIndex], quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """Inner products of the states under the tensor quadrature rule."""
-    _, _, weights, F = _design_matrix(indices, quad)
-    return F.conj().T @ (weights[:, None] * F)
 
 
 @dataclass(frozen=True)

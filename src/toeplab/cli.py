@@ -115,9 +115,16 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _run_theorem1(manifest: dict, out: Path, seed: int) -> list[str]:
     from .hardy_sphere import SymbolPoly, assemble_block
-    from .spectral import fit_expansion, measure_eigen, measure_poly, scaled_measure, write_measure_csv
+    from .spectral import fit_expansion, measure_eigen, measure_poly, scaled_measure
 
     _check_keys(manifest, {"experiment", "seed", "n", "symbol", "f", "k_list", "fit_order", "measure"})
     n = _int_field(manifest, "n", minimum=1)
@@ -140,11 +147,11 @@ def _run_theorem1(manifest: dict, out: Path, seed: int) -> list[str]:
         block = assemble_block(symbol, n, k)
         mu = measure_eigen(block, f) if method == "eigen" else measure_poly(block, f)
         sm = scaled_measure(mu, m, k)
-        rows.append({"n": n, "k": k, "m": m, "f_id": f.label, "mu": mu, "scaled_mu": sm})
+        rows.append([n, k, m, f.label, repr(mu), repr(sm)])
         samples.append((k, sm))
         sectors.append({"k": k, "count": len(block.sectors),
                         "largest": max(len(pos) for pos, _ in block.sectors)})
-    write_measure_csv(out / "measures.csv", rows)
+    _write_csv(out / "measures.csv", ["n", "k", "m", "f_id", "mu", "scaled_mu"], rows)
     fit = fit_expansion(samples, order=order)
     _write_json(out / "fit.json", {**fit.to_json(), "sectors": sectors})
     return ["measures.csv", "fit.json"]
@@ -167,11 +174,8 @@ def _run_theorem2(manifest: dict, out: Path, seed: int) -> list[str]:
     order = _int_field(manifest, "fit_order", minimum=0, default=m)
     samples = _int_field(manifest, "samples", minimum=10_000, default=200_000)
     rows = fiber_measure_series(symbol, f, sub, ks)
-    with open(out / "fiber_measures.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "count", "mu", "scaled_mu"])
-        for k, count, mu, sm in rows:
-            w.writerow([k, count, repr(mu), repr(sm)])
+    _write_csv(out / "fiber_measures.csv", ["k", "count", "mu", "scaled_mu"],
+               [[k, count, repr(mu), repr(sm)] for k, count, mu, sm in rows])
     fit = fit_expansion([(k, sm) for k, _, _, sm in rows], order=order)
     report = regular_free_check(sub)
     est, se = theorem2_leading(symbol, f, sub, samples=samples, seed=seed)
@@ -197,7 +201,6 @@ def _grid_points(manifest: dict, n: int) -> list[tuple[Fraction, ...]]:
 
 
 def _run_inverse(manifest: dict, out: Path, seed: int) -> list[str]:
-    from .hardy_sphere import InvariantSymbol  # noqa: F401  (validation import path)
     from .inverse import loglog_slope, reconstruct
     from .multiindex import diagonal_circle
     from .toric import equivariant_spectrum
@@ -229,35 +232,34 @@ def _run_inverse(manifest: dict, out: Path, seed: int) -> list[str]:
         return cache[k]
 
     runs = []
-    with open(out / "reconstruction.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k_max", "point", "levels", "estimate", "truth", "abs_err",
-                    "error_estimate", "low_confidence", "missing"])
-        for k_max in k_maxes:
-            rec = reconstruct(oracle, n, grid, k_max, order=order, spacing=spacing)
-            errs = []
-            for ray in rec.rays:
-                truth = symbol.evaluate([float(c) for c in ray.point])
-                abs_err = None if ray.missing else abs(ray.estimate - truth)
-                if abs_err is not None:
-                    errs.append(abs_err)
-                w.writerow([
-                    k_max,
-                    " ".join(str(c) for c in ray.point),
-                    " ".join(map(str, ray.ks)),
-                    "" if ray.estimate is None else repr(ray.estimate),
-                    repr(truth),
-                    "" if abs_err is None else repr(abs_err),
-                    "" if ray.error is None else repr(ray.error),
-                    int(ray.low_confidence),
-                    int(ray.missing),
-                ])
-            runs.append({
-                "k_max": k_max,
-                "max_abs_err": max(errs) if errs else None,
-                "resolved_points": len(errs),
-                "missing_points": len(rec.rays) - len(errs),
-            })
+    rows = []
+    for k_max in k_maxes:
+        rec = reconstruct(oracle, n, grid, k_max, order=order, spacing=spacing)
+        errs = []
+        for ray in rec.rays:
+            truth = symbol.evaluate([float(c) for c in ray.point])
+            abs_err = None if ray.missing else abs(ray.estimate - truth)
+            if abs_err is not None:
+                errs.append(abs_err)
+            rows.append([
+                k_max,
+                " ".join(str(c) for c in ray.point),
+                " ".join(map(str, ray.ks)),
+                "" if ray.estimate is None else repr(ray.estimate),
+                repr(truth),
+                "" if abs_err is None else repr(abs_err),
+                "" if ray.error is None else repr(ray.error),
+                int(ray.low_confidence),
+                int(ray.missing),
+            ])
+        runs.append({
+            "k_max": k_max,
+            "max_abs_err": max(errs) if errs else None,
+            "resolved_points": len(errs),
+            "missing_points": len(rec.rays) - len(errs),
+        })
+    _write_csv(out / "reconstruction.csv", ["k_max", "point", "levels", "estimate", "truth", "abs_err",
+                                            "error_estimate", "low_confidence", "missing"], rows)
     summary = {"order": order, "spacing": spacing, "runs": runs, "slope": None}
     errs = [r["max_abs_err"] for r in runs]
     if len(runs) >= 2 and all(e is not None and e > 0 for e in errs):

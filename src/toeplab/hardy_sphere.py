@@ -37,16 +37,16 @@ Fraction per monomial.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt, lcm, prod
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _exact
 from .errors import SymbolFormatError, ValidationError
-from .multiindex import MultiIndex, enumerate_degree, grlex_key
+from .multiindex import MultiIndex, dimension_of_degree_space, enumerate_degree
 
 __all__ = [
     "monomial_norm",
@@ -89,6 +89,10 @@ def _is_conjugate(c, cc) -> bool:
     if isinstance(c, (int, Fraction)) and isinstance(cc, (int, Fraction)):
         return gap == 0
     return gap <= CONJUGATE_ULPS * sys.float_info.epsilon * max(abs(c), abs(cc))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _as_multiindex(mi) -> MultiIndex:
@@ -164,10 +168,6 @@ class SymbolPoly:
     def n(self) -> int:
         return len(self.terms[0][0])
 
-    @property
-    def is_invariant(self) -> bool:
-        return all(g == d for g, d, _ in self.terms)
-
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """Value at unit-sphere points; z has shape (n,) or (N, n)."""
         z = np.asarray(z, dtype=complex)
@@ -185,13 +185,6 @@ class SymbolPoly:
             total += complex(c) * term
         return total[0] if single else total
 
-    def permuted(self, perm: Sequence[int]) -> "SymbolPoly":
-        """Relabel coordinates: entry i of the new symbol is old perm[i]."""
-        p = tuple(perm)
-        return SymbolPoly(terms=tuple(
-            (tuple(g[j] for j in p), tuple(d[j] for j in p), c) for g, d, c in self.terms
-        ))
-
     def to_json(self) -> dict:
         return {"terms": [
             {"gamma": list(g), "delta": list(d), "re": float(c.real), "im": float(c.imag)}
@@ -202,10 +195,16 @@ class SymbolPoly:
     def from_json(cls, obj: dict) -> "SymbolPoly":
         if not isinstance(obj, dict) or set(obj) != {"terms"}:
             raise ValidationError("symbol record must be {'terms': [...]}", operation="hardy_sphere.SymbolPoly")
+        if not isinstance(obj["terms"], list):
+            raise ValidationError("symbol 'terms' must be a list", operation="hardy_sphere.SymbolPoly")
         terms = []
         for t in obj["terms"]:
             if not isinstance(t, dict) or set(t) != {"gamma", "delta", "re", "im"}:
                 raise ValidationError("symbol term must have fields gamma, delta, re, im", operation="hardy_sphere.SymbolPoly")
+            if not all(isinstance(t[e], list) and all(_is_int(i) for i in t[e]) for e in ("gamma", "delta")):
+                raise ValidationError("term exponents gamma, delta must be lists of integers", operation="hardy_sphere.SymbolPoly")
+            if not all(_is_int(t[x]) or isinstance(t[x], float) for x in ("re", "im")):
+                raise ValidationError("term coefficient parts re, im must be numbers", operation="hardy_sphere.SymbolPoly")
             c = complex(float(t["re"]), float(t["im"]))
             terms.append((_as_multiindex(t["gamma"]), _as_multiindex(t["delta"]), c if c.imag else c.real))
         return cls.from_terms(terms)
@@ -213,17 +212,15 @@ class SymbolPoly:
 
 @dataclass(frozen=True)
 class InvariantSymbol:
-    """Symbol depending only on a = (|z_1|^2, ..., |z_n|^2) / |z|^2.
+    """Polynomial symbol depending only on a = (|z_1|^2, ..., |z_n|^2) / |z|^2.
 
-    ``evaluator`` maps a point of the unit simplex to a real value; when
-    the symbol is polynomial, ``poly`` holds its monomial form as exact
-    (gamma, coefficient) pairs and the compressed block is diagonal with
-    eigenvalue sum_gamma c_gamma h(alpha+gamma)/h(alpha) on z^alpha.
+    ``poly`` holds its monomial form as exact (gamma, coefficient) pairs;
+    the compressed block is diagonal with eigenvalue
+    sum_gamma c_gamma h(alpha+gamma)/h(alpha) on z^alpha.
     """
 
     n: int
-    evaluator: Callable = field(compare=False)
-    poly: tuple[tuple[MultiIndex, Fraction], ...] | None = None
+    poly: tuple[tuple[MultiIndex, Fraction], ...]
 
     @classmethod
     def from_poly(cls, terms, n: int) -> "InvariantSymbol":
@@ -231,25 +228,7 @@ class InvariantSymbol:
         for g, _ in poly:
             if len(g) != n:
                 raise SymbolFormatError("term length must equal n", operation="hardy_sphere.InvariantSymbol")
-
-        def evaluator(a):
-            a = np.asarray(a, dtype=float)
-            single = a.ndim == 1
-            pts = a[None, :] if single else a
-            out = np.zeros(pts.shape[0])
-            for g, c in poly:
-                term = np.full(pts.shape[0], float(c))
-                for i, e in enumerate(g):
-                    if e:
-                        term *= pts[:, i] ** e
-                out += term
-            return float(out[0]) if single else out
-
-        return cls(n=n, evaluator=evaluator, poly=poly)
-
-    @classmethod
-    def from_callable(cls, fn: Callable, n: int) -> "InvariantSymbol":
-        return cls(n=n, evaluator=fn, poly=None)
+        return cls(n=n, poly=poly)
 
     @classmethod
     def coordinate(cls, i: int, n: int) -> "InvariantSymbol":
@@ -257,32 +236,26 @@ class InvariantSymbol:
         g = tuple(1 if j == i else 0 for j in range(n))
         return cls.from_poly([(g, 1)], n)
 
+    def _values(self, pts: np.ndarray) -> np.ndarray:
+        """Values at the rows of pts.  ``evaluate`` calls this, not
+        ``eval_array``, so eval_array calls stay one per sampler batch."""
+        out = np.zeros(pts.shape[0])
+        for g, c in self.poly:
+            term = np.full(pts.shape[0], float(c))
+            for i, e in enumerate(g):
+                if e:
+                    term *= pts[:, i] ** e
+            out += term
+        return out
+
     def evaluate(self, a) -> float:
-        return float(self.evaluator(np.asarray(a, dtype=float)))
+        return float(self._values(np.asarray(a, dtype=float)[None, :])[0])
 
     def eval_array(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        out = self.evaluator(pts)
-        if np.ndim(out) == 0 or (hasattr(out, "shape") and out.shape != pts.shape[:1]):
-            # evaluator is scalar-only; fall back to a row loop
-            return np.array([float(self.evaluator(row)) for row in pts])
-        return np.asarray(out, dtype=float)
+        return self._values(np.asarray(pts, dtype=float))
 
     def to_symbol_poly(self) -> SymbolPoly:
-        if self.poly is None:
-            raise SymbolFormatError(
-                "symbol has no polynomial form; only polynomial invariant symbols assemble to blocks",
-                operation="hardy_sphere.InvariantSymbol",
-            )
         return SymbolPoly(terms=tuple((g, g, c) for g, c in self.poly))
-
-    def permuted(self, perm: Sequence[int]) -> "InvariantSymbol":
-        if self.poly is None:
-            raise SymbolFormatError("cannot permute a callable-only symbol", operation="hardy_sphere.InvariantSymbol")
-        p = tuple(perm)
-        return InvariantSymbol.from_poly(
-            [(tuple(g[j] for j in p), c) for g, c in self.poly], self.n
-        )
 
 
 @dataclass(frozen=True)
@@ -294,8 +267,7 @@ class ToeplitzBlock:
     one (positions, matrix) pair per torus-charge sector, where
     ``positions`` are ascending indices into ``basis`` and ``matrix`` is
     the block restricted to them.  Entries between different sectors are
-    zero; the sector sizes sum to ``dim``.  ``matrix`` scatters the sectors
-    into the dense array on demand.  When every diagonal-touching term of
+    zero; the sector sizes sum to ``dim``.  When every diagonal-touching term of
     the symbol has an exactly-representable real coefficient,
     ``exact_diagonal`` carries the diagonal (grlex order) as Fractions and
     the float diagonal is its rounded image.
@@ -311,27 +283,6 @@ class ToeplitzBlock:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense dim x dim matrix, zero between sectors."""
-        dense = np.zeros((self.dim, self.dim), dtype=complex)
-        for positions, q in self.sectors:
-            idx = np.array(positions)
-            dense[np.ix_(idx, idx)] = q
-        return dense
-
-    def to_csv(self, path) -> None:
-        import csv
-
-        matrix = self.matrix
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["row", "col", "row_beta", "col_alpha", "re", "im"])
-            for i, beta in enumerate(self.basis):
-                for j, alpha in enumerate(self.basis):
-                    v = matrix[i, j]
-                    w.writerow([i, j, " ".join(map(str, beta)), " ".join(map(str, alpha)),
-                                repr(float(v.real)), repr(float(v.imag))])
 
 
 def _charge_sectors(symbol: SymbolPoly, rows: np.ndarray) -> np.ndarray:
@@ -384,7 +335,8 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
     delta inside one charge sector, so assembly is O(#terms * dim) and
     storage is the sum of the squared sector sizes; a block whose sector
     storage would exceed MAX_SECTOR_BYTES is refused before any of it is
-    allocated.  Every coupled alpha and beta has degree k, so with
+    allocated, and before the basis is enumerated when 16 * dim bytes
+    already would.  Every coupled alpha and beta has degree k, so with
     D = prod_{s=1..|gamma|} (n-1+k+s) an entry's radicand
     h(alpha+gamma)^2 / (h(alpha) h(beta)) is P / D^2 for the integer
     P = prod_i (alpha_i+1)...(alpha_i+gamma_i) * prod_i (beta_i+1)...(beta_i+delta_i).
@@ -396,10 +348,16 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
     """
     if symbol.n != n:
         raise SymbolFormatError("symbol coordinate count does not match n", operation="hardy_sphere.assemble_block")
-    if k < 0:
-        raise ValidationError("degree k must be non-negative", operation="hardy_sphere.assemble_block")
+    if n < 1 or k < 0:
+        raise ValidationError("need n >= 1 coordinates and degree k >= 0", operation="hardy_sphere.assemble_block")
+    dim = dimension_of_degree_space(n, k)
+    if 16 * dim > MAX_SECTOR_BYTES:  # sector storage 16 * sum(size^2) is at least 16 * dim
+        raise ValidationError(
+            f"block of dim {dim} needs at least {16 * dim} bytes of sector storage, "
+            f"over the {MAX_SECTOR_BYTES}-byte limit",
+            operation="hardy_sphere.assemble_block",
+        )
     basis = tuple(enumerate_degree(n, k))
-    dim = len(basis)
     rows = np.array(basis, dtype=np.int64).reshape(dim, n)
     label = _charge_sectors(symbol, rows)
     sizes = np.bincount(label)
@@ -464,11 +422,6 @@ def _invariant_numerators(symbol: InvariantSymbol, points) -> tuple[tuple[int, .
     so D = L M.  The sums run on object arrays of Python integers, so no
     size of alpha, coefficient or degree can overflow.
     """
-    if symbol.poly is None:
-        raise SymbolFormatError(
-            "eigenvalues need the polynomial form of the symbol",
-            operation="hardy_sphere.invariant_eigenvalue",
-        )
     n = symbol.n
     pts = np.array(points, dtype=object)
     if len(pts) == 0:

@@ -15,7 +15,6 @@ match.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, log
@@ -124,20 +123,6 @@ class Reconstruction:
         if not errs:
             raise ValidationError("every grid point is missing", operation="inverse.Reconstruction")
         return max(errs)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["point", "levels", "estimate", "error", "low_confidence", "missing"])
-            for r in self.rays:
-                w.writerow([
-                    " ".join(str(c) for c in r.point),
-                    " ".join(map(str, r.ks)),
-                    "" if r.estimate is None else repr(r.estimate),
-                    "" if r.error is None else repr(r.error),
-                    int(r.low_confidence),
-                    int(r.missing),
-                ])
 
 
 def _as_point(pt, n: int) -> tuple[Fraction, ...]:

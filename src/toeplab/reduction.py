@@ -21,28 +21,25 @@ pins the constant without any integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, pi
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly
-from .multiindex import SubtorusData, dimension_of_degree_space
+from .multiindex import dimension_of_degree_space
 from .spectral import TestFunction, richardson_limit
 
 __all__ = [
-    "ReducedSpaceSpec",
     "sphere_sigma_volume",
-    "moment_map",
     "sample_sphere",
+    "mean_stderr",
     "c0_sphere_mc",
     "c0_simplex_quad",
     "calibrate_volume",
-    "c0_result_json",
 ]
 
 
@@ -51,31 +48,6 @@ def sphere_sigma_volume(n: int) -> float:
     if n < 1:
         raise ValidationError("n must be positive", operation="reduction.sphere_sigma_volume")
     return (2.0 * pi) ** (n - 1) / factorial(n - 1)
-
-
-@dataclass(frozen=True)
-class ReducedSpaceSpec:
-    """Which reduced space a leading coefficient refers to."""
-
-    kind: str  # "sphere" or "toric_fiber"
-    n: int
-    sigma_volume: float
-    sub: SubtorusData | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("sphere", "toric_fiber"):
-            raise ValidationError("kind must be 'sphere' or 'toric_fiber'", operation="reduction.ReducedSpaceSpec")
-        if self.kind == "toric_fiber" and self.sub is None:
-            raise ValidationError("toric_fiber spec needs subtorus data", operation="reduction.ReducedSpaceSpec")
-
-    @classmethod
-    def sphere(cls, n: int) -> "ReducedSpaceSpec":
-        return cls(kind="sphere", n=n, sigma_volume=sphere_sigma_volume(n))
-
-
-def moment_map(z: Sequence[complex]) -> tuple[float, ...]:
-    """Squared coordinate sizes (|z_1|^2, ..., |z_n|^2)."""
-    return tuple(float(abs(zi)) ** 2 for zi in z)
 
 
 def sample_sphere(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,6 +71,22 @@ def _symbol_values(symbol, z: np.ndarray) -> np.ndarray:
     raise ValidationError("symbol must be SymbolPoly or InvariantSymbol", operation="reduction.c0_sphere_mc")
 
 
+def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, float]:
+    """Mean and standard error of ``samples`` values arriving in batches.
+
+    Each batch adds its own float sum and sum of squares, so results
+    depend on the batching only through summation grouping.
+    """
+    total = 0.0
+    total_sq = 0.0
+    for vals in batches:
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals * vals))
+    mean = total / samples
+    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    return mean, (var / samples) ** 0.5
+
+
 def c0_sphere_mc(
     symbol,
     f: TestFunction,
@@ -116,19 +104,15 @@ def c0_sphere_mc(
     if samples < 10_000:
         raise ValidationError("need at least 1e4 samples", operation="reduction.c0_sphere_mc")
     rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        size = min(batch_size, samples - done)
-        z = sample_sphere(n, size, rng)
-        vals = np.asarray(f(_symbol_values(symbol, z)), dtype=float)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        done += size
-    mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    stderr = (var / samples) ** 0.5
+
+    def batches():
+        done = 0
+        while done < samples:
+            size = min(batch_size, samples - done)
+            yield np.asarray(f(_symbol_values(symbol, sample_sphere(n, size, rng))), dtype=float)
+            done += size
+
+    mean, stderr = mean_stderr(batches(), samples)
     vol = sphere_sigma_volume(n)
     return vol * mean, vol * stderr
 
@@ -214,7 +198,3 @@ def calibrate_volume(n: int, k_list: Sequence[int] | None = None) -> float:
     limit = richardson_limit(ks, counts, order=n - 1)
     return (2.0 * pi) ** (n - 1) * limit.numerator / limit.denominator
 
-
-def c0_result_json(c0: float, stderr: float, samples: int, seed: int) -> dict:
-    """Standard serialization of a Monte Carlo leading-coefficient run."""
-    return {"c0": float(c0), "stderr": float(stderr), "samples": int(samples), "seed": int(seed)}

@@ -36,8 +36,6 @@ __all__ = [
     "scaled_measure",
     "fit_expansion",
     "richardson_limit",
-    "richardson_table",
-    "write_measure_csv",
 ]
 
 MAX_TRACE_DEGREE = 16
@@ -260,39 +258,3 @@ def richardson_limit(ks: Sequence[int], values: Sequence, order: int):
             t[i] = (xs[i - m] * t[i] - xs[i] * t[i - 1]) / (xs[i - m] - xs[i])
     return t[-1]
 
-
-def richardson_table(samples: Sequence[tuple[int, float]], order: int = 1) -> list[list[float]]:
-    """Full acceleration tableau, columns 0..order, for small orders (<= 3).
-
-    Column m holds the m-step accelerated values; the last entry of the
-    last column is the best estimate.  Higher orders amplify noise in
-    eigensolve-derived data, hence the cap.
-    """
-    if not 0 <= order <= 3:
-        raise ValidationError("table order must be between 0 and 3", operation="spectral.richardson_table")
-    pairs = sorted((int(k), v) for k, v in samples)
-    ks = [k for k, _ in pairs]
-    if len(ks) < order + 1:
-        raise ValidationError(f"need at least {order + 1} samples", operation="spectral.richardson_table")
-    xs = [1.0 / k for k in ks]
-    cols = [[float(v) for _, v in pairs]]
-    for m in range(1, order + 1):
-        prev = cols[-1]  # prev[j] is the window ending at index j+m-1
-        nxt = []
-        for i in range(m, len(ks)):
-            j = i - m
-            nxt.append((xs[j] * prev[j + 1] - xs[i] * prev[j]) / (xs[j] - xs[i]))
-        cols.append(nxt)
-    return cols
-
-
-def write_measure_csv(path, rows: Sequence[dict]) -> None:
-    """Dump measure samples with the standard column set."""
-    import csv
-
-    cols = ["n", "k", "m", "f_id", "mu", "scaled_mu"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for row in rows:
-            w.writerow([row["n"], row["k"], row["m"], row["f_id"], repr(float(row["mu"])), repr(float(row["scaled_mu"]))])

@@ -12,14 +12,12 @@ a volume fit plus rejection sampling, giving an oracle that never sees
 the operator side.
 
 A fiber's spectrum is computed in one batch and stored as integer
-numerators over one common denominator; Fractions are built only on
-demand, one per ``eigenvalue_of`` lookup or all at once through
-``lambdas_exact``.
+numerators over one common denominator; a Fraction is built only on
+demand, one per ``eigenvalue_of`` lookup.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,6 +43,7 @@ from .multiindex import (
     full_torus,
     recession_pointed,
 )
+from .reduction import mean_stderr
 from .spectral import TestFunction, fit_expansion, scaled_measure
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "EXAMPLE_SUBTORI",
     "equivariant_spectrum",
     "fiber_measure",
-    "fiber_measure_exact",
     "fiber_measure_series",
     "fiber_volume",
     "regular_free_check",
@@ -87,10 +85,6 @@ class EquivariantSpectrum:
         return np.array([lam for _, lam in self.entries])
 
     @cached_property
-    def lambdas_exact(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(num, self.denominator) for num in self.numerators)
-
-    @cached_property
     def _position(self) -> dict[MultiIndex, int]:
         return {beta: i for i, (beta, _) in enumerate(self.entries)}
 
@@ -100,13 +94,6 @@ class EquivariantSpectrum:
         if i is None:
             raise ValidationError(f"beta {key} is not on the fiber", operation="toric.EquivariantSpectrum")
         return Fraction(self.numerators[i], self.denominator)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["idx", "beta", "eigenvalue"])
-            for i, (beta, lam) in enumerate(self.entries):
-                w.writerow([i, " ".join(map(str, beta)), repr(lam)])
 
 
 def equivariant_spectrum(symbol: InvariantSymbol, sub: SubtorusData, k: int) -> EquivariantSpectrum:
@@ -131,18 +118,6 @@ def fiber_measure(spectrum: EquivariantSpectrum, f: TestFunction) -> float:
     if spectrum.count == 0:
         return 0.0
     return float(np.sum(np.asarray(f(spectrum.eigenvalues), dtype=float)))
-
-
-def fiber_measure_exact(spectrum: EquivariantSpectrum, coeffs: Sequence) -> Fraction:
-    """Exact fiber measure of a polynomial test function, ascending coeffs."""
-    cs = [Fraction(c) for c in coeffs]
-    total = Fraction(0)
-    for lam in spectrum.lambdas_exact:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * lam + c
-        total += acc
-    return total
 
 
 def fiber_measure_series(
@@ -302,32 +277,27 @@ def theorem2_leading(
     a0_f = np.array([float(c) for c in a0])
 
     rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    accepted = 0
-    drawn = 0
-    while accepted < samples:
-        y = rng.uniform(lo_f, hi_f, size=(batch_size, m))
-        pts = a0_f + y @ chart.T
-        keep = pts[np.all(pts >= 0.0, axis=1)]
-        drawn += batch_size
-        if accepted + len(keep) > samples:
-            keep = keep[: samples - accepted]
-        if len(keep):
-            keep = keep / keep.sum(axis=1, keepdims=True)
-            vals = np.asarray(f(symbol.eval_array(keep)), dtype=float)
-            total += float(np.sum(vals))
-            total_sq += float(np.sum(vals * vals))
-            accepted += len(keep)
-        if drawn >= 50_000 and accepted / drawn < 1e-4:
-            raise SamplerEfficiencyError(
-                f"acceptance rate {accepted / drawn:.2e} below 1e-4",
-                operation="toric.theorem2_leading",
-            )
+
+    def batches():
+        accepted = 0
+        drawn = 0
+        while accepted < samples:
+            y = rng.uniform(lo_f, hi_f, size=(batch_size, m))
+            pts = a0_f + y @ chart.T
+            keep = pts[np.all(pts >= 0.0, axis=1)][: samples - accepted]
+            drawn += batch_size
+            if len(keep):
+                keep = keep / keep.sum(axis=1, keepdims=True)
+                yield np.asarray(f(symbol.eval_array(keep)), dtype=float)
+                accepted += len(keep)
+            if drawn >= 50_000 and accepted / drawn < 1e-4:
+                raise SamplerEfficiencyError(
+                    f"acceptance rate {accepted / drawn:.2e} below 1e-4",
+                    operation="toric.theorem2_leading",
+                )
+
+    mean, stderr = mean_stderr(batches(), samples)
     vol = fiber_volume(sub) if volume is None else float(volume)
-    mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    stderr = (var / samples) ** 0.5
     return vol * mean, vol * stderr
 
 

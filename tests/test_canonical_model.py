@@ -13,7 +13,6 @@ from toeplab.canonical_model import (
     check_isometry,
     fm_eval,
     fm_normalization,
-    gram_matrix,
 )
 from toeplab.errors import ValidationError
 
@@ -65,16 +64,16 @@ FAMILY = [ModelIndex(m=(s,), k_dim=1) for s in (-2, -1, 1, 2)]
 
 
 def test_gram_matrix_is_identity():
-    G = gram_matrix(FAMILY)
-    assert np.abs(np.diag(G) - 1.0).max() < 1e-12
-    assert np.abs(G - np.diag(np.diag(G))).max() < 1e-12
+    rep = check_isometry(FAMILY)
+    assert rep.max_gram_diag_error < 1e-12
+    assert rep.max_gram_offdiag < 1e-12
 
 
 def test_gram_rejects_mixed_dimensions():
-    with pytest.raises(ValidationError):
-        gram_matrix([ModelIndex(m=(1,), k_dim=1), ModelIndex(m=(1,), k_dim=2)])
-    with pytest.raises(ValidationError):
-        gram_matrix([])
+    for bad in ([ModelIndex(m=(1,), k_dim=1), ModelIndex(m=(1,), k_dim=2)], []):
+        with pytest.raises(ValidationError) as exc:
+            check_isometry(bad)
+        assert exc.value.operation == "canonical_model.check_isometry"
 
 
 def test_check_isometry_defaults():
@@ -111,8 +110,9 @@ def test_check_isometry_flags_aliased_rule():
 
 def test_check_isometry_pure_torus_states():
     fam = [ModelIndex(m=(s,), k_dim=0) for s in (1, 2, 3)]
-    G = gram_matrix(fam)
-    assert np.abs(G - np.eye(3)).max() < 1e-12
+    rep = check_isometry(fam)
+    assert rep.max_gram_diag_error < 1e-12
+    assert rep.max_gram_offdiag < 1e-12
 
 
 def test_check_isometry_grid_cap():
@@ -122,12 +122,12 @@ def test_check_isometry_grid_cap():
 
 def test_quadrature_warnings():
     with pytest.warns(UserWarning, match="alias"):
-        gram_matrix([ModelIndex(m=(5,), k_dim=1)], QuadratureSpec(24, 8))
+        check_isometry([ModelIndex(m=(5,), k_dim=1)], QuadratureSpec(24, 8))
     with pytest.warns(UserWarning, match="Hermite"):
-        gram_matrix([ModelIndex(m=(1,), k_dim=1)], QuadratureSpec(8, 24))
+        check_isometry([ModelIndex(m=(1,), k_dim=1)], QuadratureSpec(8, 24))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gram_matrix([ModelIndex(m=(5,), k_dim=1)], QuadratureSpec(24, 24))
+        check_isometry([ModelIndex(m=(5,), k_dim=1)], QuadratureSpec(24, 24))
 
 
 def test_quadrature_spec_validation():

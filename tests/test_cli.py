@@ -37,7 +37,22 @@ def test_theorem1_run(tmp_path):
     assert fit["sectors"] == [{"k": k, "count": k + 1, "largest": 1} for k in (10, 20, 30, 40)]
     lines = (out / "measures.csv").read_text().splitlines()
     assert lines[0] == "n,k,m,f_id,mu,scaled_mu"
+    assert lines[1].startswith("2,10,1,x,5.5,")
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("field,value", [
+    ("re", "x"), ("re", None), ("re", True), ("im", "0"),
+    ("gamma", ["a", 0]), ("gamma", [1.5, 0]), ("delta", [True, 0]), ("delta", 1),
+    ("terms", 5),
+], ids=["re_string", "re_null", "re_bool", "im_string", "gamma_letter", "gamma_float",
+        "delta_bool", "delta_scalar", "terms_scalar"])
+def test_theorem1_malformed_symbol_exits_2(tmp_path, field, value):
+    term = {**A1_POLY["terms"][0]}
+    symbol = {"terms": value} if field == "terms" else {"terms": [{**term, field: value}]}
+    manifest = {"n": 2, "symbol": symbol, "f": F_X, "k_list": [10, 20, 30, 40]}
+    code, _ = run_cli(tmp_path, "theorem1", manifest)
+    assert code == 2
 
 
 def test_theorem2_run(tmp_path):

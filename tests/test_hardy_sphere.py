@@ -94,8 +94,6 @@ def test_invariant_symbol_evaluations():
     assert a1.evaluate((0.2, 0.3, 0.5)) == pytest.approx(0.2)
     pts = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
     assert a1.eval_array(pts) == pytest.approx([0.2, 1.0])
-    fn = InvariantSymbol.from_callable(lambda a: a[0] ** 2, 3)
-    assert fn.eval_array(pts) == pytest.approx([0.04, 1.0])
 
 
 def test_invariant_eigenvalue_closed_forms():
@@ -118,10 +116,12 @@ def test_invariant_eigenvalue_alpha_length_and_size():
         assert invariant_eigenvalue(a1, (j, k - j)) == Fraction(j + 1, k + 2)
 
 
-def test_invariant_eigenvalue_needs_polynomial_form():
-    sym = InvariantSymbol.from_callable(lambda a: 1.0, 2)
-    with pytest.raises(SymbolFormatError):
-        invariant_eigenvalue(sym, (1, 0))
+def dense(block) -> np.ndarray:
+    """The block's dim x dim matrix, its sectors scattered into zeros."""
+    q = np.zeros((block.dim, block.dim), dtype=complex)
+    for positions, m in block.sectors:
+        q[np.ix_(positions, positions)] = m
+    return q
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -133,13 +133,14 @@ def test_block_diagonal_invariant_case():
     a1 = InvariantSymbol.coordinate(0, 2)
     block = assemble_block(a1.to_symbol_poly(), 2, 2)
     assert block.exact_diagonal == (Fraction(3, 4), Fraction(2, 4), Fraction(1, 4))
-    assert np.allclose(block.matrix, np.diag([0.75, 0.5, 0.25]))
-    assert hermiticity_defect(block.matrix) == 0.0
+    q = dense(block)
+    assert np.allclose(q, np.diag([0.75, 0.5, 0.25]))
+    assert hermiticity_defect(q) == 0.0
 
 
 def test_block_constant_symbol_is_identity():
     block = assemble_block(SymbolPoly.constant(2.0, 3), 3, 2)
-    assert np.allclose(block.matrix, 2.0 * np.eye(block.dim))
+    assert np.allclose(dense(block), 2.0 * np.eye(block.dim))
 
 
 def test_block_offdiagonal_frozen_value():
@@ -147,9 +148,10 @@ def test_block_offdiagonal_frozen_value():
     # sqrt ratio; frozen from the rational formula.
     sym = SymbolPoly.from_terms([((1, 0), (0, 1), 1.0)], hermitize=True)
     block = assemble_block(sym, 2, 1)
-    assert block.matrix[0, 1] == pytest.approx(1 / 3)
-    assert block.matrix[1, 0] == pytest.approx(1 / 3)
-    assert block.matrix[0, 0] == 0.0
+    q = dense(block)
+    assert q[0, 1] == pytest.approx(1 / 3)
+    assert q[1, 0] == pytest.approx(1 / 3)
+    assert q[0, 0] == 0.0
 
 
 def test_block_offdiagonal_matches_sphere_integral():
@@ -173,31 +175,21 @@ def test_block_offdiagonal_matches_sphere_integral():
     norm = float(monomial_norm(alpha, 2) * monomial_norm(beta, 2)) ** 0.5
     samples = integrand.real / norm
     se = samples.std(ddof=1) / len(samples) ** 0.5
-    assert abs(samples.mean() - block.matrix[i, j].real) < 3 * se
+    assert abs(samples.mean() - dense(block)[i, j].real) < 3 * se
 
 
 def test_block_hermiticity_nontrivial():
     sym = SymbolPoly.from_terms([((1, 0, 0), (0, 1, 0), 0.3 + 0.4j)], hermitize=True)
     block = assemble_block(sym, 3, 3)
-    assert hermiticity_defect(block.matrix) < 1e-15
+    assert hermiticity_defect(dense(block)) < 1e-15
 
 
 def test_symbol_permutation_relabels_block():
     sym = SymbolPoly.from_terms([((1, 0), (0, 1), 1.0)], hermitize=True)
-    swapped = sym.permuted((1, 0))
+    swapped = SymbolPoly(terms=tuple((g[::-1], d[::-1], c) for g, d, c in sym.terms))
     b1 = assemble_block(sym, 2, 2)
     b2 = assemble_block(swapped, 2, 2)
-    assert np.allclose(sorted(np.linalg.eigvalsh(b1.matrix)), sorted(np.linalg.eigvalsh(b2.matrix)))
-
-
-def test_block_csv(tmp_path):
-    a1 = InvariantSymbol.coordinate(0, 2)
-    block = assemble_block(a1.to_symbol_poly(), 2, 1)
-    path = tmp_path / "block.csv"
-    block.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,row_beta,col_alpha,re,im"
-    assert len(lines) == 1 + block.dim ** 2
+    assert np.allclose(sorted(np.linalg.eigvalsh(dense(b1))), sorted(np.linalg.eigvalsh(dense(b2))))
 
 
 def dense_oracle(sym: SymbolPoly, n: int, basis) -> np.ndarray:
@@ -234,7 +226,7 @@ def test_block_sectors_match_dense_oracle(name):
     sym, n_sectors = ORACLE_SYMBOLS[name]
     block = assemble_block(sym, 3, 10)
     q = dense_oracle(sym, 3, block.basis)
-    assert np.max(np.abs(block.matrix - q)) <= 1e-15
+    assert np.max(np.abs(dense(block) - q)) <= 1e-15
 
     positions = [j for pos, _ in block.sectors for j in pos]
     assert sorted(positions) == list(range(block.dim))
@@ -333,7 +325,7 @@ ENTRY_ORACLE_CASES = [
 def test_block_bitwise_matches_entry_oracle(name, sym, n, k):
     block = assemble_block(sym, n, k)
     q, diag, groups, radicands = entry_oracle(sym, n, k)
-    assert block.matrix.tobytes() == q.tobytes()
+    assert dense(block).tobytes() == q.tobytes()
     assert block.exact_diagonal == diag
     assert [pos for pos, _ in block.sectors] == groups
     if name == "z1_conj_z2":
@@ -353,3 +345,12 @@ def test_block_refuses_oversized_sectors():
     block = assemble_block(sym, 3, 64)
     assert block.dim == 2145
     assert max(m.shape[0] for _, m in block.sectors) == 65
+
+
+def test_block_refuses_oversized_basis_before_enumerating():
+    # C(205, 5) = 2.9e9 monomials: 16 bytes each already pass the limit
+    sym = InvariantSymbol.coordinate(0, 6).to_symbol_poly()
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError, match=r"dim 2872408791 needs at least 45958540656 bytes"):
+        assemble_block(sym, 6, 200)
+    assert time.perf_counter() - t0 < 1.0

@@ -136,7 +136,8 @@ def test_distinguishability_same_operator_other_denominator():
     for k in (1, 6):
         sa, sb = equivariant_spectrum(a1, sub, k), equivariant_spectrum(a1_sum, sub, k)
         assert sa.denominator != sb.denominator
-        assert sa.lambdas_exact == sb.lambdas_exact
+        exact = [[Fraction(x, s.denominator) for x in s.numerators] for s in (sa, sb)]
+        assert exact[0] == exact[1]
     for tol in (1e-12, 0.0):
         rep = spectral_distinguishability(
             lambda k: equivariant_spectrum(a1, sub, k), lambda k: equivariant_spectrum(a1_sum, sub, k), 6, tol=tol
@@ -151,15 +152,3 @@ def test_loglog_slope():
         loglog_slope(xs, [1.0, -1.0, 1.0, 1.0])
     with pytest.raises(ValidationError):
         loglog_slope([1.0], [1.0])
-
-
-def test_reconstruction_csv(tmp_path):
-    grid = [(0, 1), (Fraction(1, 16), Fraction(15, 16))]
-    rec = reconstruct(circle_oracle(A1), 2, grid, 20, order=1)
-    path = tmp_path / "rec.csv"
-    rec.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "point,levels,estimate,error,low_confidence,missing"
-    assert len(lines) == 3
-    # the missing row carries empty estimate and error fields
-    assert lines[2].endswith(",,0,1")

@@ -12,9 +12,7 @@ from toeplab.spectral import (
     measure_eigen,
     measure_poly,
     richardson_limit,
-    richardson_table,
     scaled_measure,
-    write_measure_csv,
 )
 
 
@@ -132,25 +130,3 @@ def test_richardson_validation():
         richardson_limit([4, 4], [1.0, 2.0], 1)
     with pytest.raises(ValidationError):
         richardson_limit([4, 8], [1.0], 0)
-
-
-def test_richardson_table_matches_limit():
-    floats = [float(v) for v in RICH_VALS]
-    tab = richardson_table(list(zip(RICH_KS, floats)), order=3)
-    assert [len(c) for c in tab] == [12, 11, 10, 9]
-    assert tab[-1][-1] == pytest.approx(float(richardson_limit(RICH_KS, floats, 3)), abs=1e-15)
-    with pytest.raises(ValidationError):
-        richardson_table(list(zip(RICH_KS, floats)), order=4)
-
-
-def test_write_measure_csv(tmp_path):
-    rows = [
-        {"n": 2, "k": 10, "m": 1, "f_id": "x", "mu": 1.25, "scaled_mu": 0.7853981633974483},
-        {"n": 2, "k": 20, "m": 1, "f_id": "x", "mu": 2.5, "scaled_mu": 0.7853981633974483},
-    ]
-    path = tmp_path / "measures.csv"
-    write_measure_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,k,m,f_id,mu,scaled_mu"
-    assert lines[1].startswith("2,10,1,x,1.25,")
-    assert len(lines) == 3
