@@ -130,3 +130,16 @@ def test_richardson_validation():
         richardson_limit([4, 4], [1.0, 2.0], 1)
     with pytest.raises(ValidationError):
         richardson_limit([4, 8], [1.0], 0)
+
+
+def test_write_measure_csv(tmp_path):
+    from toeplab.cli import _write_csv
+
+    header = ["n", "k", "m", "f_id", "mu", "scaled_mu"]
+    rows = [[2, 10, 1, "x", 1.25, 0.7853981633974483], [2, 20, 1, "x", 2.5, 0.7853981633974483]]
+    path = tmp_path / "measures.csv"
+    _write_csv(path, header, rows)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "n,k,m,f_id,mu,scaled_mu"
+    assert lines[1].startswith("2,10,1,x,1.25,")
+    assert len(lines) == 3
