@@ -61,7 +61,6 @@ from .multiindex import (
 from .reduction import (
     c0_simplex_quad,
     c0_sphere_mc,
-    calibrate_volume,
     sample_sphere,
     sphere_sigma_volume,
 )

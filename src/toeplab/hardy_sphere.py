@@ -46,7 +46,7 @@ import numpy as np
 
 from . import _exact
 from .errors import SymbolFormatError, ValidationError
-from .multiindex import MultiIndex, dimension_of_degree_space, enumerate_degree
+from .multiindex import MAX_SECTOR_BYTES, MultiIndex, dimension_of_degree_space, enumerate_degree
 
 __all__ = [
     "monomial_norm",
@@ -58,10 +58,6 @@ __all__ = [
 ]
 
 CONJUGATE_ULPS = 4
-
-# Largest sector storage (16 bytes per complex entry, summed over the
-# squared sector sizes) assemble_block allocates.
-MAX_SECTOR_BYTES = 2 * 1024**3
 
 
 def monomial_norm(mu: Sequence[int], n: int) -> Fraction:

@@ -15,6 +15,7 @@ stay far inside the int64 range.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +34,11 @@ MultiIndex = tuple[int, ...]
 # bound or a weighted box sum; half the int64 range leaves room for the
 # residual updates.
 _INT64_SAFE = 2**62
+
+# Largest allocation, in bytes, that the fiber search and the sector
+# storage of hardy_sphere.assemble_block (16 bytes per complex entry,
+# summed over the squared sector sizes) accept.
+MAX_SECTOR_BYTES = 2 * 1024**3
 
 __all__ = [
     "MultiIndex",
@@ -203,7 +209,9 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
     Raises UnboundedFiberError when the recession cone of the level
     polytope is nontrivial, since the lattice set is then infinite, and
     ValidationError when the level or the bounding box is too large for
-    int64 arithmetic.
+    int64 arithmetic, or when the live prefixes at some coordinate, each
+    charged the int64 rows and returned tuple of a finished point, would
+    pass MAX_SECTOR_BYTES; that is checked before they are allocated.
     """
     if k < 1:
         raise ValidationError("level multiplier k must be >= 1", operation="multiindex.enumerate_fiber")
@@ -241,6 +249,7 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
 
     # Every live prefix at once: row p of `points` holds x_0..x_{j-1} and
     # row p of `residual` what the later coordinates must still supply.
+    row_bytes = 8 * (n + d) + sys.getsizeof((0,) * n) + 8  # list slot too
     points = np.zeros((1, 0), dtype=np.int64)
     residual = np.array([target], dtype=np.int64)
     for j in range(n):
@@ -263,6 +272,12 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
                 hi_val[(below > 0) | (above < 0)] = -1
         counts = np.maximum(hi_val - lo_val + 1, 0)
         total = int(counts.sum())
+        if total * row_bytes > MAX_SECTOR_BYTES:
+            raise ValidationError(
+                f"level {k} fiber has {total} live prefixes at coordinate {j}, needing "
+                f"{total * row_bytes} bytes, over the {MAX_SECTOR_BYTES}-byte limit",
+                operation="multiindex.enumerate_fiber",
+            )
         starts = np.cumsum(counts) - counts
         vals = np.repeat(lo_val, counts) + (np.arange(total, dtype=np.int64) - np.repeat(starts, counts))
         points = np.column_stack([np.repeat(points, counts, axis=0), vals])

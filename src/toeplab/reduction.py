@@ -15,23 +15,21 @@ Two independent evaluations of the leading coefficient are provided:
 * c0_simplex_quad: midpoint rule on a uniform simplicial refinement of
   the simplex, deterministic, O(mesh^-2), invariant symbols only.
 
-calibrate_volume recovers sigma_vol(n) from dimension counts alone, which
-pins the constant without any integral.
+toric.fiber_volume(diagonal_circle(n)) recovers sigma_vol(n) exactly from
+dimension counts alone, which pins the constant without any integral.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, pi
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly
-from .multiindex import dimension_of_degree_space
-from .spectral import TestFunction, richardson_limit
+from .spectral import TestFunction
 
 __all__ = [
     "sphere_sigma_volume",
@@ -39,7 +37,6 @@ __all__ = [
     "mean_stderr",
     "c0_sphere_mc",
     "c0_simplex_quad",
-    "calibrate_volume",
 ]
 
 
@@ -103,6 +100,8 @@ def c0_sphere_mc(
     """
     if samples < 10_000:
         raise ValidationError("need at least 1e4 samples", operation="reduction.c0_sphere_mc")
+    if batch_size < 1:
+        raise ValidationError("batch_size must be at least 1", operation="reduction.c0_sphere_mc")
     rng = np.random.default_rng(seed)
 
     def batches():
@@ -174,27 +173,4 @@ def c0_simplex_quad(symbol: InvariantSymbol, f: TestFunction, n: int, mesh: int 
     pts = _staircase_cells(n - 1, mesh)
     vals = np.asarray(f(symbol.eval_array(pts)), dtype=float)
     return float(np.mean(vals)) * sphere_sigma_volume(n)
-
-
-def calibrate_volume(n: int, k_list: Sequence[int] | None = None) -> float:
-    """Reduced-space volume from dimension counts.
-
-    C(k+n-1, n-1) / k^(n-1) = prod_{i<n} (1 + i/k) / (n-1)! is exactly a
-    degree-(n-1) polynomial in 1/k, so exact Richardson extrapolation on
-    its values at the window's last n k gives its constant term 1/(n-1)!
-    as a Fraction; times (2 pi)^(n-1) that is sigma_vol(n).  The window
-    must span at least a decade.
-    """
-    if n < 1:
-        raise ValidationError("n must be positive", operation="reduction.calibrate_volume")
-    if k_list is None:
-        k_list = range(6, 61)
-    ks = sorted(set(int(k) for k in k_list))
-    if not ks or ks[0] < 1:
-        raise ValidationError("k values must be positive", operation="reduction.calibrate_volume")
-    if ks[-1] < 10 * ks[0]:
-        raise ValidationError("k window must span at least a decade", operation="reduction.calibrate_volume")
-    counts = [Fraction(dimension_of_degree_space(n, k), k ** (n - 1)) for k in ks]
-    limit = richardson_limit(ks, counts, order=n - 1)
-    return (2.0 * pi) ** (n - 1) * limit.numerator / limit.denominator
 

@@ -7,9 +7,9 @@ eigenvalues lambda_beta over fiber points.  Scaled by (2 pi / k)^(n-d)
 the measures converge to an integral over the level polytope
 P = {a >= 0 : Bt a = alpha}, provided P is compact with simple vertices
 whose column minors are unimodular.  This module computes the spectra,
-runs that regularity check exactly, and estimates the limit integral by
-a volume fit plus rejection sampling, giving an oracle that never sees
-the operator side.
+runs that regularity check exactly, and estimates the limit integral as
+the exact Ehrhart volume of P times a rejection-sampled mean, giving an
+oracle that never sees the operator side.
 
 A fiber's spectrum is computed in one batch and stored as integer
 numerators over one common denominator; a Fraction is built only on
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import pi
+from math import comb, lcm, pi
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from ._exact import det_int, integer_nullspace, solve_rectangular
 from .errors import (
     RegularityError,
     SamplerEfficiencyError,
+    ToeplabError,
     UnboundedFiberError,
     ValidationError,
 )
@@ -44,7 +45,7 @@ from .multiindex import (
     recession_pointed,
 )
 from .reduction import mean_stderr
-from .spectral import TestFunction, fit_expansion, scaled_measure
+from .spectral import TestFunction, richardson_limit, scaled_measure
 
 __all__ = [
     "EquivariantSpectrum",
@@ -133,24 +134,33 @@ def fiber_measure_series(
     return rows
 
 
-def fiber_volume(sub: SubtorusData, k_list: Sequence[int] | None = None) -> float:
-    """Limit of (2 pi / k)^(n-d) * #fiber(k).
+def fiber_volume(sub: SubtorusData) -> float:
+    """Exact limit of (2 pi / k)^m * #fiber(k), m = n - d, along k in qN.
 
-    Fiber counts grow polynomially of degree n - d for the lattice
-    polytopes handled here, so a fit at that order recovers the limit to
-    float accuracy.
+    q is the lcm of the vertex denominators of the level polytope P, so qP
+    is a lattice polytope and #fiber(q t) is its Ehrhart polynomial in t,
+    of degree at most m (Beck & Robins, ch. 3).  The counts at t = 1..m+1
+    fix it, and exact Richardson extrapolation of count / k^m gives its
+    leading coefficient over q^m as a Fraction; the volume is (2 pi)^m
+    times that.  Off qN a fiber may be smaller or empty (Bt = (2, 2) has
+    none at odd k), so the limit is only taken along qN.  One more count at
+    t = m + 2 certifies the polynomial: the (m+1)-th finite difference of
+    the m + 2 counts must vanish, else no volume is returned.  The sphere
+    is the diagonal_circle(n) case, (2 pi)^(n-1) / (n-1)!.
     """
     if not recession_pointed(sub):
         raise UnboundedFiberError("level polytope is unbounded", operation="toric.fiber_volume")
     m = sub.n - sub.d
-    if k_list is None:
-        # fit_expansion needs k >= 2 * order
-        k_list = range(max(4, 2 * m), 41)
-    ks = sorted(set(int(k) for k in k_list))
-    if len(ks) < m + 2:
-        raise ValidationError(f"need at least {m + 2} k values", operation="toric.fiber_volume")
-    samples = [(k, (2.0 * pi / k) ** m * len(enumerate_fiber(sub, k))) for k in ks]
-    return fit_expansion(samples, order=m).c0
+    q = lcm(*(c.denominator for v in fiber_polytope_vertices(sub, level=1) for c in v))
+    ks = [q * t for t in range(1, m + 3)]
+    counts = [len(enumerate_fiber(sub, k)) for k in ks]
+    if sum((-1) ** t * comb(m + 1, t) * c for t, c in enumerate(counts)):
+        raise ToeplabError(
+            f"fiber counts {counts} at k = {ks} are not a polynomial of degree {m} in k",
+            operation="toric.fiber_volume",
+        )
+    lead = richardson_limit(ks[:-1], [Fraction(c, k**m) for k, c in zip(ks, counts[:-1])], order=m)
+    return (2.0 * pi) ** m * lead.numerator / lead.denominator
 
 
 @dataclass(frozen=True)
@@ -242,8 +252,8 @@ def theorem2_leading(
     The limit is V * E[f(g(a / |a|_1))] with a uniform on the level
     polytope; eigenvalues live near g(beta / |beta|), so polytope points
     are renormalized onto the simplex before evaluation (the degree
-    |beta| need not be constant across one fiber).  V comes from the
-    fiber count fit unless supplied.  Sampling rejects from the bounding
+    |beta| need not be constant across one fiber).  V is the exact
+    fiber_volume unless supplied.  Sampling rejects from the bounding
     box of the polytope in primitive nullspace coordinates, where the
     uniform measure matches the count normalization; the mean itself is
     chart-independent.  Requires the regular-free check to pass.  d = n
@@ -264,6 +274,8 @@ def theorem2_leading(
         return float(f(symbol.evaluate(a / a.sum()))), 0.0
     if samples < 10_000:
         raise ValidationError("need at least 1e4 samples", operation="toric.theorem2_leading")
+    if batch_size < 1:
+        raise ValidationError("batch_size must be at least 1", operation="toric.theorem2_leading")
     basis = integer_nullspace([list(row) for row in sub.weight_matrix])
     a0 = verts[0]
     ys = _vertex_y_coordinates(verts, basis, a0)

@@ -1,13 +1,20 @@
-"""Source hygiene checks that need no linter: every import is used."""
+"""Source hygiene checks that need no linter.
+
+Every import is used, and every absolute import is the standard library
+or numpy, the one runtime dependency.
+"""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import toeplab
 
-SOURCES = sorted(p for p in Path(toeplab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ALL_SOURCES = sorted(Path(toeplab.__file__).parent.glob("*.py"))
+SOURCES = [p for p in ALL_SOURCES if p.name != "__init__.py"]
+RUNTIME_MODULES = set(sys.stdlib_module_names) | {"numpy"}
 
 
 def _own_imports(scope):
@@ -66,3 +73,36 @@ def test_unused_import_detection():
         "    return os.sep, sys.argv\n"
     )
     assert unused_imports(source) == ["2: tau", "4: dumps"]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """``line: module`` for each absolute import outside RUNTIME_MODULES."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] not in RUNTIME_MODULES]
+    return [f"{line}: {m}" for line, m in sorted(found)]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=[p.name for p in ALL_SOURCES])
+def test_runtime_imports_are_stdlib_or_numpy(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_foreign_import_detection():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, scipy.linalg\n"
+        "from numpy.linalg import eigh\n"
+        "from . import _exact\n"
+        "from .errors import ValidationError\n"
+        "def f():\n"
+        "    from sympy import Rational\n"
+        "    import hypothesis.strategies as st\n"
+    )
+    assert foreign_imports(source) == ["2: scipy.linalg", "7: sympy", "8: hypothesis.strategies"]

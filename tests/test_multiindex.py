@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -129,6 +130,15 @@ def test_fiber_rejects_int64_overflow():
     assert enumerate_fiber(sub, 2**59) == [(2**59, 2**60)]
     with pytest.raises(ValidationError):
         enumerate_fiber(sub, 2**60)
+
+
+def test_fiber_refuses_oversized_search_before_allocating():
+    # C(305, 5) ~ 2.1e10 points; the prefix count at coordinate 3 already
+    # passes the limit, so the search stops before repeating those rows
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="level 300 fiber has 348881876 live prefixes at coordinate 3"):
+        enumerate_fiber(diagonal_circle(6), 300)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_fiber_rejects_bad_level():

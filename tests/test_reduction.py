@@ -9,7 +9,6 @@ from toeplab.reduction import (
     _staircase_cells,
     c0_simplex_quad,
     c0_sphere_mc,
-    calibrate_volume,
     sample_sphere,
     sphere_sigma_volume,
 )
@@ -54,6 +53,13 @@ def test_mc_bits_frozen():
     # 5k; one sum over all 25k values changes the last digits of both
     got = c0_sphere_mc(A1_3, F_X, 3, samples=25_000, seed=7, batch_size=10_000)
     assert repr(got) == "(6.58052926941834, 0.029454857345935833)"
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_mc_rejects_empty_batches(batch_size):
+    # a zero-size batch adds nothing, so the draw loop would never end
+    with pytest.raises(ValidationError):
+        c0_sphere_mc(A1_2, F_X, 2, samples=10_000, batch_size=batch_size)
 
 
 @pytest.mark.parametrize(
@@ -121,16 +127,3 @@ def test_quad_validation():
     with pytest.raises(ValidationError):
         c0_simplex_quad(A1_2, F_X, 2, mesh=4)
 
-
-def test_calibrate_volume():
-    assert calibrate_volume(1) == 1.0
-    assert calibrate_volume(2) == pytest.approx(2 * pi, abs=1e-10)
-    assert calibrate_volume(3) == pytest.approx(2 * pi**2, abs=1e-9)
-    with pytest.raises(ValidationError):
-        calibrate_volume(2, k_list=range(20, 40))
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_calibrate_volume_exact_for_every_n(n):
-    # C(k+n-1, n-1) / k^(n-1) is a polynomial in 1/k, so no n needs a fit
-    assert calibrate_volume(n) == pytest.approx(sphere_sigma_volume(n), rel=1e-14, abs=0)

@@ -3,14 +3,17 @@ from math import factorial, pi
 
 import pytest
 
+from toeplab import toric
 from toeplab.errors import (
     RegularityError,
     SamplerEfficiencyError,
+    ToeplabError,
     UnboundedFiberError,
     ValidationError,
 )
 from toeplab.hardy_sphere import InvariantSymbol, monomial_norm
 from toeplab.multiindex import SubtorusData, diagonal_circle, enumerate_fiber, full_torus, recession_pointed
+from toeplab.reduction import sphere_sigma_volume
 from toeplab.spectral import TestFunction
 from toeplab.toric import (
     EXAMPLE_SUBTORI,
@@ -128,7 +131,7 @@ def test_fiber_measure_series():
     ],
 )
 def test_fiber_volume_examples(name, target):
-    assert fiber_volume(EXAMPLE_SUBTORI[name]) == pytest.approx(target, rel=1e-9)
+    assert fiber_volume(EXAMPLE_SUBTORI[name]) == pytest.approx(target, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -138,9 +141,38 @@ def test_fiber_volume_default_window_high_codimension(n):
     assert fiber_volume(diagonal_circle(n)) == pytest.approx((2 * pi) ** m / factorial(m), rel=1e-9)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fiber_volume_is_sphere_volume(n):
+    # C(k+n-1, n-1) / k^(n-1) is a polynomial in 1/k, so the limit is exact
+    assert fiber_volume(diagonal_circle(n)) == pytest.approx(sphere_sigma_volume(n), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize(
+    "weights,target",
+    [
+        # vertices (1/2, 0) and (0, 1/3): lattice points only every sixth k
+        ((2, 3), 2 * pi / 6),
+        # vertices (1/2, 0) and (0, 1/2): odd levels are empty
+        ((2, 2), pi),
+    ],
+)
+def test_fiber_volume_rational_vertices(weights, target):
+    sub = SubtorusData(n=2, d=1, weight_matrix=(weights,), alpha=(1,))
+    assert fiber_volume(sub) == pytest.approx(target, rel=1e-14, abs=0)
+
+
+def test_fiber_volume_point_fiber_is_one():
+    assert fiber_volume(EXAMPLE_SUBTORI["full_torus_12"]) == 1.0
+
+
+def test_fiber_volume_certificate_refuses_non_polynomial_counts(monkeypatch):
+    # counts k^2 at k = 1, 2, 3 cannot come from a degree-1 Ehrhart polynomial
+    monkeypatch.setattr(toric, "enumerate_fiber", lambda sub, k: [(0, 0)] * (k * k))
+    with pytest.raises(ToeplabError, match="not a polynomial of degree 1"):
+        fiber_volume(diagonal_circle(2))
+
+
 def test_fiber_volume_validation():
-    with pytest.raises(ValidationError):
-        fiber_volume(diagonal_circle(3), k_list=[4, 8])
     unbounded = SubtorusData(n=2, d=1, weight_matrix=((1, -1),), alpha=(1,))
     with pytest.raises(UnboundedFiberError):
         fiber_volume(unbounded)
@@ -200,8 +232,21 @@ def test_theorem2_bits_frozen():
     # exact output of the rejection sampler's per-batch accumulator: about
     # half of each 8k batch lands in the triangle, the last one truncated
     sym = InvariantSymbol.from_poly([((2, 0, 0), 1), ((0, 1, 1), Fraction(1, 2))], 3)
-    got = theorem2_leading(sym, F_X2, EXAMPLE_SUBTORI["diagonal_circle_3"], samples=20_000, seed=3, batch_size=8_000)
+    # pinned volume: the exact 19.739208802178716 would move the last digits
+    sub = EXAMPLE_SUBTORI["diagonal_circle_3"]
+    got = theorem2_leading(sym, F_X2, sub, samples=20_000, seed=3, batch_size=8_000, volume=19.73920880217942)
     assert repr(got) == "(1.5242817736039487, 0.018769385565002197)"
+    default = theorem2_leading(sym, F_X2, sub, samples=20_000, seed=3, batch_size=8_000)
+    assert default == theorem2_leading(
+        sym, F_X2, sub, samples=20_000, seed=3, batch_size=8_000, volume=fiber_volume(diagonal_circle(3))
+    )
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_theorem2_rejects_empty_batches(batch_size):
+    # a zero-size batch never moves the acceptance guard, so the loop would never end
+    with pytest.raises(ValidationError):
+        theorem2_leading(A1_2, F_X, diagonal_circle(2), samples=10_000, batch_size=batch_size)
 
 
 def test_theorem2_supplied_volume():
