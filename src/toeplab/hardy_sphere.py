@@ -165,21 +165,23 @@ class SymbolPoly:
         return len(self.terms[0][0])
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
-        """Value at unit-sphere points; z has shape (n,) or (N, n)."""
+        """Value at unit-sphere points; z has shape (n,) or (N, n).  Factors multiply
+        in place into the first, complex(c) on the left: numpy's fused complex
+        product rounds differently otherwise."""
         z = np.asarray(z, dtype=complex)
-        single = z.ndim == 1
-        pts = z[None, :] if single else z
+        pts = np.atleast_2d(z)
         total = np.zeros(pts.shape[0], dtype=complex)
-        zc = np.conj(pts)
+        zc = {i: pts[:, i].conj() for _, delta, _ in self.terms for i, d in enumerate(delta) if d}
         for gamma, delta, c in self.terms:
-            term = np.ones(pts.shape[0], dtype=complex)
+            term = None
             for i, (g, d) in enumerate(zip(gamma, delta)):
-                if g:
-                    term *= pts[:, i] ** g
-                if d:
-                    term *= zc[:, i] ** d
-            total += complex(c) * term
-        return total[0] if single else total
+                for base, e in ((pts[:, i], g), (zc.get(i), d)):
+                    if e and term is None:
+                        term = base ** e  # a fresh array, also for e = 1
+                    elif e:
+                        term *= base if e == 1 else base ** e
+            total += complex(c) if term is None else complex(c) * term
+        return total[0] if z.ndim == 1 else total
 
     def to_json(self) -> dict:
         return {"terms": [

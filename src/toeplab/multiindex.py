@@ -179,28 +179,29 @@ def recession_pointed(sub: SubtorusData) -> bool:
     return _recession_pointed_cached(sub.weight_matrix)
 
 
-def fiber_polytope_vertices(sub: SubtorusData, level: int = 1) -> list[tuple[Fraction, ...]]:
-    """Vertices of {x >= 0 : Bt x = level * alpha}, exactly.
-
-    Every vertex is the unique solution of a square subsystem on an
-    invertible set of d columns, so enumerating column bases finds all of
-    them; duplicates from degenerate vertices are merged.
-    """
-    Bt = sub.weight_matrix
-    target = [level * a for a in sub.alpha]
+@lru_cache(maxsize=None)
+def _vertices_cached(Bt: tuple[tuple[int, ...], ...], target: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """Vertices of {x >= 0 : Bt x = target}, exactly, sorted.  Each solves a
+    square subsystem on d invertible columns, so enumerating column bases
+    finds them all; duplicates from degenerate vertices are merged."""
     seen: dict[tuple[Fraction, ...], None] = {}
-    for support in combinations(range(sub.n), sub.d):
+    for support in combinations(range(len(Bt[0])), len(Bt)):
         block = [[row[i] for i in support] for row in Bt]
         if _exact.det_int([list(r) for r in block]) == 0:
             continue
-        x = _exact.solve_square(block, target)
+        x = _exact.solve_square(block, list(target))
         if x is None or any(v < 0 for v in x):
             continue
-        vertex = [Fraction(0)] * sub.n
+        vertex = [Fraction(0)] * len(Bt[0])
         for i, v in zip(support, x):
             vertex[i] = v
         seen[tuple(vertex)] = None
-    return sorted(seen.keys())
+    return tuple(sorted(seen.keys()))
+
+
+def fiber_polytope_vertices(sub: SubtorusData, level: int = 1) -> list[tuple[Fraction, ...]]:
+    """Vertices of {x >= 0 : Bt x = level * alpha} as a new list; the exact solves are cached."""
+    return list(_vertices_cached(sub.weight_matrix, tuple(level * a for a in sub.alpha)))
 
 
 def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
@@ -221,7 +222,7 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
             f"{{x >= 0 : Bt x = k alpha}} contains a nonzero ray",
             operation="multiindex.enumerate_fiber",
         )
-    vertices = fiber_polytope_vertices(sub, level=1)
+    vertices = _vertices_cached(sub.weight_matrix, sub.alpha)
     if not vertices:
         return []
     n, d = sub.n, sub.d

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly
+from .multiindex import MAX_SECTOR_BYTES
 from .spectral import TestFunction
 
 __all__ = [
@@ -38,6 +39,8 @@ __all__ = [
     "c0_sphere_mc",
     "c0_simplex_quad",
 ]
+
+_CHUNK = 16_384  # points c0_sphere_mc draws and evaluates per pass, few enough to stay in cache
 
 
 def sphere_sigma_volume(n: int) -> float:
@@ -50,12 +53,14 @@ def sphere_sigma_volume(n: int) -> float:
 def sample_sphere(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points on the unit sphere of C^n, shape (size, n) complex.
 
-    Each point consumes a contiguous block of 2n normal draws, so for a
-    fixed seed the sample stream is independent of batching.
+    The draws are exactly those of ``rng.standard_normal((size, n, 2))``,
+    so the points are bit-stable and independent of batching.  The norm is
+    np.linalg.norm's sqrt(sum Re(conj(z) z)), a fused complex product that
+    a*a + b*b misses in the last bit; w *= 1/norm is complex / real.
     """
     w = rng.standard_normal((size, n, 2))
-    z = w[..., 0] + 1j * w[..., 1]
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = w.view(complex)[..., 0]
+    w *= (1.0 / np.sqrt(np.add.reduce((z.conj() * z).real, axis=1)))[:, None, None]
     return z
 
 
@@ -63,9 +68,16 @@ def _symbol_values(symbol, z: np.ndarray) -> np.ndarray:
     if isinstance(symbol, SymbolPoly):
         return symbol.evaluate(z).real
     if isinstance(symbol, InvariantSymbol):
-        a = np.abs(z) ** 2
-        return symbol.eval_array(a)
+        return symbol.eval_array(np.abs(z) ** 2)
     raise ValidationError("symbol must be SymbolPoly or InvariantSymbol", operation="reduction.c0_sphere_mc")
+
+
+def _check_batch(size: int, row_bytes: int, operation: str) -> None:
+    """Refuse before drawing an empty batch, whose loop never ends, or one past MAX_SECTOR_BYTES."""
+    if size < 1:
+        raise ValidationError("batch_size must be at least 1", operation=operation)
+    if size * row_bytes > MAX_SECTOR_BYTES:
+        raise ValidationError(f"a batch of {size} needs {size * row_bytes} bytes, over {MAX_SECTOR_BYTES}", operation=operation)
 
 
 def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, float]:
@@ -74,8 +86,7 @@ def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, flo
     Each batch adds its own float sum and sum of squares, so results
     depend on the batching only through summation grouping.
     """
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     for vals in batches:
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))
@@ -94,24 +105,25 @@ def c0_sphere_mc(
 ) -> tuple[float, float]:
     """Monte Carlo leading coefficient sigma_vol(n) * E[f(F(z))].
 
-    Draws are batched; the sample stream for a fixed seed is independent
-    of the batch size, and only summation grouping (machine epsilon)
-    distinguishes results across batchings.
+    The sample stream is independent of the batch size, which sets only
+    the summation grouping.  A batch is drawn and evaluated in cache-sized
+    pieces of _CHUNK points, never of one (numpy's in-place complex product
+    rounds differently on one element): each value has one pass's bits.
     """
     if samples < 10_000:
         raise ValidationError("need at least 1e4 samples", operation="reduction.c0_sphere_mc")
-    if batch_size < 1:
-        raise ValidationError("batch_size must be at least 1", operation="reduction.c0_sphere_mc")
+    _check_batch(min(batch_size, samples), 8, "reduction.c0_sphere_mc")  # one value per point
     rng = np.random.default_rng(seed)
 
-    def batches():
-        done = 0
-        while done < samples:
-            size = min(batch_size, samples - done)
-            yield np.asarray(f(_symbol_values(symbol, sample_sphere(n, size, rng))), dtype=float)
-            done += size
+    def batch(size: int) -> np.ndarray:
+        vals = np.empty(size)
+        cuts = [0, *range(_CHUNK, size - 1, _CHUNK), size]
+        for lo, hi in zip(cuts, cuts[1:]):
+            vals[lo:hi] = f(_symbol_values(symbol, sample_sphere(n, hi - lo, rng)))
+        return vals
 
-    mean, stderr = mean_stderr(batches(), samples)
+    batches = (batch(min(batch_size, samples - done)) for done in range(0, samples, batch_size))
+    mean, stderr = mean_stderr(batches, samples)
     vol = sphere_sigma_volume(n)
     return vol * mean, vol * stderr
 
@@ -132,10 +144,7 @@ def _staircase_cells(p: int, mesh: int) -> np.ndarray:
             continue
         ties = [i for i in range(p - 1) if v[i] == v[i + 1]]
         for perm in permutations(range(p)):
-            pos = [0] * p
-            for idx, coord in enumerate(perm):
-                pos[coord] = idx
-            if any(pos[i] > pos[i + 1] for i in ties):
+            if any(perm.index(i) > perm.index(i + 1) for i in ties):
                 continue
             # vertices of the path simplex, accumulated in place
             centroid = np.array(v, dtype=float)
@@ -144,13 +153,8 @@ def _staircase_cells(p: int, mesh: int) -> np.ndarray:
                 step[coord] += 1.0
                 centroid += step
             centroid /= (p + 1) * mesh
-            x = centroid
-            bary = np.empty(p + 1)
-            bary[0] = 1.0 - x[0]
-            for i in range(1, p):
-                bary[i] = x[i - 1] - x[i]
-            bary[p] = x[p - 1]
-            cells.append(bary)
+            # barycentric: 1 - x_1, x_1 - x_2, ..., x_p
+            cells.append(-np.diff(np.concatenate(([1.0], centroid, [0.0]))))
     return np.array(cells)
 
 

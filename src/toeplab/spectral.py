@@ -81,7 +81,8 @@ class TestFunction:
             x = np.asarray(x, dtype=float)
             out = np.zeros_like(x)
             for c in reversed(self.coeffs):
-                out = out * x + c
+                out *= x
+                out += c
             return out if out.ndim else float(out)
         arr = np.asarray(x, dtype=float)
         if arr.ndim == 0:

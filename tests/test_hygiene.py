@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter.
 
-Every import is used, and every absolute import is the standard library
-or numpy, the one runtime dependency.
+Every import is used, every absolute import is the standard library or
+numpy, the one runtime dependency, and all randomness comes from seeded
+generators, so reruns stay byte-identical.
 """
 
 import ast
@@ -106,3 +107,50 @@ def test_foreign_import_detection():
         "    import hypothesis.strategies as st\n"
     )
     assert foreign_imports(source) == ["2: scipy.linalg", "7: sympy", "8: hypothesis.strategies"]
+
+
+def unseeded_random_calls(source: str) -> list[str]:
+    """``line: call`` for each ``default_rng()`` without a seed and each
+    call into numpy's legacy global generator, ``np.random.<fn>(...)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "default_rng" and not node.args and not node.keywords:
+            found.append((node.lineno, "default_rng()"))
+        elif (
+            isinstance(func, ast.Attribute)
+            and name != "default_rng"
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "random"
+            and getattr(func.value.value, "id", None) in {"np", "numpy"}
+        ):
+            found.append((node.lineno, f"{func.value.value.id}.random.{name}"))
+    return [f"{line}: {call}" for line, call in sorted(found)]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=[p.name for p in ALL_SOURCES])
+def test_randomness_is_seeded(path):
+    assert unseeded_random_calls(path.read_text()) == []
+
+
+def test_unseeded_random_detection():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "rng = np.random.default_rng(7)\n"
+        "def f(rng: np.random.Generator, seed):\n"
+        "    a = np.random.default_rng()\n"
+        "    b = default_rng()\n"
+        "    np.random.seed(0)\n"
+        "    c = numpy.random.normal(size=3)\n"
+        "    return default_rng(seed).random(), rng.standard_normal(4)\n"
+    )
+    assert unseeded_random_calls(source) == [
+        "5: default_rng()",
+        "6: default_rng()",
+        "7: np.random.seed",
+        "8: numpy.random.normal",
+    ]

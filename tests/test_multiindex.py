@@ -152,6 +152,14 @@ def test_polytope_vertices_weighted_segment():
     assert set(verts) == {(Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))}
 
 
+def test_polytope_vertices_returns_a_new_list():
+    # the exact solves are cached; a caller's edits must not reach the cache
+    sub = diagonal_circle(3)
+    verts = fiber_polytope_vertices(sub)
+    verts.clear()
+    assert len(fiber_polytope_vertices(sub)) == 3
+
+
 def test_polytope_vertices_scale_with_level():
     sub = diagonal_circle(3)
     level1 = set(fiber_polytope_vertices(sub, level=1))

@@ -1,8 +1,10 @@
+from fractions import Fraction
 from math import pi
 
 import numpy as np
 import pytest
 
+from toeplab import reduction
 from toeplab.errors import ValidationError
 from toeplab.hardy_sphere import InvariantSymbol, SymbolPoly
 from toeplab.reduction import (
@@ -36,6 +38,14 @@ def test_sample_sphere_shape_and_norm():
     assert np.abs(np.linalg.norm(z, axis=1) - 1.0).max() < 1e-14
 
 
+def test_sample_sphere_stream_contract():
+    # a batch of points consumes exactly the draws of standard_normal((size, n, 2))
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    sample_sphere(3, 777, rng)
+    ref.standard_normal((777, 3, 2))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_mc_constant_function_is_exact():
     est, se = c0_sphere_mc(A1_2, TestFunction.polynomial([1.0]), 2, samples=10_000, seed=0)
     assert est == sphere_sigma_volume(2)
@@ -55,11 +65,47 @@ def test_mc_bits_frozen():
     assert repr(got) == "(6.58052926941834, 0.029454857345935833)"
 
 
+def test_mc_polynomial_symbol_bits_frozen():
+    # a non-invariant symbol with a complex coefficient and a |gamma| = 2
+    # term, under a quadratic f with every coefficient nonzero: pins the
+    # sampler, SymbolPoly.evaluate and the polynomial TestFunction together
+    sym = SymbolPoly.from_terms(
+        [((1, 0, 0), (1, 0, 0), 0.5), ((2, 0, 0), (0, 1, 1), 0.3 + 0.4j), ((0, 1, 0), (0, 0, 1), Fraction(1, 3))],
+        hermitize=True,
+    )
+    f = TestFunction.polynomial([0.25, -1.0, 2.0])
+    got = c0_sphere_mc(sym, f, 3, samples=25_000, seed=11, batch_size=10_000)
+    assert repr(got) == "(4.129217813634305, 0.01480369431736504)"
+
+
+def test_mc_pieces_keep_the_bits_of_one_pass(monkeypatch):
+    # batches of 22 drawn in pieces of 7, 7 and 8 points: a last piece of one
+    # point would round differently in numpy's in-place complex product
+    sym = SymbolPoly.from_terms([((1, 0, 0), (1, 0, 0), 0.5), ((1, 0, 0), (0, 1, 0), 0.3 - 0.2j)], hermitize=True)
+
+    def values(chunk, batch_size):
+        monkeypatch.setattr(reduction, "_CHUNK", chunk)
+        seen = []
+        monkeypatch.setattr(reduction, "mean_stderr", lambda batches, samples: (seen.extend(batches), (0.0, 0.0))[1])
+        c0_sphere_mc(sym, F_X2, 3, samples=10_000, seed=6, batch_size=batch_size)
+        return np.concatenate(seen)
+
+    assert values(7, 22).tobytes() == values(20_000, 10_000).tobytes()
+
+
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_mc_rejects_empty_batches(batch_size):
     # a zero-size batch adds nothing, so the draw loop would never end
     with pytest.raises(ValidationError):
         c0_sphere_mc(A1_2, F_X, 2, samples=10_000, batch_size=batch_size)
+
+
+def test_mc_refuses_oversized_batch_before_drawing():
+    with pytest.raises(ValidationError, match="bytes"):
+        c0_sphere_mc(A1_2, F_X, 2, samples=2**40, batch_size=2**40)
+    # only min(batch_size, samples) points are ever drawn at once
+    est, _ = c0_sphere_mc(A1_2, F_X, 2, samples=10_000, batch_size=2**40)
+    assert np.isfinite(est)
 
 
 @pytest.mark.parametrize(

@@ -136,7 +136,7 @@ def test_fiber_volume_examples(name, target):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_fiber_volume_default_window_high_codimension(n):
-    # the default window must start at k = 2 (n - d) for the order n - d fit
+    # m = n - d = 3, 4: the exact volume takes m + 2 fiber counts at k = 1..m+2
     m = n - 1
     assert fiber_volume(diagonal_circle(n)) == pytest.approx((2 * pi) ** m / factorial(m), rel=1e-9)
 
@@ -242,11 +242,25 @@ def test_theorem2_bits_frozen():
     )
 
 
+def test_theorem2_bits_frozen_codimension_3():
+    # m = 3 rejection sampling from the 3-cube of the nullspace chart, with
+    # volume 1 so the raw mean and stderr are pinned
+    sym = InvariantSymbol.from_poly([((1, 0, 0, 0), 1), ((0, 1, 1, 0), Fraction(1, 2)), ((0, 0, 0, 2), 3)], 4)
+    f = TestFunction.polynomial([0.25, -1.0, 2.0])
+    got = theorem2_leading(sym, f, diagonal_circle(4), samples=20_000, seed=5, batch_size=7_000, volume=1.0)
+    assert repr(got) == "(0.6116171236590769, 0.007434574744366973)"
+
+
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_theorem2_rejects_empty_batches(batch_size):
     # a zero-size batch never moves the acceptance guard, so the loop would never end
     with pytest.raises(ValidationError):
         theorem2_leading(A1_2, F_X, diagonal_circle(2), samples=10_000, batch_size=batch_size)
+
+
+def test_theorem2_refuses_oversized_batch_before_drawing():
+    with pytest.raises(ValidationError, match="bytes"):
+        theorem2_leading(A1_2, F_X, diagonal_circle(2), samples=10_000, batch_size=2**40)
 
 
 def test_theorem2_supplied_volume():
