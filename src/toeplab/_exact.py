@@ -76,16 +76,6 @@ def rank(rows) -> int:
     return len(pivots)
 
 
-def solve_square(rows, rhs) -> list[Fraction] | None:
-    """Solve ``A x = b`` for square A; None when A is singular."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    m, pivots = _echelon(aug)
-    if pivots != list(range(n)):
-        return None
-    return [m[i][n] for i in range(n)]
-
-
 def solve_rectangular(rows, rhs) -> list[Fraction] | None:
     """One exact solution of a consistent system ``A x = b``; None when
     inconsistent.  Free variables are set to zero."""

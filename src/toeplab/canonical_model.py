@@ -30,6 +30,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+MAX_GRID_POINTS = 4096
+
 __all__ = [
     "ModelIndex",
     "QuadratureSpec",
@@ -108,20 +110,29 @@ def _shared_dims(indices: Sequence[ModelIndex]) -> tuple[int, int]:
 
 
 def _design_matrix(indices: Sequence[ModelIndex], quad: QuadratureSpec):
-    """Grid points, weights and state values on the tensor rule.
+    """Weights and state values on the tensor rule.
 
     The Hermite rule carries generic weights w e^(t^2), so it integrates
     plain functions of t, not just polynomial-times-Gaussian ones; the
     angular rule is the uniform trapezoid, exact for every frequency
-    difference below the point count.
+    difference below the point count.  The grid is counted before any
+    rule is built; every axis has at least two points, so enough axes
+    pass MAX_GRID_POINTS before the power is formed.  A family with
+    k_dim = 0 builds no Hermite rule at all.
     """
     k_dim, l_dim = _shared_dims(indices)
+    if k_dim + l_dim >= MAX_GRID_POINTS.bit_length() or quad.hermite_points**k_dim * quad.fourier_points**l_dim > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid of {quad.hermite_points}^{k_dim} x {quad.fourier_points}^{l_dim} points is over the "
+            f"{MAX_GRID_POINTS}-point limit of the dense isometry check",
+            operation="canonical_model.check_isometry",
+        )
     max_freq = max(abs(c) for i in indices for c in i.m)
     if quad.hermite_points < 20 and k_dim > 0:
         warnings.warn("fewer than 20 Hermite points; Gaussian overlaps may be unresolved", stacklevel=3)
     if quad.fourier_points < 4 * max_freq:
         warnings.warn("fewer than 4 max|m_j| angular points; trapezoid rule may alias", stacklevel=3)
-    t, w = np.polynomial.hermite.hermgauss(quad.hermite_points)
+    t, w = np.polynomial.hermite.hermgauss(quad.hermite_points) if k_dim else (np.empty(0), np.empty(0))
     w_open = w * np.exp(t * t)
     angles = 2 * pi * np.arange(quad.fourier_points) / quad.fourier_points
     w_ang = 2 * pi / quad.fourier_points
@@ -130,10 +141,8 @@ def _design_matrix(indices: Sequence[ModelIndex], quad: QuadratureSpec):
     axes_wts = [w_open] * k_dim + [np.full(quad.fourier_points, w_ang)] * l_dim
     grid = np.array(list(product(*axes_pts)))
     weights = np.array([float(np.prod(ws)) for ws in product(*axes_wts)])
-    y = grid[:, :k_dim]
-    theta = grid[:, k_dim:]
-    F = np.column_stack([fm_eval(idx, y, theta) for idx in indices])
-    return y, theta, weights, F
+    F = np.column_stack([fm_eval(idx, grid[:, :k_dim], grid[:, k_dim:]) for idx in indices])
+    return weights, F
 
 
 @dataclass(frozen=True)
@@ -170,11 +179,9 @@ def check_isometry(indices: Sequence[ModelIndex], quad: QuadratureSpec = Quadrat
     and reports the largest entries of G - I, Pi^2 - Pi and
     W Pi - (W Pi)^H.  Pi^2 - Pi = F (G - I) B is formed from that
     factorization, so no grid x grid x grid product is needed.  Dense
-    check; grids above 4096 points are refused.
+    check; grids above MAX_GRID_POINTS points are refused before they are built.
     """
-    _, _, weights, F = _design_matrix(indices, quad)
-    if len(weights) > 4096:
-        raise ValidationError("grid too large for the dense isometry check", operation="canonical_model.check_isometry")
+    weights, F = _design_matrix(indices, quad)
     B = F.conj().T * weights[None, :]
     G = B @ F
     off = G - np.diag(np.diag(G))

@@ -4,8 +4,9 @@ Each run takes a JSON manifest, an output directory and an experiment
 name, writes CSV/JSON results plus a run.json sidecar echoing the
 manifest, and is deterministic for a fixed seed and thread count.  Exit
 status 2 flags bad flags or manifests, 3 a numerical failure naming the
-operation that broke; compute imports happen only after the thread knobs
-are set, so --threads reaches the numerics.
+operation that broke.  BLAS threads are set only through the environment
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS) before the interpreter starts;
+importing the package already loads numpy and its BLAS.
 """
 
 from __future__ import annotations
@@ -13,25 +14,34 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
+from functools import cache
+from math import isfinite
 from pathlib import Path
+
+from .canonical_model import ModelIndex, QuadratureSpec, check_isometry
+from .errors import ToeplabError, ValidationError
+from .hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block
+from .inverse import loglog_slope, reconstruct, spectral_distinguishability
+from .multiindex import SubtorusData, _is_int, diagonal_circle
+from .spectral import TestFunction, fit_expansion, measure_eigen, measure_poly, scaled_measure
+from .toric import EXAMPLE_SUBTORI, equivariant_spectrum, fiber_measure_series, regular_free_check, theorem2_leading
 
 _EXPERIMENTS = ("theorem1", "theorem2", "inverse", "model", "distinguish")
 
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
 
-
-def _validation_error(message: str):
-    from .errors import ValidationError
-
+def _validation_error(message: str) -> ValidationError:
     return ValidationError(message, operation="cli.manifest")
+
+
+def _finite(literal: str) -> float:
+    """json's hook for float literals and NaN/Infinity; a literal past the
+    float range, such as 1e400, reads as inf and is refused with them."""
+    v = float(literal)
+    if not isfinite(v):
+        raise _validation_error(f"manifest number {literal} is not finite")
+    return v
 
 
 def _check_keys(manifest: dict, allowed: set[str]) -> None:
@@ -46,15 +56,15 @@ def _int_field(manifest: dict, name: str, minimum: int, default=None) -> int:
             raise _validation_error(f"missing required field '{name}'")
         return default
     v = manifest[name]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+    if not _is_int(v) or v < minimum:
         raise _validation_error(f"field '{name}' must be an integer >= {minimum}")
     return v
 
 
-def _k_list(manifest: dict) -> list[int]:
-    v = manifest.get("k_list")
-    if not isinstance(v, list) or not v or not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in v):
-        raise _validation_error("field 'k_list' must be a nonempty list of positive integers")
+def _positive_ints(manifest: dict, name: str, at_least: int) -> list[int]:
+    v = manifest.get(name)
+    if not isinstance(v, list) or len(v) < at_least or not all(_is_int(k) and k >= 1 for k in v):
+        raise _validation_error(f"field '{name}' must list at least {at_least} positive integers")
     return v
 
 
@@ -68,8 +78,6 @@ def _coefficient(v) -> Fraction:
 
 
 def _invariant_symbol(obj, n: int):
-    from .hardy_sphere import InvariantSymbol
-
     if not isinstance(obj, dict) or set(obj) != {"terms"} or not isinstance(obj["terms"], list) or not obj["terms"]:
         raise _validation_error("invariant symbol must be {'terms': [...]} with at least one term")
     pairs = []
@@ -77,15 +85,13 @@ def _invariant_symbol(obj, n: int):
         if not isinstance(term, dict) or set(term) != {"gamma", "coeff"}:
             raise _validation_error("each symbol term needs exactly the fields 'gamma' and 'coeff'")
         g = term["gamma"]
-        if not isinstance(g, list) or len(g) != n or not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in g):
+        if not isinstance(g, list) or len(g) != n or not all(_is_int(e) and e >= 0 for e in g):
             raise _validation_error(f"term exponents {g!r} must be {n} nonnegative integers")
         pairs.append((tuple(g), _coefficient(term["coeff"])))
     return InvariantSymbol.from_poly(pairs, n)
 
 
 def _test_function(obj):
-    from .spectral import TestFunction
-
     if not isinstance(obj, dict) or not set(obj) <= {"coeffs", "label"} or "coeffs" not in obj:
         raise _validation_error("field 'f' must be {'coeffs': [...]} with an optional 'label'")
     coeffs = obj["coeffs"]
@@ -98,9 +104,6 @@ def _test_function(obj):
 
 
 def _subtorus(obj):
-    from .multiindex import SubtorusData
-    from .toric import EXAMPLE_SUBTORI
-
     if isinstance(obj, dict) and set(obj) == {"example"}:
         name = obj["example"]
         if name not in EXAMPLE_SUBTORI:
@@ -123,9 +126,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _run_theorem1(manifest: dict, out: Path, seed: int) -> list[str]:
-    from .hardy_sphere import SymbolPoly, assemble_block
-    from .spectral import fit_expansion, measure_eigen, measure_poly, scaled_measure
-
     _check_keys(manifest, {"experiment", "seed", "n", "symbol", "f", "k_list", "fit_order", "measure"})
     n = _int_field(manifest, "n", minimum=1)
     if "symbol" not in manifest:
@@ -134,7 +134,7 @@ def _run_theorem1(manifest: dict, out: Path, seed: int) -> list[str]:
     if symbol.n != n:
         raise _validation_error("symbol index length disagrees with n")
     f = _test_function(manifest.get("f", {}))
-    ks = _k_list(manifest)
+    ks = _positive_ints(manifest, "k_list", 1)
     order = _int_field(manifest, "fit_order", minimum=0, default=2)
     method = manifest.get("measure", "eigen")
     if method not in ("eigen", "poly"):
@@ -158,9 +158,6 @@ def _run_theorem1(manifest: dict, out: Path, seed: int) -> list[str]:
 
 
 def _run_theorem2(manifest: dict, out: Path, seed: int) -> list[str]:
-    from .spectral import fit_expansion
-    from .toric import fiber_measure_series, regular_free_check, theorem2_leading
-
     _check_keys(manifest, {"experiment", "seed", "subtorus", "symbol", "f", "k_list", "fit_order", "samples"})
     if "subtorus" not in manifest:
         raise _validation_error("missing required field 'subtorus'")
@@ -169,7 +166,7 @@ def _run_theorem2(manifest: dict, out: Path, seed: int) -> list[str]:
         raise _validation_error("missing required field 'symbol'")
     symbol = _invariant_symbol(manifest["symbol"], sub.n)
     f = _test_function(manifest.get("f", {}))
-    ks = _k_list(manifest)
+    ks = _positive_ints(manifest, "k_list", 1)
     m = sub.n - sub.d
     order = _int_field(manifest, "fit_order", minimum=0, default=m)
     samples = _int_field(manifest, "samples", minimum=10_000, default=200_000)
@@ -201,10 +198,6 @@ def _grid_points(manifest: dict, n: int) -> list[tuple[Fraction, ...]]:
 
 
 def _run_inverse(manifest: dict, out: Path, seed: int) -> list[str]:
-    from .inverse import loglog_slope, reconstruct
-    from .multiindex import diagonal_circle
-    from .toric import equivariant_spectrum
-
     _check_keys(manifest, {"experiment", "seed", "n", "symbol", "grid", "k_max", "k_max_list", "order", "spacing"})
     n = _int_field(manifest, "n", minimum=2)
     symbol = _invariant_symbol(manifest.get("symbol"), n)
@@ -214,23 +207,14 @@ def _run_inverse(manifest: dict, out: Path, seed: int) -> list[str]:
     if "k_max" in manifest:
         k_maxes = [_int_field(manifest, "k_max", minimum=1)]
     else:
-        v = manifest["k_max_list"]
-        if not isinstance(v, list) or len(v) < 2 or not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in v):
-            raise _validation_error("'k_max_list' must list at least two positive integers")
-        k_maxes = v
+        k_maxes = _positive_ints(manifest, "k_max_list", 2)
     order = _int_field(manifest, "order", minimum=0, default=1)
     spacing = manifest.get("spacing", "geometric")
     if spacing not in ("geometric", "all"):
         raise _validation_error("field 'spacing' must be 'geometric' or 'all'")
 
     sub = diagonal_circle(n)
-    cache: dict = {}
-
-    def oracle(k: int):
-        if k not in cache:
-            cache[k] = equivariant_spectrum(symbol, sub, k)
-        return cache[k]
-
+    oracle = cache(lambda k: equivariant_spectrum(symbol, sub, k))  # shared by every k_max run
     runs = []
     rows = []
     for k_max in k_maxes:
@@ -269,8 +253,6 @@ def _run_inverse(manifest: dict, out: Path, seed: int) -> list[str]:
 
 
 def _run_model(manifest: dict, out: Path, seed: int) -> list[str]:
-    from .canonical_model import ModelIndex, QuadratureSpec, check_isometry
-
     _check_keys(manifest, {"experiment", "seed", "states", "quad"})
     states_obj = manifest.get("states")
     if not isinstance(states_obj, list) or not states_obj:
@@ -280,7 +262,7 @@ def _run_model(manifest: dict, out: Path, seed: int) -> list[str]:
         if not isinstance(s, dict) or set(s) != {"m", "k_dim"}:
             raise _validation_error("each state needs exactly the fields 'm' and 'k_dim'")
         m = s["m"]
-        if not isinstance(m, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in m):
+        if not isinstance(m, list) or not all(_is_int(c) for c in m):
             raise _validation_error(f"state frequency {m!r} must be a list of integers")
         states.append(ModelIndex(m=tuple(m), k_dim=_int_field(s, "k_dim", minimum=0)))
     quad_obj = manifest.get("quad", {})
@@ -296,9 +278,6 @@ def _run_model(manifest: dict, out: Path, seed: int) -> list[str]:
 
 
 def _run_distinguish(manifest: dict, out: Path, seed: int) -> list[str]:
-    from .inverse import spectral_distinguishability
-    from .toric import equivariant_spectrum
-
     _check_keys(manifest, {"experiment", "seed", "subtorus", "symbol_a", "symbol_b", "k_max", "tol"})
     if "subtorus" not in manifest:
         raise _validation_error("missing required field 'subtorus'")
@@ -328,6 +307,20 @@ _RUNNERS = {
 }
 
 
+def _load_manifest(path: str, experiment: str) -> dict:
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _validation_error(f"cannot read manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise _validation_error("manifest must be a JSON object")
+    declared = manifest.get("experiment")
+    if declared is not None and declared != experiment:
+        raise _validation_error(f"manifest declares experiment {declared!r}, flag says {experiment!r}")
+    return manifest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="toeplab",
@@ -337,42 +330,15 @@ def main(argv=None) -> int:
     parser.add_argument("--manifest", required=True, help="path to the JSON manifest")
     parser.add_argument("--out", required=True, help="output directory, created if absent")
     parser.add_argument("--seed", type=int, default=None, help="overrides the manifest seed")
-    parser.add_argument("--threads", type=int, default=None, help="BLAS/OpenMP thread cap")
     args = parser.parse_args(argv)
 
-    if args.threads is not None:
-        if args.threads < 1:
-            print("--threads must be positive", file=sys.stderr)
-            return 2
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
-
     try:
-        with open(args.manifest) as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read manifest: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(manifest, dict):
-        print("manifest must be a JSON object", file=sys.stderr)
-        return 2
-    declared = manifest.get("experiment")
-    if declared is not None and declared != args.experiment:
-        print(f"manifest declares experiment {declared!r}, flag says {args.experiment!r}", file=sys.stderr)
-        return 2
-    seed = args.seed
-    if seed is None:
-        seed = manifest.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            print("manifest 'seed' must be a nonnegative integer", file=sys.stderr)
-            return 2
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    from .errors import ToeplabError, ValidationError
-
-    try:
+        manifest = _load_manifest(args.manifest, args.experiment)
+        seed = manifest.get("seed", 0) if args.seed is None else args.seed
+        if not _is_int(seed) or seed < 0:
+            raise _validation_error(f"seed {seed!r} must be a nonnegative integer")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         outputs = _RUNNERS[args.experiment](manifest, out, seed)
     except ValidationError as exc:
         print(f"invalid input ({exc.operation}): {exc}", file=sys.stderr)
@@ -384,7 +350,6 @@ def main(argv=None) -> int:
     _write_json(out / "run.json", {
         "experiment": args.experiment,
         "seed": seed,
-        "threads": args.threads,
         "outputs": outputs,
         "manifest": manifest,
     })

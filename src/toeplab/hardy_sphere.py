@@ -46,7 +46,7 @@ import numpy as np
 
 from . import _exact
 from .errors import SymbolFormatError, ValidationError
-from .multiindex import MAX_SECTOR_BYTES, MultiIndex, dimension_of_degree_space, enumerate_degree
+from .multiindex import MAX_SECTOR_BYTES, MultiIndex, _is_int, dimension_of_degree_space, enumerate_degree
 
 __all__ = [
     "monomial_norm",
@@ -85,10 +85,6 @@ def _is_conjugate(c, cc) -> bool:
     if isinstance(c, (int, Fraction)) and isinstance(cc, (int, Fraction)):
         return gap == 0
     return gap <= CONJUGATE_ULPS * sys.float_info.epsilon * max(abs(c), abs(cc))
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _as_multiindex(mi) -> MultiIndex:
@@ -182,12 +178,6 @@ class SymbolPoly:
                         term *= base if e == 1 else base ** e
             total += complex(c) if term is None else complex(c) * term
         return total[0] if z.ndim == 1 else total
-
-    def to_json(self) -> dict:
-        return {"terms": [
-            {"gamma": list(g), "delta": list(d), "re": float(c.real), "im": float(c.imag)}
-            for g, d, c in self.terms
-        ]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SymbolPoly":

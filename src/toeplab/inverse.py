@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm, log
 from typing import Callable, Sequence
 
@@ -115,9 +116,6 @@ class Reconstruction:
     spacing: str
     rays: tuple[RayResult, ...]
 
-    def estimates(self) -> dict[tuple[Fraction, ...], float]:
-        return {r.point: r.estimate for r in self.rays if not r.missing}
-
     def max_error(self, truth: Callable) -> float:
         errs = [abs(r.estimate - float(truth(r.point))) for r in self.rays if not r.missing]
         if not errs:
@@ -152,12 +150,7 @@ def reconstruct(
     roundoff-limited accuracy.
     """
     points = [_as_point(pt, n) for pt in grid]
-    cache: dict[int, EquivariantSpectrum] = {}
-
-    def spectrum(k: int) -> EquivariantSpectrum:
-        if k not in cache:
-            cache[k] = oracle(k)
-        return cache[k]
+    spectrum = cache(oracle)
 
     rays = []
     for point in points:

@@ -53,6 +53,11 @@ __all__ = [
 ]
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool, which subclasses int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def grlex_key(mi: Sequence[int]):
     """Sort key for graded lexicographic order, largest leading entry first."""
     return (sum(mi), tuple(-e for e in mi))
@@ -95,26 +100,18 @@ class SubtorusData:
     alpha: tuple[int, ...]
 
     def __post_init__(self):
-        if not (1 <= self.d <= self.n):
-            raise ValidationError("need 1 <= d <= n", operation="multiindex.SubtorusData")
+        if not (_is_int(self.n) and _is_int(self.d) and 1 <= self.d <= self.n):
+            raise ValidationError("need integers 1 <= d <= n", operation="multiindex.SubtorusData")
         if len(self.weight_matrix) != self.d or any(len(r) != self.n for r in self.weight_matrix):
             raise ValidationError("weight matrix must be d x n", operation="multiindex.SubtorusData")
         if len(self.alpha) != self.d:
             raise ValidationError("alpha must have d entries", operation="multiindex.SubtorusData")
-        if any(not isinstance(x, int) for r in self.weight_matrix for x in r):
+        if not all(_is_int(x) for r in self.weight_matrix for x in r):
             raise ValidationError("weights must be integers", operation="multiindex.SubtorusData")
-        if any(not isinstance(x, int) for x in self.alpha):
+        if not all(map(_is_int, self.alpha)):
             raise ValidationError("alpha must be integral", operation="multiindex.SubtorusData")
         if _exact.rank(self.weight_matrix) != self.d:
             raise ValidationError("weight matrix must have full row rank", operation="multiindex.SubtorusData")
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "Bt": [list(r) for r in self.weight_matrix],
-            "alpha": list(self.alpha),
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "SubtorusData":
@@ -128,14 +125,10 @@ class SubtorusData:
         if extra:
             raise ValidationError(f"subtorus record has unknown fields: {sorted(extra)}", operation="multiindex.SubtorusData")
         try:
-            return cls(
-                n=int(obj["n"]),
-                d=int(obj["d"]),
-                weight_matrix=tuple(tuple(int(x) for x in row) for row in obj["Bt"]),
-                alpha=tuple(int(x) for x in obj["alpha"]),
-            )
-        except (TypeError, ValueError) as exc:
+            weight_matrix, alpha = tuple(map(tuple, obj["Bt"])), tuple(obj["alpha"])
+        except TypeError as exc:
             raise ValidationError(f"malformed subtorus record: {exc}", operation="multiindex.SubtorusData") from exc
+        return cls(n=obj["n"], d=obj["d"], weight_matrix=weight_matrix, alpha=alpha)
 
 
 def diagonal_circle(n: int) -> SubtorusData:
@@ -189,8 +182,8 @@ def _vertices_cached(Bt: tuple[tuple[int, ...], ...], target: tuple[int, ...]) -
         block = [[row[i] for i in support] for row in Bt]
         if _exact.det_int([list(r) for r in block]) == 0:
             continue
-        x = _exact.solve_square(block, list(target))
-        if x is None or any(v < 0 for v in x):
+        x = _exact.solve_rectangular(block, target)  # the unique solution: det != 0
+        if any(v < 0 for v in x):
             continue
         vertex = [Fraction(0)] * len(Bt[0])
         for i, v in zip(support, x):

@@ -173,8 +173,7 @@ def c0_simplex_quad(symbol: InvariantSymbol, f: TestFunction, n: int, mesh: int 
     if n < 1:
         raise ValidationError("n must be positive", operation="reduction.c0_simplex_quad")
     if n == 1:
-        return float(f(symbol.evaluate((1.0,))))
+        return f(symbol.evaluate((1.0,)))
     pts = _staircase_cells(n - 1, mesh)
-    vals = np.asarray(f(symbol.eval_array(pts)), dtype=float)
-    return float(np.mean(vals)) * sphere_sigma_volume(n)
+    return float(np.mean(f(symbol.eval_array(pts)))) * sphere_sigma_volume(n)
 

@@ -1,10 +1,10 @@
 """Spectral measures of Hermitian blocks and their large-k expansions.
 
-For a degree-k block Q the measure of a test function f is the trace of
-f(Q).  Two deliberately independent evaluation paths are kept side by
-side: a trace-of-powers path for polynomial f (no eigensolve involved)
-and an eigensolve path for arbitrary f.  They agree to within float error
-and serve as mutual oracles in the test suite.
+For a degree-k block Q the measure of a polynomial test function f is
+the trace of f(Q).  Two deliberately independent evaluation paths are
+kept side by side: a trace-of-powers path (no eigensolve involved) and
+an eigensolve path that applies f to the eigenvalues.  They agree to
+within float error and serve as mutual oracles in the test suite.
 
 Scaled measures (2 pi / k)^m * trace f(Q) admit an expansion in powers of
 1/k; fit_expansion recovers the leading coefficients by least squares on
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import pi
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,19 +44,11 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Real test function applied to a spectrum.
-
-    Either a polynomial given by ascending coefficients (the trace-power
-    path needs this form) or a plain callable tagged with the interval it
-    was designed for.
-    """
+    """Real polynomial test function, ascending coefficients, applied to a spectrum."""
 
     __test__ = False  # keep pytest from collecting this as a test case
 
-    kind: str
-    coeffs: tuple[float, ...] | None = None
-    fn: Callable | None = None
-    support: tuple[float, float] | None = None
+    coeffs: tuple[float, ...]
     label: str = ""
 
     @classmethod
@@ -64,36 +56,19 @@ class TestFunction:
         cs = tuple(float(c) for c in coeffs)
         if not cs:
             raise ValidationError("polynomial needs at least one coefficient", operation="spectral.TestFunction")
-        return cls(kind="polynomial", coeffs=cs, label=label or "poly" + str(list(cs)))
-
-    @classmethod
-    def sampled(cls, fn: Callable, support: tuple[float, float] = (0.0, 1.0), label: str = "sampled") -> "TestFunction":
-        return cls(kind="sampled", fn=fn, support=(float(support[0]), float(support[1])), label=label)
+        return cls(coeffs=cs, label=label or "poly" + str(list(cs)))
 
     @property
     def degree(self) -> int:
-        if self.coeffs is None:
-            raise ValidationError("not a polynomial test function", operation="spectral.TestFunction")
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        if self.kind == "polynomial":
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            for c in reversed(self.coeffs):
-                out *= x
-                out += c
-            return out if out.ndim else float(out)
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return float(self.fn(float(arr)))
-        try:
-            vals = np.asarray(self.fn(arr), dtype=float)
-            if vals.shape == arr.shape:
-                return vals
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(self.fn(float(v))) for v in arr])
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for c in reversed(self.coeffs):
+            out *= x
+            out += c
+        return out if out.ndim else float(out)
 
 
 def _sector_stacks(block: ToeplitzBlock) -> list[np.ndarray]:
@@ -105,15 +80,13 @@ def _sector_stacks(block: ToeplitzBlock) -> list[np.ndarray]:
 
 
 def measure_poly(block: ToeplitzBlock, f: TestFunction) -> float:
-    """trace f(Q) for polynomial f via iterated matrix products.
+    """trace f(Q) via iterated matrix products.
 
     No eigensolve: tr Q^j is accumulated from explicit powers of each
     sector matrix (sectors of one size are multiplied as one batch), which
     makes this path an independent check on measure_eigen.  Degree is
     capped at MAX_TRACE_DEGREE.
     """
-    if f.kind != "polynomial":
-        raise ValidationError("measure_poly requires a polynomial test function", operation="spectral.measure_poly")
     if f.degree > MAX_TRACE_DEGREE:
         raise PolynomialDegreeError(
             f"degree {f.degree} exceeds the trace-power cap {MAX_TRACE_DEGREE}",

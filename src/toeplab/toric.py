@@ -116,9 +116,7 @@ def equivariant_spectrum(symbol: InvariantSymbol, sub: SubtorusData, k: int) -> 
 
 def fiber_measure(spectrum: EquivariantSpectrum, f: TestFunction) -> float:
     """sum_beta f(lambda_beta) over the fiber."""
-    if spectrum.count == 0:
-        return 0.0
-    return float(np.sum(np.asarray(f(spectrum.eigenvalues), dtype=float)))
+    return float(np.sum(f(spectrum.eigenvalues)))
 
 
 def fiber_measure_series(
@@ -273,7 +271,7 @@ def theorem2_leading(
     m = sub.n - sub.d
     if m == 0:
         a = np.array([float(c) for c in verts[0]])
-        return float(f(symbol.evaluate(a / a.sum()))), 0.0
+        return f(symbol.evaluate(a / a.sum())), 0.0
     if samples < 10_000:
         raise ValidationError("need at least 1e4 samples", operation="toric.theorem2_leading")
     _check_batch(batch_size, 8 * (m + 2 * sub.n), "toric.theorem2_leading")  # draws, points, kept points
@@ -307,7 +305,7 @@ def theorem2_leading(
             drawn += batch_size
             if len(keep):
                 keep /= keep.sum(axis=1, keepdims=True)
-                yield np.asarray(f(symbol.eval_array(keep)), dtype=float)
+                yield f(symbol.eval_array(keep))
                 accepted += len(keep)
             if drawn >= 50_000 and accepted / drawn < 1e-4:
                 raise SamplerEfficiencyError(

@@ -96,7 +96,7 @@ def test_check_isometry_flags_aliased_rule():
     with pytest.warns(UserWarning, match="alias"):
         rep = check_isometry(fam, quad)
     with pytest.warns(UserWarning, match="alias"):
-        _, _, weights, F = _design_matrix(fam, quad)
+        weights, F = _design_matrix(fam, quad)
     proj = F @ (F.conj().T * weights[None, :])
     dense = float(np.max(np.abs(proj @ proj - proj)))
     assert rep.max_idempotency_defect > 1e-3

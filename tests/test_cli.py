@@ -164,12 +164,59 @@ def test_malformed_manifest(tmp_path):
     mpath.write_text("{not json")
     code = main(["--experiment", "model", "--manifest", str(mpath), "--out", str(tmp_path / "o")])
     assert code == 2
+    mpath.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    code = main(["--experiment", "model", "--manifest", str(mpath), "--out", str(tmp_path / "o")])
+    assert code == 2
 
 
 def test_bad_threads_flag(tmp_path):
+    # BLAS threads come from the environment; the flag is unknown
     manifest = {"states": [{"m": [1], "k_dim": 1}]}
-    code, _ = run_cli(tmp_path, "model", manifest, extra=("--threads", "0"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "model", manifest, extra=("--threads", "1"))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("experiment,manifest,literal", [
+    ("distinguish", {"subtorus": {"example": "diagonal_circle_2"}, "symbol_a": A1_INV, "symbol_b": A2_INV,
+                     "k_max": 4, "tol": "@"}, "NaN"),
+    ("distinguish", {"subtorus": {"example": "diagonal_circle_2"}, "symbol_a": A1_INV, "symbol_b": A2_INV,
+                     "k_max": 4, "tol": "@"}, "1e400"),
+    ("theorem1", {"n": 2, "symbol": A1_POLY, "f": {"coeffs": [0, "@"]}, "k_list": [10, 20, 30, 40]}, "NaN"),
+    ("theorem1", {"n": 2, "symbol": A1_POLY, "f": {"coeffs": [0, "@"]}, "k_list": [10, 20, 30, 40]}, "-Infinity"),
+    ("inverse", {"n": 2, "symbol": A1_INV, "grid": [["@", "1/2"]], "k_max": 8}, "Infinity"),
+], ids=["tol_nan", "tol_overflow", "coeff_nan", "coeff_minus_infinity", "grid_infinity"])
+def test_non_finite_manifest_number_exits_2(tmp_path, experiment, manifest, literal):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(manifest).replace('"@"', literal))
+    out = tmp_path / "out"
+    assert main(["--experiment", experiment, "--manifest", str(mpath), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "manifest"])
+def test_negative_seed_exits_2_before_writing(tmp_path, source):
+    manifest = {
+        "subtorus": {"example": "full_torus_12"},
+        "symbol": {"terms": [{"gamma": [1, 0], "coeff": 1}]},
+        "f": F_X,
+        "k_list": [4, 6, 8],
+        "seed": -1 if source == "manifest" else 3,
+    }
+    code, out = run_cli(tmp_path, "theorem2", manifest, extra=("--seed", "-1") if source == "flag" else ())
     assert code == 2
+    assert not (out / "fiber_measures.csv").exists()
+
+
+@pytest.mark.parametrize("states,quad,code", [
+    ([{"m": [1], "k_dim": 1}], {"hermite_points": 100000}, 2),
+    # 24^10 points; counted, never built
+    ([{"m": [1] * 10, "k_dim": 0}], {}, 2),
+    # no transverse axis, so no Hermite rule is built
+    ([{"m": [1], "k_dim": 0}], {"hermite_points": 100000}, 0),
+], ids=["hermite_100000", "ten_angles", "hermite_unused"])
+def test_model_grid_counted_before_built(tmp_path, states, quad, code):
+    assert run_cli(tmp_path, "model", {"states": states, "quad": quad})[0] == code
 
 
 def test_seed_flag_overrides_manifest(tmp_path):

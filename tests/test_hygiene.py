@@ -1,8 +1,8 @@
 """Source hygiene checks that need no linter.
 
-Every import is used, every absolute import is the standard library or
-numpy, the one runtime dependency, and all randomness comes from seeded
-generators, so reruns stay byte-identical.
+Every import is used and sits at module level, every absolute import is
+the standard library or numpy, the one runtime dependency, and all
+randomness comes from seeded generators, so reruns stay byte-identical.
 """
 
 import ast
@@ -74,6 +74,41 @@ def test_unused_import_detection():
         "    return os.sep, sys.argv\n"
     )
     assert unused_imports(source) == ["2: tau", "4: dumps"]
+
+
+def lazy_imports(source: str) -> list[str]:
+    """``line: module`` for each import inside a function, which runs only when called."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Import):
+                found |= {(node.lineno, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                found.add((node.lineno, "." * node.level + (node.module or "")))
+    return [f"{line}: {m}" for line, m in sorted(found)]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=[p.name for p in ALL_SOURCES])
+def test_no_function_level_imports(path):
+    assert lazy_imports(path.read_text()) == []
+
+
+def test_lazy_import_detection():
+    source = (
+        "import os\n"
+        "from .errors import ValidationError\n"
+        "def f():\n"
+        "    from .spectral import TestFunction\n"
+        "    def g():\n"
+        "        import json, csv\n"
+        "    return g\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from . import _exact\n"
+    )
+    assert lazy_imports(source) == ["4: .spectral", "6: csv", "6: json", "10: ."]
 
 
 def foreign_imports(source: str) -> list[str]:

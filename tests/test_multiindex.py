@@ -51,11 +51,20 @@ def test_subtorus_validation():
 
 def test_subtorus_json_round_trip():
     sub = SubtorusData(n=4, d=2, weight_matrix=((1, 1, 0, 0), (0, 0, 1, 1)), alpha=(1, 1))
-    assert SubtorusData.from_json(sub.to_json()) == sub
+    assert SubtorusData.from_json({"n": 4, "d": 2, "Bt": [[1, 1, 0, 0], [0, 0, 1, 1]], "alpha": [1, 1]}) == sub
     with pytest.raises(ValidationError):
         SubtorusData.from_json({"n": 2, "d": 1, "Bt": [[1, 1]]})
     with pytest.raises(ValidationError):
         SubtorusData.from_json({"n": 2, "d": 1, "Bt": [[1, 1]], "alpha": [1], "extra": 0})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("Bt", [[1, 1.9]]), ("Bt", [[1, "1"]]), ("Bt", [[True, 1]]), ("Bt", 5),
+    ("n", "2"), ("n", 2.0), ("d", True), ("alpha", [True]), ("alpha", [1.0]), ("alpha", "1"),
+])
+def test_subtorus_from_json_accepts_only_integers(field, value):
+    with pytest.raises(ValidationError):
+        SubtorusData.from_json({"n": 2, "d": 1, "Bt": [[1, 1]], "alpha": [1], field: value})
 
 
 def test_recession_pointed():

@@ -30,7 +30,7 @@ def test_measure_poly_frozen_values():
 
 def test_measure_eigen_frozen_value():
     block = a1_block(2)
-    f = TestFunction.sampled(lambda x: (x - 0.5) ** 2, label="var")
+    f = TestFunction.polynomial([0.25, -1.0, 1.0], label="var")  # (x - 1/2)^2
     assert measure_eigen(block, f) == pytest.approx(1 / 8)
 
 
@@ -41,10 +41,8 @@ def test_measure_paths_agree_on_offdiagonal_block():
     assert measure_poly(block, f) == pytest.approx(measure_eigen(block, f), abs=1e-12)
 
 
-def test_measure_poly_rejects_sampled_and_high_degree():
+def test_measure_poly_rejects_high_degree():
     block = a1_block(2)
-    with pytest.raises(ValidationError):
-        measure_poly(block, TestFunction.sampled(math.exp))
     with pytest.raises(PolynomialDegreeError):
         measure_poly(block, TestFunction.polynomial([0.0] * 17 + [1.0]))
 
@@ -54,10 +52,6 @@ def test_test_function_calls():
     assert p(3.0) == pytest.approx(19.0)
     assert p(np.array([0.0, 1.0])) == pytest.approx([1.0, 3.0])
     assert p.degree == 2
-    s = TestFunction.sampled(math.exp, support=(0.0, 2.0))
-    # math.exp only takes scalars; array input goes through the row loop
-    assert s(np.array([0.0, 1.0])) == pytest.approx([1.0, math.e])
-    assert s(0.0) == 1.0
 
 
 def test_scaled_measure():
