@@ -17,18 +17,22 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from math import isfinite
+from math import comb, isfinite, lcm
 from pathlib import Path
 
 from .canonical_model import ModelIndex, QuadratureSpec, check_isometry
 from .errors import ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block
-from .inverse import loglog_slope, reconstruct, spectral_distinguishability
-from .multiindex import SubtorusData, _is_int, diagonal_circle
+from .inverse import loglog_slope, ray_levels, reconstruct, spectral_distinguishability
+from .multiindex import MAX_SECTOR_BYTES, SubtorusData, _is_int, diagonal_circle
 from .spectral import TestFunction, fit_expansion, measure_eigen, measure_poly, scaled_measure
 from .toric import EXAMPLE_SUBTORI, equivariant_spectrum, fiber_measure_series, regular_free_check, theorem2_leading
 
 _EXPERIMENTS = ("theorem1", "theorem2", "inverse", "model", "distinguish")
+
+# Bytes one cached spectrum entry holds: its index tuple, float, numerator
+# and lookup slot (250-310 measured on 64-bit CPython 3.11 for n = 2..5).
+_SPECTRUM_ENTRY_BYTES = 320
 
 
 def _validation_error(message: str) -> ValidationError:
@@ -95,8 +99,9 @@ def _test_function(obj):
     if not isinstance(obj, dict) or not set(obj) <= {"coeffs", "label"} or "coeffs" not in obj:
         raise _validation_error("field 'f' must be {'coeffs': [...]} with an optional 'label'")
     coeffs = obj["coeffs"]
-    if not isinstance(coeffs, list) or not coeffs or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs):
-        raise _validation_error("'f.coeffs' must be a nonempty list of numbers")
+    if not isinstance(coeffs, list) or not coeffs or not all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) and abs(c) <= sys.float_info.max for c in coeffs):
+        raise _validation_error("'f.coeffs' must be a nonempty list of numbers in the float range")
     label = obj.get("label", "poly")
     if not isinstance(label, str):
         raise _validation_error("'f.label' must be a string")
@@ -115,10 +120,12 @@ def _subtorus(obj):
 
 
 def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -197,6 +204,21 @@ def _grid_points(manifest: dict, n: int) -> list[tuple[Fraction, ...]]:
     return pts
 
 
+def _check_spectrum_cache(n: int, grid, k_maxes: list[int], spacing: str) -> None:
+    """Refuse an inverse run whose shared spectrum cache would pass
+    MAX_SECTOR_BYTES, counting distinct levels only up to the first past it."""
+    seen, total = set(), 0
+    for q in sorted({lcm(*(c.denominator for c in p)) for p in grid}):
+        for k_max in k_maxes:
+            for k in range(q, k_max + 1, q) if spacing == "all" else ray_levels(q, k_max, spacing):
+                if k not in seen:
+                    seen.add(k)
+                    total += comb(k + n - 1, n - 1) * _SPECTRUM_ENTRY_BYTES
+                    if total > MAX_SECTOR_BYTES:
+                        raise _validation_error(f"caching the spectra of {len(seen)} levels needs {total} "
+                                                f"bytes, over the {MAX_SECTOR_BYTES}-byte limit")
+
+
 def _run_inverse(manifest: dict, out: Path, seed: int) -> list[str]:
     _check_keys(manifest, {"experiment", "seed", "n", "symbol", "grid", "k_max", "k_max_list", "order", "spacing"})
     n = _int_field(manifest, "n", minimum=2)
@@ -212,6 +234,7 @@ def _run_inverse(manifest: dict, out: Path, seed: int) -> list[str]:
     spacing = manifest.get("spacing", "geometric")
     if spacing not in ("geometric", "all"):
         raise _validation_error("field 'spacing' must be 'geometric' or 'all'")
+    _check_spectrum_cache(n, grid, k_maxes, spacing)
 
     sub = diagonal_circle(n)
     oracle = cache(lambda k: equivariant_spectrum(symbol, sub, k))  # shared by every k_max run
@@ -286,8 +309,8 @@ def _run_distinguish(manifest: dict, out: Path, seed: int) -> list[str]:
     sym_b = _invariant_symbol(manifest.get("symbol_b"), sub.n)
     k_max = _int_field(manifest, "k_max", minimum=1)
     tol = manifest.get("tol", 1e-12)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol < 0:
-        raise _validation_error("field 'tol' must be a nonnegative number")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol <= sys.float_info.max:
+        raise _validation_error("field 'tol' must be a nonnegative number in the float range")
     report = spectral_distinguishability(
         lambda k: equivariant_spectrum(sym_a, sub, k),
         lambda k: equivariant_spectrum(sym_b, sub, k),
@@ -311,7 +334,7 @@ def _load_manifest(path: str, experiment: str) -> dict:
     try:
         with open(path) as fh:
             manifest = json.load(fh, parse_float=_finite, parse_constant=_finite)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or text, an int past 4,300 digits
         raise _validation_error(f"cannot read manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise _validation_error("manifest must be a JSON object")
@@ -338,7 +361,6 @@ def main(argv=None) -> int:
         if not _is_int(seed) or seed < 0:
             raise _validation_error(f"seed {seed!r} must be a nonnegative integer")
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         outputs = _RUNNERS[args.experiment](manifest, out, seed)
     except ValidationError as exc:
         print(f"invalid input ({exc.operation}): {exc}", file=sys.stderr)

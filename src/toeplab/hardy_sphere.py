@@ -191,8 +191,8 @@ class SymbolPoly:
                 raise ValidationError("symbol term must have fields gamma, delta, re, im", operation="hardy_sphere.SymbolPoly")
             if not all(isinstance(t[e], list) and all(_is_int(i) for i in t[e]) for e in ("gamma", "delta")):
                 raise ValidationError("term exponents gamma, delta must be lists of integers", operation="hardy_sphere.SymbolPoly")
-            if not all(_is_int(t[x]) or isinstance(t[x], float) for x in ("re", "im")):
-                raise ValidationError("term coefficient parts re, im must be numbers", operation="hardy_sphere.SymbolPoly")
+            if not all((_is_int(t[x]) or isinstance(t[x], float)) and abs(t[x]) <= sys.float_info.max for x in ("re", "im")):
+                raise ValidationError("term coefficient parts re, im must be numbers in the float range", operation="hardy_sphere.SymbolPoly")
             c = complex(float(t["re"]), float(t["im"]))
             terms.append((_as_multiindex(t["gamma"]), _as_multiindex(t["delta"]), c if c.imag else c.real))
         return cls.from_terms(terms)

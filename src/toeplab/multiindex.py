@@ -1,16 +1,17 @@
 """Multi-index enumeration and integer torus-weight data.
 
-A multi-index is a tuple of non-negative integers.  The degree-k basis of
-the weight space on n complex coordinates is the set {beta : |beta| = k},
-listed in graded lexicographic order (largest first entry first).  A
-subtorus of the standard n-torus is described by its integer weight matrix
-acting on the coordinates; the fiber of that action at level k collects
-the lattice points beta with  Bt beta = k alpha.
+A multi-index is a tuple of non-negative integers.  A subtorus of the
+standard n-torus is described by its integer weight matrix acting on the
+coordinates; the fiber of that action at level k collects the lattice
+points beta with  Bt beta = k alpha.  The degree-k basis {beta : |beta| = k}
+is the fiber of the diagonal circle, listed in graded lexicographic order
+(largest first entry first) like every fiber.
 
-All arithmetic in this module is exact.  Polytope vertices are Fractions;
-the fiber search runs on numpy int64 arrays, level by level over every
-live prefix at once, after a check that the level and the bounding box
-stay far inside the int64 range.
+All arithmetic in this module is exact.  Polytope vertices are Fractions,
+found by one support enumeration that also decides whether the recession
+cone is pointed; the fiber search runs on numpy int64 arrays, level by
+level over every live prefix at once, after a check that the level and the
+bounding box stay far inside the int64 range.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, floor
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,26 +64,18 @@ def grlex_key(mi: Sequence[int]):
     return (sum(mi), tuple(-e for e in mi))
 
 
-def _compositions(n: int, k: int) -> Iterator[MultiIndex]:
-    if n == 1:
-        yield (k,)
-        return
-    for first in range(k, -1, -1):
-        for rest in _compositions(n - 1, k - first):
-            yield (first,) + rest
-
-
 def enumerate_degree(n: int, k: int) -> list[MultiIndex]:
     """All multi-indices with n entries and total degree k, graded-lex order.
 
-    The list has length C(k+n-1, n-1); the order is the contract other
-    modules rely on when they index matrix rows by multi-index.
+    The level-k fiber of diagonal_circle(n) for k >= 1, of length
+    C(k+n-1, n-1); the order is the contract other modules rely on when
+    they index matrix rows by multi-index.
     """
     if n < 1:
         raise ValidationError("need at least one coordinate", operation="multiindex.enumerate_degree")
     if k < 0:
         raise ValidationError("degree must be non-negative", operation="multiindex.enumerate_degree")
-    return list(_compositions(n, k))
+    return enumerate_fiber(diagonal_circle(n), k) if k else [(0,) * n]
 
 
 @dataclass(frozen=True)
@@ -143,33 +136,14 @@ def full_torus(alpha: Sequence[int]) -> SubtorusData:
     return SubtorusData(n=n, d=n, weight_matrix=eye, alpha=tuple(int(a) for a in alpha))
 
 
-@lru_cache(maxsize=None)
-def _recession_pointed_cached(weight_matrix: tuple[tuple[int, ...], ...]) -> bool:
-    """True when {x >= 0 : Bt x = 0} = {0}.
-
-    The cone is nontrivial iff the standard-form system
-    [Bt; 1...1] x = (0,...,0,1), x >= 0 is feasible, and a feasible system
-    has a basic solution supported on linearly independent columns.  We
-    enumerate those supports exactly; desk-scale n keeps this cheap.
-    """
-    d = len(weight_matrix)
-    n = len(weight_matrix[0])
-    rows = [list(r) for r in weight_matrix] + [[1] * n]
-    rhs = [0] * d + [1]
-    for size in range(1, min(n, d + 1) + 1):
-        for support in combinations(range(n), size):
-            sub_rows = [[row[i] for i in support] for row in rows]
-            if _exact.rank(sub_rows) != size:
-                continue
-            x = _exact.solve_rectangular(sub_rows, rhs)
-            if x is not None and all(v >= 0 for v in x):
-                return False
-    return True
-
-
 def recession_pointed(sub: SubtorusData) -> bool:
-    """Whether every level polytope {x >= 0 : Bt x = c} is compact."""
-    return _recession_pointed_cached(sub.weight_matrix)
+    """Whether every level polytope {x >= 0 : Bt x = c} is compact.
+
+    The cone {x >= 0 : Bt x = 0} is nontrivial exactly when its slice
+    sum(x) = 1 has a vertex.  If (1, ..., 1) is in the row space of Bt,
+    the slice is empty and no minor of [Bt; 1] is invertible.
+    """
+    return not _vertices_cached(sub.weight_matrix + ((1,) * sub.n,), (0,) * sub.d + (1,))
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +154,7 @@ def _vertices_cached(Bt: tuple[tuple[int, ...], ...], target: tuple[int, ...]) -
     seen: dict[tuple[Fraction, ...], None] = {}
     for support in combinations(range(len(Bt[0])), len(Bt)):
         block = [[row[i] for i in support] for row in Bt]
-        if _exact.det_int([list(r) for r in block]) == 0:
+        if _exact.det_int(block) == 0:
             continue
         x = _exact.solve_rectangular(block, target)  # the unique solution: det != 0
         if any(v < 0 for v in x):
@@ -215,7 +189,7 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
             f"{{x >= 0 : Bt x = k alpha}} contains a nonzero ray",
             operation="multiindex.enumerate_fiber",
         )
-    vertices = _vertices_cached(sub.weight_matrix, sub.alpha)
+    vertices = fiber_polytope_vertices(sub)
     if not vertices:
         return []
     n, d = sub.n, sub.d

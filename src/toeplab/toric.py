@@ -38,9 +38,9 @@ from .hardy_sphere import InvariantSymbol, _invariant_numerators
 from .multiindex import (
     MultiIndex,
     SubtorusData,
-    _vertices_cached,
     diagonal_circle,
     enumerate_fiber,
+    fiber_polytope_vertices,
     full_torus,
     recession_pointed,
 )
@@ -149,7 +149,7 @@ def fiber_volume(sub: SubtorusData) -> float:
     if not recession_pointed(sub):
         raise UnboundedFiberError("level polytope is unbounded", operation="toric.fiber_volume")
     m = sub.n - sub.d
-    q = lcm(*(c.denominator for v in _vertices_cached(sub.weight_matrix, sub.alpha) for c in v))
+    q = lcm(*(c.denominator for v in fiber_polytope_vertices(sub) for c in v))
     ks = [q * t for t in range(1, m + 3)]
     counts = [len(enumerate_fiber(sub, k)) for k in ks]
     if sum((-1) ** t * comb(m + 1, t) * c for t, c in enumerate(counts)):
@@ -200,7 +200,7 @@ def regular_free_check(sub: SubtorusData) -> RegularFreeReport:
     """
     if not recession_pointed(sub):
         raise UnboundedFiberError("level polytope is unbounded", operation="toric.regular_free_check")
-    verts = _vertices_cached(sub.weight_matrix, sub.alpha)
+    verts = fiber_polytope_vertices(sub)
     if not verts:
         raise ValidationError("level polytope is empty", operation="toric.regular_free_check")
     reports = []

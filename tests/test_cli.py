@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import pi
 from pathlib import Path
 
@@ -185,13 +186,41 @@ def test_bad_threads_flag(tmp_path):
     ("theorem1", {"n": 2, "symbol": A1_POLY, "f": {"coeffs": [0, "@"]}, "k_list": [10, 20, 30, 40]}, "NaN"),
     ("theorem1", {"n": 2, "symbol": A1_POLY, "f": {"coeffs": [0, "@"]}, "k_list": [10, 20, 30, 40]}, "-Infinity"),
     ("inverse", {"n": 2, "symbol": A1_INV, "grid": [["@", "1/2"]], "k_max": 8}, "Infinity"),
-], ids=["tol_nan", "tol_overflow", "coeff_nan", "coeff_minus_infinity", "grid_infinity"])
+    # integers past the float range where a float is read
+    ("theorem1", {"n": 2, "symbol": A1_POLY, "f": {"coeffs": [0, "@"]}, "k_list": [10, 20, 30, 40]}, "1" + "0" * 400),
+    ("distinguish", {"subtorus": {"example": "diagonal_circle_2"}, "symbol_a": A1_INV, "symbol_b": A2_INV,
+                     "k_max": 4, "tol": "@"}, "1" + "0" * 400),
+    ("theorem1", {"n": 2, "symbol": {"terms": [{**A1_POLY["terms"][0], "re": "@"}]}, "f": F_X,
+                  "k_list": [10, 20, 30, 40]}, "1" + "0" * 400),
+    ("theorem1", {"n": 2, "symbol": {"terms": [{**A1_POLY["terms"][0], "im": "@"}]}, "f": F_X,
+                  "k_list": [10, 20, 30, 40]}, "-1" + "0" * 400),
+    # past Python's 4,300-digit limit on int parsing, in a field that is never a float
+    ("theorem1", {"n": 2, "symbol": A1_POLY, "f": F_X, "k_list": [10, 20, 30, "@"]}, "7" * 5000),
+], ids=["tol_nan", "tol_overflow", "coeff_nan", "coeff_minus_infinity", "grid_infinity",
+        "coeff_int_overflow", "tol_int_overflow", "re_int_overflow", "im_int_overflow", "int_5000_digits"])
 def test_non_finite_manifest_number_exits_2(tmp_path, experiment, manifest, literal):
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps(manifest).replace('"@"', literal))
     out = tmp_path / "out"
     assert main(["--experiment", experiment, "--manifest", str(mpath), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_large_seed_stays_valid(tmp_path):
+    manifest = {"subtorus": {"example": "full_torus_12"}, "symbol": A1_INV, "f": F_X,
+                "k_list": [4, 6, 8], "seed": 10 ** 30}
+    assert run_cli(tmp_path, "theorem2", manifest)[0] == 0
+
+
+def test_inverse_cache_refused_before_building(tmp_path, capsys):
+    manifest = {"n": 3, "symbol": {"terms": [{"gamma": [1, 0, 0], "coeff": 1}]},
+                "grid": [["1/3", "1/3", "1/3"]], "k_max": 10 ** 12, "spacing": "all"}
+    t0 = time.perf_counter()
+    code, out = run_cli(tmp_path, "inverse", manifest)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert not (out / "reconstruction.csv").exists()
+    assert "bytes, over the 2147483648-byte limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["flag", "manifest"])

@@ -3,15 +3,21 @@
 Every import is used and sits at module level, every absolute import is
 the standard library or numpy, the one runtime dependency, and all
 randomness comes from seeded generators, so reruns stay byte-identical.
+Every function the benchmark's tracer (bench/tracer.py) wraps by name
+still exists, so a deletion that would crash a traced pass fails here.
 """
 
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
 import toeplab
+from toeplab.hardy_sphere import InvariantSymbol
+from toeplab.toric import EquivariantSpectrum
 
 ALL_SOURCES = sorted(Path(toeplab.__file__).parent.glob("*.py"))
 SOURCES = [p for p in ALL_SOURCES if p.name != "__init__.py"]
@@ -189,3 +195,26 @@ def test_unseeded_random_detection():
         "7: np.random.seed",
         "8: numpy.random.normal",
     ]
+
+
+def _tracer_spans() -> list[tuple[str, str]]:
+    """The (module, function) pairs bench/tracer.py wraps, read from its source."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SPANS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no SPANS")
+
+
+@pytest.mark.parametrize("module,name", _tracer_spans(), ids=lambda v: v)
+def test_traced_functions_exist(module, name):
+    # the benchmark worker imports toeplab.cli itself, which loads every module
+    assert callable(getattr(importlib.import_module(f"toeplab.{module}"), name))
+
+
+def test_traced_methods_exist():
+    # besides SPANS, the tracer wraps these and reads the sampler's default batch size
+    assert callable(toeplab.hardy_sphere.invariant_eigenvalue)
+    assert callable(EquivariantSpectrum.eigenvalue_of)
+    assert callable(InvariantSymbol.eval_array)
+    assert "batch_size" in inspect.signature(toeplab.toric.theorem2_leading).parameters

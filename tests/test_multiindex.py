@@ -34,6 +34,13 @@ def test_enumerate_degree_zero():
     assert enumerate_degree(3, 0) == [(0, 0, 0)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_degree_matches_brute_force(n):
+    for k in range(7):
+        brute = sorted((b for b in product(range(k + 1), repeat=n) if sum(b) == k), key=grlex_key)
+        assert enumerate_degree(n, k) == brute
+
+
 def test_grlex_orders_by_total_degree_first():
     assert grlex_key((0, 2)) > grlex_key((1, 0))
     assert grlex_key((1, 1)) > grlex_key((2, 0))
@@ -70,6 +77,22 @@ def test_subtorus_from_json_accepts_only_integers(field, value):
 def test_recession_pointed():
     assert recession_pointed(diagonal_circle(3))
     assert not recession_pointed(SubtorusData(n=2, d=1, weight_matrix=((1, -1),), alpha=(0,)))
+
+
+@pytest.mark.parametrize("Bt,pointed", [
+    (((1, 0),), False),                          # zero weight column: e_2 is a ray
+    (((1, 2, 0), (0, 0, 1)), True),              # positive weights, 1 not in the row space
+    (((1, 1, -1),), False),                      # mixed signs: (1, 0, 1) is a ray
+    (((1, 0, -1, 0), (0, 1, 0, -1)), False),     # (1, 1, 1, 1) is a ray
+    (((1, 1, 1),), True),                        # diagonal circle: 1 is the row itself
+    (((1, 1, 0, 0), (0, 0, 1, 1)), True),        # product of lines: 1 is the row sum
+    (((1, 2), (0, 1)), True),                    # d = n
+    (((1, -1), (1, 1)), True),                   # d = n with mixed signs
+], ids=["zero_column", "positive", "mixed_signs", "two_rays", "diagonal", "product_of_lines",
+        "full_rank_square", "full_rank_mixed"])
+def test_recession_pointed_hand_cases(Bt, pointed):
+    sub = SubtorusData(n=len(Bt[0]), d=len(Bt), weight_matrix=Bt, alpha=(0,) * len(Bt))
+    assert recession_pointed(sub) is pointed
 
 
 def test_fiber_diagonal_equals_degree_space():
