@@ -54,9 +54,14 @@ def det_int(rows: list[list[int]]) -> int:
     return int(scale) if len(pivots) == n else 0
 
 
+def pivot_columns(rows) -> list[int]:
+    """The leftmost linearly independent columns, as many as the rank."""
+    return _echelon(_as_fractions(rows))[1]
+
+
 def rank(rows) -> int:
     """Exact rank of a matrix with integer or rational entries."""
-    return len(_echelon(_as_fractions(rows))[1])
+    return len(pivot_columns(rows))
 
 
 def solve_rectangular(rows, rhs) -> list[Fraction] | None:

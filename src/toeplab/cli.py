@@ -17,22 +17,28 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from math import comb, isfinite, lcm
+from math import floor, isfinite, lcm, prod
 from pathlib import Path
 
+from ._exact import pivot_columns
 from .canonical_model import ModelIndex, QuadratureSpec, check_isometry
 from .errors import ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block
-from .inverse import loglog_slope, ray_levels, reconstruct, spectral_distinguishability
-from .multiindex import MAX_SECTOR_BYTES, SubtorusData, _is_int, diagonal_circle
+from .inverse import loglog_slope, reconstruct, spectral_distinguishability
+from .multiindex import MAX_SECTOR_BYTES, SubtorusData, _is_int, diagonal_circle, fiber_polytope_vertices
 from .spectral import TestFunction, fit_expansion, measure_eigen, measure_poly, scaled_measure
 from .toric import EXAMPLE_SUBTORI, equivariant_spectrum, fiber_measure_series, regular_free_check, theorem2_leading
 
 _EXPERIMENTS = ("theorem1", "theorem2", "inverse", "model", "distinguish")
 
-# Bytes one cached spectrum entry holds: its index tuple, float, numerator
-# and lookup slot (250-310 measured on 64-bit CPython 3.11 for n = 2..5).
-_SPECTRUM_ENTRY_BYTES = 320
+# Bytes one ray level holds in an inverse run: level, weight, eigenvalues, spectrum
+# and output text (680-840 measured on 64-bit CPython 3.11, n = 2..5, one ray a level).
+_RAY_LEVEL_BYTES = 1024
+
+# Most fiber points a distinguish run may visit, and what one level costs
+# beyond its points: about 5 us a point and 500 us a level on CPython 3.11.
+_MAX_DISTINGUISH_POINTS = 10**7
+_LEVEL_POINTS = 100
 
 
 def _validation_error(message: str) -> ValidationError:
@@ -204,19 +210,32 @@ def _grid_points(manifest: dict, n: int) -> list[tuple[Fraction, ...]]:
     return pts
 
 
-def _check_spectrum_cache(n: int, grid, k_maxes: list[int], spacing: str) -> None:
-    """Refuse an inverse run whose shared spectrum cache would pass
-    MAX_SECTOR_BYTES, counting distinct levels only up to the first past it."""
-    seen, total = set(), 0
-    for q in sorted({lcm(*(c.denominator for c in p)) for p in grid}):
-        for k_max in k_maxes:
-            for k in range(q, k_max + 1, q) if spacing == "all" else ray_levels(q, k_max, spacing):
-                if k not in seen:
-                    seen.add(k)
-                    total += comb(k + n - 1, n - 1) * _SPECTRUM_ENTRY_BYTES
-                    if total > MAX_SECTOR_BYTES:
-                        raise _validation_error(f"caching the spectra of {len(seen)} levels needs {total} "
-                                                f"bytes, over the {MAX_SECTOR_BYTES}-byte limit")
+def _check_ray_reads(grid, k_maxes: list[int], spacing: str) -> None:
+    """Refuse an inverse run whose ray reads would pass MAX_SECTOR_BYTES:
+    each ray holds one level, weight and eigenvalue per level, and a ray of
+    denominator q has k_max // q levels, or its bit length when geometric."""
+    levels = 0
+    for q in (lcm(*(c.denominator for c in p)) for p in grid):
+        levels += sum(k_max // q if spacing == "all" else (k_max // q).bit_length() for k_max in k_maxes)
+    if levels * _RAY_LEVEL_BYTES > MAX_SECTOR_BYTES:
+        raise _validation_error(f"reading {levels} ray levels needs {levels * _RAY_LEVEL_BYTES} "
+                                f"bytes, over the {MAX_SECTOR_BYTES}-byte limit")
+
+
+def _check_distinguish_work(sub: SubtorusData, k_max: int) -> None:
+    """Refuse a distinguish run whose levels up to k_max may cost more than
+    _MAX_DISTINGUISH_POINTS, stopping at the first level past it.  Coordinate
+    i of a level-k point lies in [0, k max_v v_i] over the level-1 vertices
+    v, and the coordinates off the pivot columns of Bt fix the others."""
+    vertices = fiber_polytope_vertices(sub)
+    pivots = pivot_columns(sub.weight_matrix)
+    tops = [max((v[i] for v in vertices), default=0) for i in range(sub.n) if i not in pivots]
+    total = 0
+    for k in range(1, k_max + 1):
+        total += _LEVEL_POINTS + prod(floor(k * t) + 1 for t in tops)
+        if total > _MAX_DISTINGUISH_POINTS:
+            raise _validation_error(f"comparing levels 1 to {k} of {k_max} may cost {total} fiber points, "
+                                    f"over the {_MAX_DISTINGUISH_POINTS}-point limit")
 
 
 def _run_inverse(manifest: dict, out: Path, seed: int) -> list[str]:
@@ -234,7 +253,7 @@ def _run_inverse(manifest: dict, out: Path, seed: int) -> list[str]:
     spacing = manifest.get("spacing", "geometric")
     if spacing not in ("geometric", "all"):
         raise _validation_error("field 'spacing' must be 'geometric' or 'all'")
-    _check_spectrum_cache(n, grid, k_maxes, spacing)
+    _check_ray_reads(grid, k_maxes, spacing)
 
     sub = diagonal_circle(n)
     oracle = cache(lambda k: equivariant_spectrum(symbol, sub, k))  # shared by every k_max run
@@ -311,6 +330,7 @@ def _run_distinguish(manifest: dict, out: Path, seed: int) -> list[str]:
     tol = manifest.get("tol", 1e-12)
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol <= sys.float_info.max:
         raise _validation_error("field 'tol' must be a nonnegative number in the float range")
+    _check_distinguish_work(sub, k_max)
     report = spectral_distinguishability(
         lambda k: equivariant_spectrum(sym_a, sub, k),
         lambda k: equivariant_spectrum(sym_b, sub, k),

@@ -151,11 +151,6 @@ class SymbolPoly:
             norm += extra
         return cls(terms=tuple(norm))
 
-    @classmethod
-    def constant(cls, value: float, n: int) -> "SymbolPoly":
-        zero = (0,) * n
-        return cls(terms=((zero, zero, value),))
-
     @property
     def n(self) -> int:
         return len(self.terms[0][0])

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import lcm, log
 from typing import Callable, Sequence
 
@@ -142,35 +141,35 @@ def reconstruct(
 ) -> Reconstruction:
     """Recover symbol values on rational simplex points from spectra alone.
 
-    ``oracle`` maps a level k to the equivariant spectrum of that level;
-    it is consulted once per distinct level.  A grid point whose ray
-    meets fewer than max(2, order + 1) usable levels is reported missing
-    rather than extrapolated.  Exact rational eigenvalues feed the exact
+    ``oracle`` maps a level k to the equivariant spectrum of that level.
+    Every ray's levels are planned first; then each distinct level gets
+    one oracle call and one ``eigenvalues_of`` batch over the weights k a
+    of its rays, so no fiber is enumerated.  A grid point whose ray meets
+    fewer than max(2, order + 1) usable levels is reported missing rather
+    than extrapolated.  Exact rational eigenvalues feed the exact
     acceleration path, so "all" spacing with a high order reaches
     roundoff-limited accuracy.
     """
     points = [_as_point(pt, n) for pt in grid]
-    spectrum = cache(oracle)
+    plans = [(point, ray_levels(lcm(*(c.denominator for c in point)), k_max, spacing)) for point in points]
+    needed = max(2, order + 1)
+    reads: dict[int, dict[MultiIndex, Fraction | None]] = {}
+    for point, ks in plans:
+        for k in ks if len(ks) >= needed else ():
+            reads.setdefault(k, {})[tuple(int(c * k) for c in point)] = None
+    for k, betas in reads.items():
+        reads[k] = dict(zip(betas, oracle(k).eigenvalues_of(list(betas))))
 
     rays = []
-    for point in points:
-        q = lcm(*(c.denominator for c in point))
-        ks = ray_levels(q, k_max, spacing)
-        if len(ks) < max(2, order + 1):
-            rays.append(RayResult(
-                point=point, ks=tuple(ks), values=tuple(float('nan') for _ in ks),
-                estimate=None, error=None, low_confidence=False, missing=True,
-            ))
+    for point, ks in plans:
+        if len(ks) < needed:
+            rays.append(RayResult(point=point, ks=tuple(ks), values=(float('nan'),) * len(ks),
+                                  estimate=None, error=None, low_confidence=False, missing=True))
             continue
-        lams = []
-        for k in ks:
-            beta: MultiIndex = tuple(int(c * k) for c in point)
-            lams.append(spectrum(k).eigenvalue_of(beta))
+        lams = [reads[k][tuple(int(c * k) for c in point)] for k in ks]
         res = extrapolate_ray(ks, lams, order)
-        rays.append(RayResult(
-            point=point, ks=tuple(ks), values=tuple(float(v) for v in lams),
-            estimate=res.limit, error=res.error, low_confidence=res.low_confidence, missing=False,
-        ))
+        rays.append(RayResult(point=point, ks=tuple(ks), values=tuple(float(v) for v in lams),
+                              estimate=res.limit, error=res.error, low_confidence=res.low_confidence, missing=False))
     return Reconstruction(n=n, k_max=k_max, order=order, spacing=spacing, rays=tuple(rays))
 
 

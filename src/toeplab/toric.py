@@ -11,9 +11,9 @@ runs that regularity check exactly, and estimates the limit integral as
 the exact Ehrhart volume of P times a rejection-sampled mean, giving an
 oracle that never sees the operator side.
 
-A fiber's spectrum is computed in one batch and stored as integer
-numerators over one common denominator; a Fraction is built only on
-demand, one per ``eigenvalue_of`` lookup.
+A spectrum evaluates lookups at given weights in one batch per
+``eigenvalues_of`` call; its full fiber table, integer numerators over
+one common denominator, is computed in one batch on first use.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm, pi
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -65,53 +66,53 @@ __all__ = [
 class EquivariantSpectrum:
     """Eigenvalues of an invariant symbol on one weight fiber.
 
-    The exact eigenvalue of ``entries[i]`` is ``numerators[i] /
-    denominator``: integers over one positive common denominator, so
-    equal-level spectra compare and sort without Fractions.  The float in
-    each entry is that quotient, correctly rounded.
+    ``eigenvalues_of`` evaluates only the weights it is given.  The table
+    is enumerated on first use: the exact eigenvalue of ``entries[i]`` is
+    ``numerators[i] / denominator``, integers over one positive common
+    denominator, so equal-level spectra compare and sort without
+    Fractions.  The float in each entry is that quotient, correctly rounded.
     """
 
+    symbol: InvariantSymbol
     sub: SubtorusData
     k: int
-    entries: tuple[tuple[MultiIndex, float], ...]
-    numerators: tuple[int, ...]
-    denominator: int
-
-    @property
-    def count(self) -> int:
-        return len(self.entries)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([lam for _, lam in self.entries])
 
     @cached_property
-    def _position(self) -> dict[MultiIndex, int]:
-        return {beta: i for i, (beta, _) in enumerate(self.entries)}
+    def _table(self) -> tuple[tuple[tuple[MultiIndex, float], ...], tuple[int, ...], int]:
+        fiber = enumerate_fiber(self.sub, self.k)
+        nums, den = _invariant_numerators(self.symbol, fiber)
+        return tuple(zip(fiber, [num / den for num in nums])), nums, den
+
+    entries = property(lambda self: self._table[0])
+    numerators = property(lambda self: self._table[1])
+    denominator = property(lambda self: self._table[2])
+    count = property(lambda self: len(self.entries))
+    eigenvalues = property(lambda self: np.array([lam for _, lam in self.entries]))
+
+    def eigenvalues_of(self, betas: Sequence[Sequence[int]]) -> list[Fraction]:
+        """Exact eigenvalues at fiber points, in one batch, each point checked against Bt beta = k alpha."""
+        keys = [tuple(int(b) for b in beta) for beta in betas]
+        Bt, target = self.sub.weight_matrix, [self.k * a for a in self.sub.alpha]
+        for key in keys:
+            if len(key) != self.sub.n or min(key) < 0 or [sum(map(mul, row, key)) for row in Bt] != target:
+                raise ValidationError(f"beta {key} is not on the fiber", operation="toric.EquivariantSpectrum")
+        nums, den = _invariant_numerators(self.symbol, keys)
+        return [Fraction(num, den) for num in nums]
 
     def eigenvalue_of(self, beta: Sequence[int]) -> Fraction:
-        key = tuple(int(b) for b in beta)
-        i = self._position.get(key)
-        if i is None:
-            raise ValidationError(f"beta {key} is not on the fiber", operation="toric.EquivariantSpectrum")
-        return Fraction(self.numerators[i], self.denominator)
+        return self.eigenvalues_of([beta])[0]
 
 
 def equivariant_spectrum(symbol: InvariantSymbol, sub: SubtorusData, k: int) -> EquivariantSpectrum:
-    """Exact spectrum of the symbol on the level-k fiber, graded-lex order."""
+    """Exact spectrum of the symbol on the level-k fiber, graded-lex order; the
+    fiber is checked finite here and enumerated only when the table is first read."""
     if not isinstance(symbol, InvariantSymbol):
         raise ValidationError("equivariant spectra need an invariant symbol", operation="toric.equivariant_spectrum")
     if symbol.n != sub.n:
         raise ValidationError("symbol and subtorus dimensions differ", operation="toric.equivariant_spectrum")
-    fiber = enumerate_fiber(sub, k)
-    nums, den = _invariant_numerators(symbol, fiber)
-    return EquivariantSpectrum(
-        sub=sub,
-        k=k,
-        entries=tuple(zip(fiber, [num / den for num in nums])),
-        numerators=nums,
-        denominator=den,
-    )
+    if k < 1 or not recession_pointed(sub):
+        enumerate_fiber(sub, k)  # raises its level or unbounded-fiber error before enumerating
+    return EquivariantSpectrum(symbol=symbol, sub=sub, k=k)
 
 
 def fiber_measure(spectrum: EquivariantSpectrum, f: TestFunction) -> float:

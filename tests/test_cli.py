@@ -223,6 +223,31 @@ def test_inverse_cache_refused_before_building(tmp_path, capsys):
     assert "bytes, over the 2147483648-byte limit" in capsys.readouterr().err
 
 
+def test_inverse_geometric_rays_read_at_high_levels(tmp_path):
+    # 16 ray levels up to 99,999: cheap to read, though the top full fiber has 5e9 points
+    manifest = {"n": 3, "symbol": {"terms": [{"gamma": [1, 0, 0], "coeff": 1}]},
+                "grid": [["1/3", "1/3", "1/3"]], "k_max": 10 ** 5, "spacing": "geometric"}
+    t0 = time.perf_counter()
+    code, out = run_cli(tmp_path, "inverse", manifest)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["runs"][0]["resolved_points"] == 1
+    assert summary["runs"][0]["max_abs_err"] < 1e-9
+
+
+def test_distinguish_work_refused_before_the_first_level(tmp_path, capsys):
+    # a_1 and a_2 tie as multisets at every level, so nothing would end the walk early
+    manifest = {"subtorus": {"example": "diagonal_circle_2"}, "symbol_a": A1_INV, "symbol_b": A2_INV,
+                "k_max": 10 ** 9}
+    t0 = time.perf_counter()
+    code, out = run_cli(tmp_path, "distinguish", manifest)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert not out.exists()
+    assert "-point limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("source", ["flag", "manifest"])
 def test_negative_seed_exits_2_before_writing(tmp_path, source):
     manifest = {

@@ -142,7 +142,7 @@ def test_block_diagonal_invariant_case():
 
 
 def test_block_constant_symbol_is_identity():
-    block = assemble_block(SymbolPoly.constant(2.0, 3), 3, 2)
+    block = assemble_block(SymbolPoly.from_terms([((0, 0, 0), (0, 0, 0), 2.0)]), 3, 2)
     assert np.allclose(dense(block), 2.0 * np.eye(block.dim))
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from toeplab import toric
 from toeplab.errors import ValidationError
 from toeplab.hardy_sphere import InvariantSymbol
 from toeplab.inverse import (
@@ -107,6 +108,49 @@ def test_reconstruct_rejects_off_simplex_points():
         reconstruct(circle_oracle(A1), 2, [(Fraction(3, 2), Fraction(-1, 2))], 16)
     with pytest.raises(ValidationError):
         reconstruct(circle_oracle(A1), 2, [(1,)], 16)
+
+
+# The three-coordinate ray symbol 1/2 + 2/3 a_1^2 + 1/5 a_2 a_3 of the benchmark's inverse run.
+RAY_SYMBOL = InvariantSymbol.from_poly(
+    [((0, 0, 0), Fraction(1, 2)), ((2, 0, 0), Fraction(2, 3)), ((0, 1, 1), Fraction(1, 5))], 3
+)
+RAY_GRID = [
+    (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+    (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(1, 12), Fraction(5, 6), Fraction(1, 12)),
+]
+
+
+def test_reconstruct_reads_rays_without_fibers(monkeypatch):
+    def no_fibers(sub, k):
+        raise AssertionError(f"level {k} fiber enumerated")
+
+    monkeypatch.setattr(toric, "enumerate_fiber", no_fibers)
+    calls = []
+
+    def oracle(k):
+        calls.append(k)
+        return equivariant_spectrum(RAY_SYMBOL, diagonal_circle(3), k)
+
+    rec = reconstruct(oracle, 3, RAY_GRID, 36, order=4, spacing="all")
+    # one spectrum per distinct level; the missing ray (denominator 12) reads none
+    assert sorted(calls) == sorted(set(range(3, 37, 3)) | set(range(4, 37, 4)))
+    assert [r.missing for r in rec.rays] == [False, False, False, True]
+
+
+def test_reconstruct_bits_frozen():
+    # exact Neville on Fraction eigenvalues: the floats are the rounded exact limits
+    rec = reconstruct(lambda k: equivariant_spectrum(RAY_SYMBOL, diagonal_circle(3), k),
+                      3, RAY_GRID, 36, order=4, spacing="all")
+    got = [(r.estimate, r.error, r.low_confidence, r.missing) for r in rec.rays]
+    assert repr(got) == (
+        "[(0.5962970343615505, 4.428391525165719e-06, False, False), "
+        "(0.6791661914523065, 3.1680957347156507e-06, False, False), "
+        "(0.5518486197897963, 5.996182466770702e-06, False, False), "
+        "(None, None, False, True)]"
+    )
+    assert rec.rays[0].ks == tuple(range(3, 37, 3))
 
 
 def test_distinguishability_coordinate_swap():

@@ -88,7 +88,16 @@ def test_spectrum_matches_norm_ratio_oracle(name):
     )
     mixed = False
     for k in (1, 4, 9):
+        fiber = enumerate_fiber(sub, k)
+        off_fiber = (fiber[0][0] + 1,) + fiber[0][1:]  # every example weighs coordinate 0
+        spec = equivariant_spectrum(symbol, sub, k)
+        with pytest.raises(ValidationError):
+            spec.eigenvalue_of(off_fiber)  # before the table exists
         spec = _check_against_oracle(symbol, sub, k)
+        with pytest.raises(ValidationError):
+            spec.eigenvalue_of(off_fiber)  # and after
+        # one batch over the whole fiber, mixed degrees included, gives the table's values
+        assert spec.eigenvalues_of(fiber) == [Fraction(num, spec.denominator) for num in spec.numerators]
         mixed |= len({sum(beta) for beta, _ in spec.entries}) > 1
     # only the weighted line mixes degrees within one fiber
     assert mixed == (name == "weighted_line")
@@ -103,6 +112,11 @@ def test_spectrum_beyond_int64():
 def test_spectrum_validation():
     with pytest.raises(ValidationError):
         equivariant_spectrum(A1_2, diagonal_circle(3), 2)
+    # the table is built lazily, but a bad level or an unbounded fiber still fails at the call
+    with pytest.raises(ValidationError):
+        equivariant_spectrum(A1_2, diagonal_circle(2), 0)
+    with pytest.raises(UnboundedFiberError):
+        equivariant_spectrum(A1_2, SubtorusData(n=2, d=1, weight_matrix=((1, -1),), alpha=(1,)), 1)
 
 
 def test_fiber_measures():
