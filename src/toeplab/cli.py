@@ -1,12 +1,15 @@
 """Command line driver for the standard experiments.
 
-Each run takes a JSON manifest, an output directory and an experiment
-name, writes CSV/JSON results plus a run.json sidecar echoing the
-manifest, and is deterministic for a fixed seed and thread count.  Exit
-status 2 flags bad flags or manifests, 3 a numerical failure naming the
-operation that broke.  BLAS threads are set only through the environment
-(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS) before the interpreter starts;
-importing the package already loads numpy and its BLAS.
+A run takes a JSON manifest, an output directory and an experiment name.
+_EXPERIMENTS holds each experiment's runner, required fields and defaults;
+_record checks every manifest record, top level and nested.  The runner
+returns its outputs by file name, and only then does _write put them and a
+run.json sidecar echoing the manifest under the directory.  Runs are
+deterministic for a fixed seed and thread count.  Exit status 2 flags bad
+flags or manifests, 3 a numerical failure naming the operation that broke;
+either way nothing is written.  BLAS threads are set only through the
+environment (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS) before the interpreter
+starts; importing the package already loads numpy and its BLAS.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from functools import cache
 from math import floor, isfinite, lcm, prod
 from pathlib import Path
 
@@ -26,10 +28,9 @@ from .errors import ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block
 from .inverse import loglog_slope, reconstruct, spectral_distinguishability
 from .multiindex import MAX_SECTOR_BYTES, SubtorusData, _is_int, diagonal_circle, fiber_polytope_vertices
+from .reduction import _check_samples
 from .spectral import TestFunction, fit_expansion, measure_eigen, measure_poly, scaled_measure
 from .toric import EXAMPLE_SUBTORI, equivariant_spectrum, fiber_measure_series, regular_free_check, theorem2_leading
-
-_EXPERIMENTS = ("theorem1", "theorem2", "inverse", "model", "distinguish")
 
 # Bytes one ray level holds in an inverse run: level, weight, eigenvalues, spectrum
 # and output text (680-840 measured on 64-bit CPython 3.11, n = 2..5, one ray a level).
@@ -54,25 +55,32 @@ def _finite(literal: str) -> float:
     return v
 
 
-def _check_keys(manifest: dict, allowed: set[str]) -> None:
-    unknown = set(manifest) - allowed
-    if unknown:
-        raise _validation_error(f"unknown manifest fields {sorted(unknown)}")
+def _record(obj, where: str, required, optional=None) -> dict:
+    """The fields of a manifest record, with absent optional ones set to their
+    defaults; a non-object, an unknown field or a missing one is refused."""
+    optional = optional or {}
+    if not isinstance(obj, dict):
+        raise _validation_error(f"{where} must be an object")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    missing = [name for name in required if name not in obj]
+    if unknown or missing:
+        raise _validation_error(f"{where} has unknown fields {unknown} and lacks fields {missing}")
+    return {**optional, **obj}
 
 
-def _int_field(manifest: dict, name: str, minimum: int, default=None) -> int:
-    if name not in manifest:
-        if default is None:
-            raise _validation_error(f"missing required field '{name}'")
-        return default
-    v = manifest[name]
+def _int(v, name: str, minimum: int) -> int:
     if not _is_int(v) or v < minimum:
         raise _validation_error(f"field '{name}' must be an integer >= {minimum}")
     return v
 
 
-def _positive_ints(manifest: dict, name: str, at_least: int) -> list[int]:
-    v = manifest.get(name)
+def _real(v, name: str, low: float = -sys.float_info.max) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not low <= v <= sys.float_info.max:
+        raise _validation_error(f"'{name}' must be a number in [{low:g}, {sys.float_info.max:g}]")
+    return float(v)
+
+
+def _positive_ints(v, name: str, at_least: int) -> list[int]:
     if not isinstance(v, list) or len(v) < at_least or not all(_is_int(k) and k >= 1 for k in v):
         raise _validation_error(f"field '{name}' must list at least {at_least} positive integers")
     return v
@@ -87,69 +95,52 @@ def _coefficient(v) -> Fraction:
         raise _validation_error(f"cannot parse coefficient {v!r}") from None
 
 
-def _invariant_symbol(obj, n: int):
-    if not isinstance(obj, dict) or set(obj) != {"terms"} or not isinstance(obj["terms"], list) or not obj["terms"]:
-        raise _validation_error("invariant symbol must be {'terms': [...]} with at least one term")
+def _invariant_symbol(obj, n: int, name: str) -> InvariantSymbol:
+    terms = _record(obj, f"field '{name}'", ("terms",))["terms"]
+    if not isinstance(terms, list) or not terms:
+        raise _validation_error(f"'{name}.terms' must be a nonempty list")
     pairs = []
-    for term in obj["terms"]:
-        if not isinstance(term, dict) or set(term) != {"gamma", "coeff"}:
-            raise _validation_error("each symbol term needs exactly the fields 'gamma' and 'coeff'")
-        g = term["gamma"]
+    for term in terms:
+        t = _record(term, f"a term of '{name}'", ("gamma", "coeff"))
+        g = t["gamma"]
         if not isinstance(g, list) or len(g) != n or not all(_is_int(e) and e >= 0 for e in g):
             raise _validation_error(f"term exponents {g!r} must be {n} nonnegative integers")
-        pairs.append((tuple(g), _coefficient(term["coeff"])))
+        pairs.append((tuple(g), _coefficient(t["coeff"])))
     return InvariantSymbol.from_poly(pairs, n)
 
 
-def _test_function(obj):
-    if not isinstance(obj, dict) or not set(obj) <= {"coeffs", "label"} or "coeffs" not in obj:
-        raise _validation_error("field 'f' must be {'coeffs': [...]} with an optional 'label'")
-    coeffs = obj["coeffs"]
-    if not isinstance(coeffs, list) or not coeffs or not all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) and abs(c) <= sys.float_info.max for c in coeffs):
-        raise _validation_error("'f.coeffs' must be a nonempty list of numbers in the float range")
-    label = obj.get("label", "poly")
-    if not isinstance(label, str):
+def _test_function(obj) -> TestFunction:
+    f = _record(obj, "field 'f'", ("coeffs",), {"label": "poly"})
+    if not isinstance(f["coeffs"], list) or not f["coeffs"]:
+        raise _validation_error("'f.coeffs' must be a nonempty list")
+    if not isinstance(f["label"], str):
         raise _validation_error("'f.label' must be a string")
-    return TestFunction.polynomial([float(c) for c in coeffs], label=label)
+    return TestFunction.polynomial([_real(c, "f.coeffs") for c in f["coeffs"]], label=f["label"])
 
 
-def _subtorus(obj):
-    if isinstance(obj, dict) and set(obj) == {"example"}:
-        name = obj["example"]
-        if name not in EXAMPLE_SUBTORI:
+def _subtorus(obj) -> SubtorusData:
+    if isinstance(obj, dict) and "example" in obj:
+        name = _record(obj, "field 'subtorus'", ("example",))["example"]
+        if not isinstance(name, str) or name not in EXAMPLE_SUBTORI:
             raise _validation_error(f"unknown example subtorus {name!r}; have {sorted(EXAMPLE_SUBTORI)}")
         return EXAMPLE_SUBTORI[name]
-    if isinstance(obj, dict):
-        return SubtorusData.from_json(obj)
-    raise _validation_error("field 'subtorus' must be an object")
+    s = _record(obj, "field 'subtorus'", ("n", "d", "Bt", "alpha"))
+    try:
+        weight_matrix, alpha = tuple(map(tuple, s["Bt"])), tuple(s["alpha"])
+    except TypeError as exc:
+        raise _validation_error(f"malformed subtorus record: {exc}") from None
+    return SubtorusData(n=s["n"], d=s["d"], weight_matrix=weight_matrix, alpha=alpha)
 
 
-def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _run_theorem1(manifest: dict, out: Path, seed: int) -> list[str]:
-    _check_keys(manifest, {"experiment", "seed", "n", "symbol", "f", "k_list", "fit_order", "measure"})
-    n = _int_field(manifest, "n", minimum=1)
-    if "symbol" not in manifest:
-        raise _validation_error("missing required field 'symbol'")
-    symbol = SymbolPoly.from_json(manifest["symbol"])
+def _run_theorem1(fields: dict, seed: int) -> dict:
+    n = _int(fields["n"], "n", 1)
+    symbol = SymbolPoly.from_json(fields["symbol"])
     if symbol.n != n:
         raise _validation_error("symbol index length disagrees with n")
-    f = _test_function(manifest.get("f", {}))
-    ks = _positive_ints(manifest, "k_list", 1)
-    order = _int_field(manifest, "fit_order", minimum=0, default=2)
-    method = manifest.get("measure", "eigen")
+    f = _test_function(fields["f"])
+    ks = _positive_ints(fields["k_list"], "k_list", 1)
+    order = _int(fields["fit_order"], "fit_order", 0)
+    method = fields["measure"]
     if method not in ("eigen", "poly"):
         raise _validation_error("field 'measure' must be 'eigen' or 'poly'")
     m = n - 1
@@ -164,42 +155,31 @@ def _run_theorem1(manifest: dict, out: Path, seed: int) -> list[str]:
         samples.append((k, sm))
         sectors.append({"k": k, "count": len(block.sectors),
                         "largest": max(len(pos) for pos, _ in block.sectors)})
-    _write_csv(out / "measures.csv", ["n", "k", "m", "f_id", "mu", "scaled_mu"], rows)
     fit = fit_expansion(samples, order=order)
-    _write_json(out / "fit.json", {**fit.to_json(), "sectors": sectors})
-    return ["measures.csv", "fit.json"]
+    return {"measures.csv": (["n", "k", "m", "f_id", "mu", "scaled_mu"], rows),
+            "fit.json": {**fit.to_json(), "sectors": sectors}}
 
 
-def _run_theorem2(manifest: dict, out: Path, seed: int) -> list[str]:
-    _check_keys(manifest, {"experiment", "seed", "subtorus", "symbol", "f", "k_list", "fit_order", "samples"})
-    if "subtorus" not in manifest:
-        raise _validation_error("missing required field 'subtorus'")
-    sub = _subtorus(manifest["subtorus"])
-    if "symbol" not in manifest:
-        raise _validation_error("missing required field 'symbol'")
-    symbol = _invariant_symbol(manifest["symbol"], sub.n)
-    f = _test_function(manifest.get("f", {}))
-    ks = _positive_ints(manifest, "k_list", 1)
-    m = sub.n - sub.d
-    order = _int_field(manifest, "fit_order", minimum=0, default=m)
-    samples = _int_field(manifest, "samples", minimum=10_000, default=200_000)
+def _run_theorem2(fields: dict, seed: int) -> dict:
+    sub = _subtorus(fields["subtorus"])
+    symbol = _invariant_symbol(fields["symbol"], sub.n, "symbol")
+    f = _test_function(fields["f"])
+    ks = _positive_ints(fields["k_list"], "k_list", 1)
+    order = sub.n - sub.d if fields["fit_order"] is None else _int(fields["fit_order"], "fit_order", 0)
+    _check_samples(fields["samples"], "cli.manifest")
     rows = fiber_measure_series(symbol, f, sub, ks)
-    _write_csv(out / "fiber_measures.csv", ["k", "count", "mu", "scaled_mu"],
-               [[k, count, repr(mu), repr(sm)] for k, count, mu, sm in rows])
     fit = fit_expansion([(k, sm) for k, _, _, sm in rows], order=order)
     report = regular_free_check(sub)
-    est, se = theorem2_leading(symbol, f, sub, samples=samples, seed=seed)
-    _write_json(out / "fit.json", {
-        "fit": fit.to_json(),
-        "leading_estimate": est,
-        "leading_stderr": se,
-        "regular_free": report.to_json(),
-    })
-    return ["fiber_measures.csv", "fit.json"]
+    est, se = theorem2_leading(symbol, f, sub, samples=fields["samples"], seed=seed)
+    return {
+        "fiber_measures.csv": (["k", "count", "mu", "scaled_mu"],
+                               [[k, count, repr(mu), repr(sm)] for k, count, mu, sm in rows]),
+        "fit.json": {"fit": fit.to_json(), "leading_estimate": est, "leading_stderr": se,
+                     "regular_free": report.to_json()},
+    }
 
 
-def _grid_points(manifest: dict, n: int) -> list[tuple[Fraction, ...]]:
-    v = manifest.get("grid")
+def _grid_points(v, n: int) -> list[tuple[Fraction, ...]]:
     if not isinstance(v, list) or not v:
         raise _validation_error("field 'grid' must be a nonempty list of points")
     pts = []
@@ -238,29 +218,29 @@ def _check_distinguish_work(sub: SubtorusData, k_max: int) -> None:
                                     f"over the {_MAX_DISTINGUISH_POINTS}-point limit")
 
 
-def _run_inverse(manifest: dict, out: Path, seed: int) -> list[str]:
-    _check_keys(manifest, {"experiment", "seed", "n", "symbol", "grid", "k_max", "k_max_list", "order", "spacing"})
-    n = _int_field(manifest, "n", minimum=2)
-    symbol = _invariant_symbol(manifest.get("symbol"), n)
-    grid = _grid_points(manifest, n)
-    if ("k_max" in manifest) == ("k_max_list" in manifest):
+def _run_inverse(fields: dict, seed: int) -> dict:
+    n = _int(fields["n"], "n", 2)
+    symbol = _invariant_symbol(fields["symbol"], n, "symbol")
+    grid = _grid_points(fields["grid"], n)
+    if (fields["k_max"] is None) == (fields["k_max_list"] is None):
         raise _validation_error("provide exactly one of 'k_max' and 'k_max_list'")
-    if "k_max" in manifest:
-        k_maxes = [_int_field(manifest, "k_max", minimum=1)]
+    if fields["k_max_list"] is None:
+        k_maxes = [_int(fields["k_max"], "k_max", 1)]
     else:
-        k_maxes = _positive_ints(manifest, "k_max_list", 2)
-    order = _int_field(manifest, "order", minimum=0, default=1)
-    spacing = manifest.get("spacing", "geometric")
+        k_maxes = _positive_ints(fields["k_max_list"], "k_max_list", 2)
+        if len(set(k_maxes)) < len(k_maxes):
+            raise _validation_error("field 'k_max_list' repeats a value")
+    order = _int(fields["order"], "order", 0)
+    spacing = fields["spacing"]
     if spacing not in ("geometric", "all"):
         raise _validation_error("field 'spacing' must be 'geometric' or 'all'")
     _check_ray_reads(grid, k_maxes, spacing)
 
     sub = diagonal_circle(n)
-    oracle = cache(lambda k: equivariant_spectrum(symbol, sub, k))  # shared by every k_max run
     runs = []
     rows = []
     for k_max in k_maxes:
-        rec = reconstruct(oracle, n, grid, k_max, order=order, spacing=spacing)
+        rec = reconstruct(lambda k: equivariant_spectrum(symbol, sub, k), n, grid, k_max, order=order, spacing=spacing)
         errs = []
         for ray in rec.rays:
             truth = symbol.evaluate([float(c) for c in ray.point])
@@ -284,84 +264,80 @@ def _run_inverse(manifest: dict, out: Path, seed: int) -> list[str]:
             "resolved_points": len(errs),
             "missing_points": len(rec.rays) - len(errs),
         })
-    _write_csv(out / "reconstruction.csv", ["k_max", "point", "levels", "estimate", "truth", "abs_err",
-                                            "error_estimate", "low_confidence", "missing"], rows)
     summary = {"order": order, "spacing": spacing, "runs": runs, "slope": None}
     errs = [r["max_abs_err"] for r in runs]
     if len(runs) >= 2 and all(e is not None and e > 0 for e in errs):
         summary["slope"] = loglog_slope([r["k_max"] for r in runs], errs)
-    _write_json(out / "summary.json", summary)
-    return ["reconstruction.csv", "summary.json"]
+    return {"reconstruction.csv": (["k_max", "point", "levels", "estimate", "truth", "abs_err",
+                                    "error_estimate", "low_confidence", "missing"], rows),
+            "summary.json": summary}
 
 
-def _run_model(manifest: dict, out: Path, seed: int) -> list[str]:
-    _check_keys(manifest, {"experiment", "seed", "states", "quad"})
-    states_obj = manifest.get("states")
-    if not isinstance(states_obj, list) or not states_obj:
+def _run_model(fields: dict, seed: int) -> dict:
+    if not isinstance(fields["states"], list) or not fields["states"]:
         raise _validation_error("field 'states' must be a nonempty list")
     states = []
-    for s in states_obj:
-        if not isinstance(s, dict) or set(s) != {"m", "k_dim"}:
-            raise _validation_error("each state needs exactly the fields 'm' and 'k_dim'")
-        m = s["m"]
-        if not isinstance(m, list) or not all(_is_int(c) for c in m):
-            raise _validation_error(f"state frequency {m!r} must be a list of integers")
-        states.append(ModelIndex(m=tuple(m), k_dim=_int_field(s, "k_dim", minimum=0)))
-    quad_obj = manifest.get("quad", {})
-    if not isinstance(quad_obj, dict) or not set(quad_obj) <= {"hermite_points", "fourier_points"}:
-        raise _validation_error("field 'quad' may set only 'hermite_points' and 'fourier_points'")
-    quad = QuadratureSpec(
-        hermite_points=_int_field(quad_obj, "hermite_points", minimum=2, default=64),
-        fourier_points=_int_field(quad_obj, "fourier_points", minimum=2, default=24),
-    )
-    report = check_isometry(states, quad)
-    _write_json(out / "isometry.json", report.to_json())
-    return ["isometry.json"]
+    for obj in fields["states"]:
+        s = _record(obj, "a state", ("m", "k_dim"))
+        if not isinstance(s["m"], list) or not all(_is_int(c) for c in s["m"]):
+            raise _validation_error(f"state frequency {s['m']!r} must be a list of integers")
+        states.append(ModelIndex(m=tuple(s["m"]), k_dim=_int(s["k_dim"], "k_dim", 0)))
+    quad = _record(fields["quad"], "field 'quad'", (), _EXPERIMENTS["model"][2]["quad"])
+    report = check_isometry(states, QuadratureSpec(
+        hermite_points=_int(quad["hermite_points"], "hermite_points", 2),
+        fourier_points=_int(quad["fourier_points"], "fourier_points", 2),
+    ))
+    return {"isometry.json": report.to_json()}
 
 
-def _run_distinguish(manifest: dict, out: Path, seed: int) -> list[str]:
-    _check_keys(manifest, {"experiment", "seed", "subtorus", "symbol_a", "symbol_b", "k_max", "tol"})
-    if "subtorus" not in manifest:
-        raise _validation_error("missing required field 'subtorus'")
-    sub = _subtorus(manifest["subtorus"])
-    sym_a = _invariant_symbol(manifest.get("symbol_a"), sub.n)
-    sym_b = _invariant_symbol(manifest.get("symbol_b"), sub.n)
-    k_max = _int_field(manifest, "k_max", minimum=1)
-    tol = manifest.get("tol", 1e-12)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol <= sys.float_info.max:
-        raise _validation_error("field 'tol' must be a nonnegative number in the float range")
+def _run_distinguish(fields: dict, seed: int) -> dict:
+    sub = _subtorus(fields["subtorus"])
+    sym_a = _invariant_symbol(fields["symbol_a"], sub.n, "symbol_a")
+    sym_b = _invariant_symbol(fields["symbol_b"], sub.n, "symbol_b")
+    k_max = _int(fields["k_max"], "k_max", 1)
+    tol = _real(fields["tol"], "tol", 0)
     _check_distinguish_work(sub, k_max)
     report = spectral_distinguishability(
         lambda k: equivariant_spectrum(sym_a, sub, k),
         lambda k: equivariant_spectrum(sym_b, sub, k),
         k_max,
-        tol=float(tol),
+        tol=tol,
     )
-    _write_json(out / "distinguish.json", report.to_json())
-    return ["distinguish.json"]
+    return {"distinguish.json": report.to_json()}
 
 
-_RUNNERS = {
-    "theorem1": _run_theorem1,
-    "theorem2": _run_theorem2,
-    "inverse": _run_inverse,
-    "model": _run_model,
-    "distinguish": _run_distinguish,
+# Each experiment's runner, required fields and optional fields with their
+# defaults; every manifest may also give 'experiment' and 'seed' (default 0).
+# theorem2's fit_order None stands for n - d.
+_EXPERIMENTS = {
+    "theorem1": (_run_theorem1, ("n", "symbol", "f", "k_list"), {"fit_order": 2, "measure": "eigen"}),
+    "theorem2": (_run_theorem2, ("subtorus", "symbol", "f", "k_list"), {"fit_order": None, "samples": 200_000}),
+    "inverse": (_run_inverse, ("n", "symbol", "grid"),
+                {"k_max": None, "k_max_list": None, "order": 1, "spacing": "geometric"}),
+    "model": (_run_model, ("states",), {"quad": {"hermite_points": 64, "fourier_points": 24}}),
+    "distinguish": (_run_distinguish, ("subtorus", "symbol_a", "symbol_b", "k_max"), {"tol": 1e-12}),
 }
 
 
-def _load_manifest(path: str, experiment: str) -> dict:
+def _write(out: Path, outputs: dict) -> None:
+    """Write each output under out: a (header, rows) pair as CSV, an object as JSON."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, payload in outputs.items():
+        with open(out / name, "w", newline="") as fh:
+            if isinstance(payload, tuple):
+                w = csv.writer(fh)
+                w.writerow(payload[0])
+                w.writerows(payload[1])
+            else:
+                fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _load_manifest(path: str):
     try:
         with open(path) as fh:
-            manifest = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or text, an int past 4,300 digits
         raise _validation_error(f"cannot read manifest: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise _validation_error("manifest must be a JSON object")
-    declared = manifest.get("experiment")
-    if declared is not None and declared != experiment:
-        raise _validation_error(f"manifest declares experiment {declared!r}, flag says {experiment!r}")
-    return manifest
 
 
 def main(argv=None) -> int:
@@ -375,13 +351,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="overrides the manifest seed")
     args = parser.parse_args(argv)
 
+    runner, required, optional = _EXPERIMENTS[args.experiment]
     try:
-        manifest = _load_manifest(args.manifest, args.experiment)
-        seed = manifest.get("seed", 0) if args.seed is None else args.seed
-        if not _is_int(seed) or seed < 0:
-            raise _validation_error(f"seed {seed!r} must be a nonnegative integer")
-        out = Path(args.out)
-        outputs = _RUNNERS[args.experiment](manifest, out, seed)
+        manifest = _load_manifest(args.manifest)
+        fields = _record(manifest, "the manifest", required, {"experiment": args.experiment, "seed": 0, **optional})
+        if fields["experiment"] != args.experiment:
+            raise _validation_error(f"manifest declares experiment {fields['experiment']!r}, flag says {args.experiment!r}")
+        seed = _int(fields["seed"] if args.seed is None else args.seed, "seed", 0)
+        outputs = runner(fields, seed)
     except ValidationError as exc:
         print(f"invalid input ({exc.operation}): {exc}", file=sys.stderr)
         return 2
@@ -389,12 +366,8 @@ def main(argv=None) -> int:
         print(f"numerical failure in {exc.operation}: {exc}", file=sys.stderr)
         return 3
 
-    _write_json(out / "run.json", {
-        "experiment": args.experiment,
-        "seed": seed,
-        "outputs": outputs,
-        "manifest": manifest,
-    })
+    run = {"experiment": args.experiment, "seed": seed, "outputs": list(outputs), "manifest": manifest}
+    _write(Path(args.out), {**outputs, "run.json": run})
     return 0
 
 

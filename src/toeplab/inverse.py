@@ -251,8 +251,8 @@ def spectral_distinguishability(
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of log y against log x; the observed decay rate."""
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValidationError("need at least two points", operation="inverse.loglog_slope")
+    if len(xs) != len(ys) or len(set(xs)) < 2:
+        raise ValidationError("need points at two or more distinct x", operation="inverse.loglog_slope")
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
         raise ValidationError("log-log slope needs positive data", operation="inverse.loglog_slope")
     lx = np.array([log(x) for x in xs])

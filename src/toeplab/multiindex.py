@@ -106,23 +106,6 @@ class SubtorusData:
         if _exact.rank(self.weight_matrix) != self.d:
             raise ValidationError("weight matrix must have full row rank", operation="multiindex.SubtorusData")
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SubtorusData":
-        if not isinstance(obj, dict):
-            raise ValidationError("subtorus record must be an object", operation="multiindex.SubtorusData")
-        keys = {"n", "d", "Bt", "alpha"}
-        missing = keys - obj.keys()
-        extra = obj.keys() - keys
-        if missing:
-            raise ValidationError(f"subtorus record missing fields: {sorted(missing)}", operation="multiindex.SubtorusData")
-        if extra:
-            raise ValidationError(f"subtorus record has unknown fields: {sorted(extra)}", operation="multiindex.SubtorusData")
-        try:
-            weight_matrix, alpha = tuple(map(tuple, obj["Bt"])), tuple(obj["alpha"])
-        except TypeError as exc:
-            raise ValidationError(f"malformed subtorus record: {exc}", operation="multiindex.SubtorusData") from exc
-        return cls(n=obj["n"], d=obj["d"], weight_matrix=weight_matrix, alpha=alpha)
-
 
 def diagonal_circle(n: int) -> SubtorusData:
     """The diagonal circle acting with weight 1 on every coordinate."""

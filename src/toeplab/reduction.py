@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly
-from .multiindex import MAX_SECTOR_BYTES
+from .multiindex import MAX_SECTOR_BYTES, _is_int
 from .spectral import TestFunction
 
 __all__ = [
@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 _CHUNK = 16_384  # points c0_sphere_mc draws and evaluates per pass, few enough to stay in cache
+
+# Most samples a Monte Carlo oracle may take.  A sample costs about 0.12 us on the
+# sphere (n = 3) and 0.5 us on product_of_lines' polytope (2-vCPU Xeon, numpy 2.4),
+# so 10**8 samples run 12 to 50 s, more where the polytope sampler rejects more.
+MAX_SAMPLES = 10**8
 
 
 def sphere_sigma_volume(n: int) -> float:
@@ -70,6 +75,12 @@ def _symbol_values(symbol, z: np.ndarray) -> np.ndarray:
     if isinstance(symbol, InvariantSymbol):
         return symbol.eval_array(np.abs(z) ** 2)
     raise ValidationError("symbol must be SymbolPoly or InvariantSymbol", operation="reduction.c0_sphere_mc")
+
+
+def _check_samples(samples: int, operation: str) -> None:
+    """Refuse a sample count that is not an integer from 10**4 to MAX_SAMPLES."""
+    if not _is_int(samples) or not 10_000 <= samples <= MAX_SAMPLES:
+        raise ValidationError(f"samples {samples!r} must be an integer from 10000 to {MAX_SAMPLES}", operation=operation)
 
 
 def _check_batch(size: int, row_bytes: int, operation: str) -> None:
@@ -110,9 +121,8 @@ def c0_sphere_mc(
     pieces of _CHUNK points, never of one (numpy's in-place complex product
     rounds differently on one element): each value has one pass's bits.
     """
-    if samples < 10_000:
-        raise ValidationError("need at least 1e4 samples", operation="reduction.c0_sphere_mc")
     _check_batch(min(batch_size, samples), 8, "reduction.c0_sphere_mc")  # one value per point
+    _check_samples(samples, "reduction.c0_sphere_mc")
     rng = np.random.default_rng(seed)
 
     def batch(size: int) -> np.ndarray:

@@ -45,7 +45,7 @@ from .multiindex import (
     full_torus,
     recession_pointed,
 )
-from .reduction import _check_batch, mean_stderr
+from .reduction import _check_batch, _check_samples, mean_stderr
 from .spectral import TestFunction, richardson_limit, scaled_measure
 
 __all__ = [
@@ -273,8 +273,7 @@ def theorem2_leading(
     if m == 0:
         a = np.array([float(c) for c in verts[0]])
         return f(symbol.evaluate(a / a.sum())), 0.0
-    if samples < 10_000:
-        raise ValidationError("need at least 1e4 samples", operation="toric.theorem2_leading")
+    _check_samples(samples, "toric.theorem2_leading")
     _check_batch(batch_size, 8 * (m + 2 * sub.n), "toric.theorem2_leading")  # draws, points, kept points
     basis = integer_nullspace([list(row) for row in sub.weight_matrix])
     a0 = verts[0]

@@ -83,8 +83,31 @@ def test_theorem2_regularity_failure_exits_3(tmp_path):
         "f": F_X,
         "k_list": [10, 15, 20],
     }
-    code, _ = run_cli(tmp_path, "theorem2", manifest)
+    code, out = run_cli(tmp_path, "theorem2", manifest)
     assert code == 3
+    # the fiber measures succeed before the check fails; nothing is written
+    assert not out.exists()
+
+
+def test_theorem2_unbounded_samples_refused_before_work(tmp_path):
+    manifest = {"subtorus": {"example": "product_of_lines"}, "symbol": {"terms": [{"gamma": [1, 0, 0, 0], "coeff": 1}]},
+                "f": F_X, "k_list": [4, 8, 12, 16, 24, 32, 40], "samples": 10 ** 12}
+    t0 = time.perf_counter()
+    code, out = run_cli(tmp_path, "theorem2", manifest)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert not out.exists()
+
+
+def test_failed_rerun_leaves_earlier_run_untouched(tmp_path):
+    manifest = {"n": 2, "symbol": A1_POLY, "f": F_X, "k_list": [10, 20, 30, 40], "fit_order": 1}
+    code, out = run_cli(tmp_path, "theorem1", manifest)
+    assert code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # the measures are computed, then the fit finds 4 k values too few for order 5
+    code, _ = run_cli(tmp_path, "theorem1", {**manifest, "f": {"coeffs": [0, 0, 1]}, "fit_order": 5})
+    assert code == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_inverse_run(tmp_path):
@@ -106,6 +129,14 @@ def test_inverse_run(tmp_path):
     lines = (out / "reconstruction.csv").read_text().splitlines()
     assert lines[0].startswith("k_max,point,levels,estimate,truth")
     assert len(lines) == 10
+
+
+def test_inverse_rejects_repeated_k_max(tmp_path):
+    # one distinct cutoff has no log-log slope
+    manifest = {"n": 2, "symbol": A1_INV, "grid": [["1/2", "1/2"]], "k_max_list": [16, 16]}
+    code, out = run_cli(tmp_path, "inverse", manifest)
+    assert code == 2
+    assert not out.exists()
 
 
 def test_inverse_rejects_both_k_max_forms(tmp_path):
@@ -147,6 +178,47 @@ def test_unknown_manifest_field(tmp_path):
     manifest = {"n": 2, "symbol": A1_POLY, "f": F_X, "k_list": [10, 20, 30, 40], "bogus": 1}
     code, _ = run_cli(tmp_path, "theorem1", manifest)
     assert code == 2
+
+
+THEOREM1 = {"n": 2, "symbol": A1_POLY, "f": F_X, "k_list": [10, 20, 30, 40]}
+DISTINGUISH = {"subtorus": {"example": "diagonal_circle_2"}, "symbol_a": A1_INV, "symbol_b": A2_INV, "k_max": 4}
+
+
+@pytest.mark.parametrize("experiment,manifest,field", [
+    ("theorem1", {**THEOREM1, "f": {**F_X, "bogus": 1}}, "bogus"),
+    ("theorem1", {**THEOREM1, "f": {"label": "x"}}, "coeffs"),
+    ("distinguish", {**DISTINGUISH, "symbol_a": {**A1_INV, "bogus": 1}}, "bogus"),
+    ("distinguish", {**DISTINGUISH, "symbol_a": {}}, "terms"),
+    ("distinguish", {**DISTINGUISH, "symbol_a": {"terms": [{"gamma": [1, 0], "coeff": 1, "bogus": 1}]}}, "bogus"),
+    ("distinguish", {**DISTINGUISH, "symbol_a": {"terms": [{"gamma": [1, 0]}]}}, "coeff"),
+    ("distinguish", {**DISTINGUISH, "subtorus": {"n": 2, "d": 1, "Bt": [[1, 1]], "alpha": [1], "bogus": 1}}, "bogus"),
+    ("distinguish", {**DISTINGUISH, "subtorus": {"n": 2, "d": 1, "Bt": [[1, 1]]}}, "alpha"),
+    ("distinguish", {**DISTINGUISH, "subtorus": {"example": "diagonal_circle_2", "bogus": 1}}, "bogus"),
+    ("model", {"states": [{"m": [1], "k_dim": 1, "bogus": 1}]}, "bogus"),
+    ("model", {"states": [{"m": [1]}]}, "k_dim"),
+    # every quad field is optional, so a quad record can only have an unknown one
+    ("model", {"states": [{"m": [1], "k_dim": 1}], "quad": {"bogus": 1}}, "bogus"),
+], ids=["f_unknown", "f_missing", "symbol_unknown", "symbol_missing", "term_unknown", "term_missing",
+        "subtorus_unknown", "subtorus_missing", "example_unknown", "state_unknown", "state_missing", "quad_unknown"])
+def test_nested_record_fields_checked(tmp_path, capsys, experiment, manifest, field):
+    code, out = run_cli(tmp_path, experiment, manifest)
+    assert code == 2
+    assert not out.exists()
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_readme_manifests_run(tmp_path):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    manifests = [json.loads(block.split("```", 1)[0]) for block in section.split("```json\n")[1:]]
+    assert sorted(m["experiment"] for m in manifests) == ["distinguish", "inverse", "model", "theorem1", "theorem2"]
+    for manifest in manifests:
+        run_dir = tmp_path / manifest["experiment"]
+        run_dir.mkdir()
+        code, out = run_cli(run_dir, manifest["experiment"], manifest)
+        assert code == 0
+        outputs = json.loads((out / "run.json").read_text())["outputs"]
+        assert sorted(outputs) == sorted(p.name for p in out.iterdir() if p.name != "run.json")
 
 
 def test_experiment_mismatch(tmp_path):

@@ -196,3 +196,6 @@ def test_loglog_slope():
         loglog_slope(xs, [1.0, -1.0, 1.0, 1.0])
     with pytest.raises(ValidationError):
         loglog_slope([1.0], [1.0])
+    # one distinct x has no slope
+    with pytest.raises(ValidationError):
+        loglog_slope([16, 16], [1e-3, 2e-3])

@@ -1,9 +1,11 @@
+import json
 import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from toeplab.cli import main
 from toeplab.errors import UnboundedFiberError, ValidationError
 from toeplab.multiindex import (
     SubtorusData,
@@ -56,22 +58,36 @@ def test_subtorus_validation():
         SubtorusData(n=2, d=2, weight_matrix=((1, 1), (2, 2)), alpha=(1, 2))
 
 
-def test_subtorus_json_round_trip():
-    sub = SubtorusData(n=4, d=2, weight_matrix=((1, 1, 0, 0), (0, 0, 1, 1)), alpha=(1, 1))
-    assert SubtorusData.from_json({"n": 4, "d": 2, "Bt": [[1, 1, 0, 0], [0, 0, 1, 1]], "alpha": [1, 1]}) == sub
-    with pytest.raises(ValidationError):
-        SubtorusData.from_json({"n": 2, "d": 1, "Bt": [[1, 1]]})
-    with pytest.raises(ValidationError):
-        SubtorusData.from_json({"n": 2, "d": 1, "Bt": [[1, 1]], "alpha": [1], "extra": 0})
+def _distinguish_on(tmp_path, subtorus, n, name="out"):
+    """Exit code and output of a CLI distinguish run on an explicit subtorus
+    record, the one reader of such records."""
+    coordinate = [{"terms": [{"gamma": [int(j == i) for j in range(n)], "coeff": 1}]} for i in (0, 1)]
+    manifest = {"subtorus": subtorus, "symbol_a": coordinate[0], "symbol_b": coordinate[1], "k_max": 3}
+    mpath = tmp_path / f"{name}.json"
+    mpath.write_text(json.dumps(manifest))
+    out = tmp_path / name
+    return main(["--experiment", "distinguish", "--manifest", str(mpath), "--out", str(out)]), out
+
+
+def test_subtorus_json_round_trip(tmp_path):
+    code, out = _distinguish_on(tmp_path, {"n": 4, "d": 2, "Bt": [[1, 1, 0, 0], [0, 0, 1, 1]], "alpha": [1, 1]}, 4)
+    assert code == 0
+    # the record reads as the product_of_lines example it spells out
+    code, example = _distinguish_on(tmp_path, {"example": "product_of_lines"}, 4, "example")
+    assert code == 0
+    assert (out / "distinguish.json").read_bytes() == (example / "distinguish.json").read_bytes()
+    for record in ({"n": 2, "d": 1, "Bt": [[1, 1]]}, {"n": 2, "d": 1, "Bt": [[1, 1]], "alpha": [1], "extra": 0}):
+        code, out = _distinguish_on(tmp_path, record, 2, "bad")
+        assert code == 2 and not out.exists()
 
 
 @pytest.mark.parametrize("field,value", [
     ("Bt", [[1, 1.9]]), ("Bt", [[1, "1"]]), ("Bt", [[True, 1]]), ("Bt", 5),
     ("n", "2"), ("n", 2.0), ("d", True), ("alpha", [True]), ("alpha", [1.0]), ("alpha", "1"),
 ])
-def test_subtorus_from_json_accepts_only_integers(field, value):
-    with pytest.raises(ValidationError):
-        SubtorusData.from_json({"n": 2, "d": 1, "Bt": [[1, 1]], "alpha": [1], field: value})
+def test_subtorus_from_json_accepts_only_integers(tmp_path, field, value):
+    code, out = _distinguish_on(tmp_path, {"n": 2, "d": 1, "Bt": [[1, 1]], "alpha": [1], field: value}, 2)
+    assert code == 2 and not out.exists()
 
 
 def test_recession_pointed():

@@ -127,12 +127,12 @@ def test_richardson_validation():
 
 
 def test_write_measure_csv(tmp_path):
-    from toeplab.cli import _write_csv
+    from toeplab.cli import _write
 
     header = ["n", "k", "m", "f_id", "mu", "scaled_mu"]
     rows = [[2, 10, 1, "x", 1.25, 0.7853981633974483], [2, 20, 1, "x", 2.5, 0.7853981633974483]]
     path = tmp_path / "measures.csv"
-    _write_csv(path, header, rows)
+    _write(tmp_path, {"measures.csv": (header, rows)})
     lines = path.read_text().splitlines()
     assert lines[0] == "n,k,m,f_id,mu,scaled_mu"
     assert lines[1].startswith("2,10,1,x,1.25,")
