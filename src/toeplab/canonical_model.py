@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ValidationError
 
 MAX_GRID_POINTS = 4096
+_TILE = 128  # check_isometry's square tiles: 256 KiB of complex entries each
 
 __all__ = [
     "ModelIndex",
@@ -138,11 +139,12 @@ def _design_matrix(indices: Sequence[ModelIndex], quad: QuadratureSpec):
     w_ang = 2 * pi / quad.fourier_points
 
     axes_pts = [t] * k_dim + [angles] * l_dim
-    axes_wts = [w_open] * k_dim + [np.full(quad.fourier_points, w_ang)] * l_dim
-    grid = np.array(list(product(*axes_pts)))
-    weights = np.array([float(np.prod(ws)) for ws in product(*axes_wts)])
+    weights = np.ones(())  # the left-to-right product of the axis weights at each point
+    for ws in [w_open] * k_dim + [np.full(quad.fourier_points, w_ang)] * l_dim:
+        weights = np.multiply.outer(weights, ws)
+    grid = np.stack(np.meshgrid(*axes_pts, indexing="ij"), -1).reshape(-1, k_dim + l_dim)
     F = np.column_stack([fm_eval(idx, grid[:, :k_dim], grid[:, k_dim:]) for idx in indices])
-    return weights, F
+    return weights.reshape(-1), F
 
 
 @dataclass(frozen=True)
@@ -186,16 +188,17 @@ def check_isometry(indices: Sequence[ModelIndex], quad: QuadratureSpec = Quadrat
     G = B @ F
     off = G - np.diag(np.diag(G))
     defect = (G - np.eye(len(G))) @ B
-    # Row strips keep every grid x grid temporary to 256 rows; W Pi = W F B
-    # is formed strip by strip and never whole.  W Pi - (W Pi)^H is
-    # anti-Hermitian, so its upper triangle holds every entry's modulus.
+    # Square tiles keep every grid x grid temporary in cache; each entry is one
+    # length-states product whatever the tile, so no bit depends on it.  W Pi - (W Pi)^H is
+    # anti-Hermitian, so the tiles on and above the diagonal hold every modulus.
     idem = selfadj = 0.0
-    for i in range(0, len(weights), 256):
-        rows = slice(i, i + 256)
-        idem = max(idem, float(np.max(np.abs(F[rows] @ defect))))
-        wp_rows = (F[rows] @ B[:, i:]) * weights[rows, None]
-        wp_cols = (F[i:] @ B[:, rows]) * weights[i:, None]
-        selfadj = max(selfadj, float(np.max(np.abs(wp_rows - wp_cols.conj().T))))
+    for i, j in product(range(0, len(weights), _TILE), repeat=2):
+        rows, cols = slice(i, i + _TILE), slice(j, j + _TILE)
+        idem = max(idem, float(np.max(np.abs(F[rows] @ defect[:, cols]))))
+        if j >= i:
+            wp = (F[rows] @ B[:, cols]) * weights[rows, None]
+            wp_t = (F[cols] @ B[:, rows]) * weights[cols, None]
+            selfadj = max(selfadj, float(np.max(np.abs(wp - wp_t.conj().T))))
     return IsometryReport(
         quad=quad,
         states=F.shape[1],

@@ -367,7 +367,11 @@ def main(argv=None) -> int:
         return 3
 
     run = {"experiment": args.experiment, "seed": seed, "outputs": list(outputs), "manifest": manifest}
-    _write(Path(args.out), {**outputs, "run.json": run})
+    try:
+        _write(Path(args.out), {**outputs, "run.json": run})
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

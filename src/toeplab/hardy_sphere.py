@@ -39,6 +39,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial, isqrt, lcm, prod
 from typing import Sequence
 
@@ -250,17 +251,18 @@ class ToeplitzBlock:
     one (positions, matrix) pair per torus-charge sector, where
     ``positions`` are ascending indices into ``basis`` and ``matrix`` is
     the block restricted to them.  Entries between different sectors are
-    zero; the sector sizes sum to ``dim``.  When every diagonal-touching term of
-    the symbol has an exactly-representable real coefficient,
-    ``exact_diagonal`` carries the diagonal (grlex order) as Fractions and
-    the float diagonal is its rounded image.
+    zero; the sector sizes sum to ``dim``.  The float diagonal rounds the exact
+    one, ``diagonal_numerators`` over ``diagonal_denominator`` in grlex order,
+    which ``exact_diagonal`` builds as Fractions on first read.
     """
 
     n: int
     k: int
     basis: tuple[MultiIndex, ...]
     sectors: tuple[tuple[tuple[int, ...], np.ndarray], ...]
-    exact_diagonal: tuple[Fraction, ...] | None = None
+    diagonal_numerators: tuple[int, ...]
+    diagonal_denominator: int
+    exact_diagonal = cached_property(lambda self: tuple(Fraction(num, self.diagonal_denominator) for num in self.diagonal_numerators))
 
     @property
     def dim(self) -> int:
@@ -387,8 +389,7 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
         (tuple(pos.tolist()), flat[o:o + s * s].reshape(s, s))
         for pos, o, s in zip(np.split(order, np.cumsum(sizes)[:-1]), offsets.tolist(), sizes.tolist())
     )
-    exact_diagonal = tuple(Fraction(num, den) for num in numerators)
-    return ToeplitzBlock(n=n, k=k, basis=basis, sectors=sectors, exact_diagonal=exact_diagonal)
+    return ToeplitzBlock(n=n, k=k, basis=basis, sectors=sectors, diagonal_numerators=numerators, diagonal_denominator=den)
 
 
 def _invariant_numerators(symbol: InvariantSymbol, points) -> tuple[tuple[int, ...], int]:

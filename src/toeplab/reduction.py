@@ -40,7 +40,7 @@ __all__ = [
     "c0_simplex_quad",
 ]
 
-_CHUNK = 16_384  # points c0_sphere_mc draws and evaluates per pass, few enough to stay in cache
+_CHUNK = 16_384  # points a Monte Carlo oracle handles per pass, few enough to stay in cache
 
 # Most samples a Monte Carlo oracle may take.  A sample costs about 0.12 us on the
 # sphere (n = 3) and 0.5 us on product_of_lines' polytope (2-vCPU Xeon, numpy 2.4),
@@ -91,6 +91,12 @@ def _check_batch(size: int, row_bytes: int, operation: str) -> None:
         raise ValidationError(f"a batch of {size} needs {size * row_bytes} bytes, over {MAX_SECTOR_BYTES}", operation=operation)
 
 
+def _pieces(size: int) -> list[tuple[int, int]]:
+    """(start, stop) of a batch's pieces of _CHUNK points, none of one point."""
+    cuts = [0, *range(_CHUNK, size - 1, _CHUNK), size]
+    return list(zip(cuts, cuts[1:]))
+
+
 def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, float]:
     """Mean and standard error of ``samples`` values arriving in batches.
 
@@ -127,8 +133,7 @@ def c0_sphere_mc(
 
     def batch(size: int) -> np.ndarray:
         vals = np.empty(size)
-        cuts = [0, *range(_CHUNK, size - 1, _CHUNK), size]
-        for lo, hi in zip(cuts, cuts[1:]):
+        for lo, hi in _pieces(size):
             vals[lo:hi] = f(_symbol_values(symbol, sample_sphere(n, hi - lo, rng)))
         return vals
 

@@ -45,7 +45,7 @@ from .multiindex import (
     full_torus,
     recession_pointed,
 )
-from .reduction import _check_batch, _check_samples, mean_stderr
+from .reduction import _check_batch, _check_samples, _pieces, mean_stderr
 from .spectral import TestFunction, richardson_limit, scaled_measure
 
 __all__ = [
@@ -296,7 +296,9 @@ def theorem2_leading(
             y = rng.random((batch_size, m))
             y *= span_f
             y += lo_f
-            pts = y @ chart.T
+            pts = np.empty((batch_size, sub.n))
+            for start, stop in _pieces(batch_size):  # single-threaded BLAS calls, in cache
+                np.matmul(y[start:stop], chart.T, out=pts[start:stop])
             pts += a0_f
             inside = pts[:, 0] >= 0.0  # by columns: np.all(axis=1) is 4x slower
             for col in pts.T[1:]:

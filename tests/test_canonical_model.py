@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from math import pi
 
@@ -118,6 +119,39 @@ def test_check_isometry_pure_torus_states():
 def test_check_isometry_grid_cap():
     with pytest.raises(ValidationError):
         check_isometry(FAMILY, QuadratureSpec(64, 65))
+
+
+# the model experiment's family in the sphere_dense benchmark workload
+EIGHT = [ModelIndex(m=(s * m,), k_dim=1) for m in range(1, 5) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("quad,frozen", [
+    (QuadratureSpec(64, 40),
+     "(5.411101533084234e-16, 9.325874711591118e-15, 1.5039013244869805e-16, 6.508786608027976e-19)"),
+    (QuadratureSpec(30, 10),
+     "(8.146832550981567e-16, 3.530352964409289e-07, 2.7363560362733927e-08, 1.3887591973071574e-17)"),
+], ids=["2560_points", "300_points"])
+def test_check_isometry_bits_frozen(quad, frozen):
+    # each defect is the largest of entries that are one length-8 product
+    # each, so the walk over the grid moves no bit; 300 points end in a
+    # partial tile
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 10 angles alias the |m| = 4 states
+        rep = check_isometry(EIGHT, quad)
+    defects = (rep.max_gram_offdiag, rep.max_gram_diag_error, rep.max_idempotency_defect, rep.max_selfadjoint_defect)
+    assert repr(defects) == frozen
+
+
+def test_check_isometry_memory_at_grid_cap():
+    # one grid x grid complex array at 4,096 points is 256 MiB; the check
+    # holds only tiles of it
+    tracemalloc.start()
+    try:
+        check_isometry(EIGHT, QuadratureSpec(64, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_quadrature_warnings():

@@ -160,6 +160,14 @@ def test_model_run(tmp_path):
     assert report["quad"] == {"hermite_points": 64, "fourier_points": 24}
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    (tmp_path / "out").write_text("a file, not a directory")
+    code, _ = run_cli(tmp_path, "model", {"states": [{"m": [1], "k_dim": 1}]})
+    assert code == 2
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert (tmp_path / "out").read_text() == "a file, not a directory"
+
+
 def test_distinguish_run(tmp_path):
     manifest = {
         "subtorus": {"example": "diagonal_circle_2"},

@@ -265,6 +265,15 @@ def test_theorem2_bits_frozen_codimension_3():
     assert repr(got) == "(0.6116171236590769, 0.007434574744366973)"
 
 
+def test_theorem2_bits_frozen_across_product_pieces():
+    # each 40,000-point batch maps its draws to the polytope in pieces of
+    # 16,384, 16,384 and 7,232 rows, which keep the bits of one product
+    sym = InvariantSymbol.from_poly([((1, 0, 0, 0), 1), ((0, 1, 1, 0), Fraction(1, 2)), ((0, 0, 0, 2), 3)], 4)
+    f = TestFunction.polynomial([0.25, -1.0, 2.0])
+    got = theorem2_leading(sym, f, diagonal_circle(4), samples=60_000, seed=5, batch_size=40_000, volume=1.0)
+    assert repr(got) == "(0.618227844715344, 0.004298816173512156)"
+
+
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_theorem2_rejects_empty_batches(batch_size):
     # a zero-size batch never moves the acceptance guard, so the loop would never end
