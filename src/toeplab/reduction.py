@@ -42,9 +42,10 @@ __all__ = [
 
 _CHUNK = 16_384  # points a Monte Carlo oracle handles per pass, few enough to stay in cache
 
-# Most samples a Monte Carlo oracle may take.  A sample costs about 0.12 us on the
-# sphere (n = 3) and 0.5 us on product_of_lines' polytope (2-vCPU Xeon, numpy 2.4),
-# so 10**8 samples run 12 to 50 s, more where the polytope sampler rejects more.
+# Most samples a Monte Carlo oracle may take.  A sample costs about 0.2 us on the
+# sphere (n = 3), 0.09 us on product_of_lines' polytope and 0.25 us on diagonal_circle(4)'s,
+# which keeps one draw in six (2-vCPU Xeon, numpy 2.4), so 10**8 samples run 9 to 25 s,
+# more where the polytope sampler rejects more.
 MAX_SAMPLES = 10**8
 
 

@@ -189,6 +189,17 @@ def test_distinguishability_same_operator_other_denominator():
         assert not rep.labeled_differ and not rep.multiset_differ
 
 
+def test_distinguishability_enumerates_each_fiber_once(monkeypatch):
+    # both oracles read the same subtorus level, so one enumeration serves the pair
+    levels = []
+    enumerate_fiber = toric.enumerate_fiber
+    monkeypatch.setattr(toric, "enumerate_fiber", lambda sub, k: (levels.append(k), enumerate_fiber(sub, k))[1])
+    toric._fiber.cache_clear()
+    rep = spectral_distinguishability(circle_oracle(A1), circle_oracle(A2), 5)
+    assert rep.first_multiset_difference is None  # so every level up to 5 was compared
+    assert levels == [1, 2, 3, 4, 5]
+
+
 def test_loglog_slope():
     xs = [1.0, 2.0, 4.0, 8.0]
     assert loglog_slope(xs, [3.0 / x**2 for x in xs]) == pytest.approx(-2.0, abs=1e-12)

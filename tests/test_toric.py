@@ -1,9 +1,12 @@
+import tracemalloc
 from fractions import Fraction
 from math import factorial, pi
 
+import numpy as np
 import pytest
 
 from toeplab import toric
+from toeplab._exact import integer_nullspace
 from toeplab.errors import (
     RegularityError,
     SamplerEfficiencyError,
@@ -13,7 +16,7 @@ from toeplab.errors import (
 )
 from toeplab.hardy_sphere import InvariantSymbol, monomial_norm
 from toeplab.multiindex import SubtorusData, diagonal_circle, enumerate_fiber, full_torus, recession_pointed
-from toeplab.reduction import sphere_sigma_volume
+from toeplab.reduction import _pieces, mean_stderr, sphere_sigma_volume
 from toeplab.spectral import TestFunction
 from toeplab.toric import (
     EXAMPLE_SUBTORI,
@@ -272,6 +275,75 @@ def test_theorem2_bits_frozen_across_product_pieces():
     f = TestFunction.polynomial([0.25, -1.0, 2.0])
     got = theorem2_leading(sym, f, diagonal_circle(4), samples=60_000, seed=5, batch_size=40_000, volume=1.0)
     assert repr(got) == "(0.618227844715344, 0.004298816173512156)"
+
+
+def test_theorem2_bits_frozen_product_of_lines():
+    # m = 2 and every draw lands in the product of segments: one whole
+    # 100,000-point batch, then one truncated to 50,000
+    sym = InvariantSymbol.from_poly([((1, 0, 0, 0), 1), ((0, 1, 1, 0), Fraction(1, 2)), ((0, 0, 0, 2), 3)], 4)
+    f = TestFunction.polynomial([0.25, -1.0, 2.0])
+    got = theorem2_leading(sym, f, EXAMPLE_SUBTORI["product_of_lines"], samples=150_000, seed=7, volume=1.0)
+    assert repr(got) == "(0.4003859592549406, 0.0009300590932317884)"
+
+
+def _whole_batch_sampler(symbol, f, sub, samples, seed, batch_size):
+    """The rejection sampler as it was before pieces: each batch drawn, scaled,
+    tested and indexed whole; returns the raw (mean, stderr)."""
+    verts = [r.vertex for r in regular_free_check(sub).vertices]
+    m = sub.n - sub.d
+    basis = integer_nullspace([list(row) for row in sub.weight_matrix])
+    ys = toric._vertex_y_coordinates(verts, basis, verts[0])
+    lo_f = np.array([float(min(y[j] for y in ys)) for j in range(m)])
+    span_f = np.array([float(max(y[j] for y in ys)) for j in range(m)]) - lo_f
+    chart = np.array([[float(basis[j][i]) for j in range(m)] for i in range(sub.n)])
+    a0_f = np.array([float(c) for c in verts[0]])
+    rng = np.random.default_rng(seed)
+
+    def batches():
+        accepted = 0
+        while accepted < samples:
+            y = rng.random((batch_size, m))
+            y *= span_f
+            y += lo_f
+            pts = np.empty((batch_size, sub.n))
+            for start, stop in _pieces(batch_size):
+                np.matmul(y[start:stop], chart.T, out=pts[start:stop])
+            pts += a0_f
+            keep = pts[np.all(pts >= 0.0, axis=1)][: samples - accepted]
+            if len(keep):
+                keep /= keep.sum(axis=1, keepdims=True)
+                yield f(symbol.eval_array(keep))
+                accepted += len(keep)
+
+    return mean_stderr(batches(), samples)
+
+
+@pytest.mark.parametrize("batch_size", [3_000, 16_383, 16_384, 16_385, 40_000])
+@pytest.mark.parametrize(
+    "sub",
+    [diagonal_circle(3), diagonal_circle(4), EXAMPLE_SUBTORI["product_of_lines"]],
+    ids=["diagonal_circle_3", "diagonal_circle_4", "product_of_lines"],
+)
+def test_theorem2_pieces_keep_the_bits_of_whole_batches(sub, batch_size):
+    # batches below, at and past one 16,384-row piece, and a last batch
+    # truncated mid-way: the per-piece draws are the whole batch's stream
+    gammas = [tuple(int(j in idx) for j in range(sub.n)) for idx in ((0,), (1, 2), (2,))]
+    sym = InvariantSymbol.from_poly(list(zip(gammas, [1, Fraction(1, 2), 3])), sub.n)
+    f = TestFunction.polynomial([0.25, -1.0, 2.0])
+    got = theorem2_leading(sym, f, sub, samples=12_345, seed=11, batch_size=batch_size, volume=1.0)
+    assert repr(got) == repr(_whole_batch_sampler(sym, f, sub, 12_345, 11, batch_size))
+
+
+def test_theorem2_peak_memory_is_a_few_pieces():
+    # diagonal_circle_4 keeps a sixth of its draws; a whole 100,000-point
+    # batch of draws and points alone would take 5.3 MiB
+    tracemalloc.start()
+    try:
+        theorem2_leading(InvariantSymbol.coordinate(0, 4), F_X, diagonal_circle(4), samples=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])
