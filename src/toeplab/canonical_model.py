@@ -20,10 +20,10 @@ of any integral.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
-from itertools import product
-from math import pi
+from math import isfinite, pi
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +46,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelIndex:
-    """One model state: frequency vector m != 0 and transverse dimension."""
+    """One model state: frequency vector m != 0 and transverse dimension.
+
+    Entries of m past the float range, and states whose normalization
+    overflows a float, are refused.
+    """
 
     m: tuple[int, ...]
     k_dim: int
@@ -58,6 +62,15 @@ class ModelIndex:
             raise ValidationError("m = 0 has no normalizable state", operation="canonical_model.ModelIndex")
         if self.k_dim < 0:
             raise ValidationError("k_dim must be nonnegative", operation="canonical_model.ModelIndex")
+        if not all(abs(c) <= sys.float_info.max for c in self.m):
+            raise ValidationError("m entries must lie in the float range", operation="canonical_model.ModelIndex")
+        try:
+            finite = isfinite(fm_normalization(self))
+        except OverflowError:  # a float power past the float range
+            finite = False
+        if not finite:
+            raise ValidationError("the state's normalization (|m|/pi)^(k_dim/4) overflows a float",
+                                  operation="canonical_model.ModelIndex")
 
     @property
     def l_dim(self) -> int:
@@ -156,6 +169,8 @@ class IsometryReport:
     max_gram_diag_error: float
     max_idempotency_defect: float
     max_selfadjoint_defect: float
+    idempotency_tiles: tuple[int, int]  # tiles computed, tiles in the walk
+    selfadjoint_tiles: tuple[int, int]
 
     @property
     def ok(self) -> bool:
@@ -170,8 +185,30 @@ class IsometryReport:
             "max_gram_diag_error": self.max_gram_diag_error,
             "max_idempotency_defect": self.max_idempotency_defect,
             "max_selfadjoint_defect": self.max_selfadjoint_defect,
+            "tiles_computed": {"idempotency": list(self.idempotency_tiles), "selfadjoint": list(self.selfadjoint_tiles)},
             "ok": self.ok,
         }
+
+
+def _bounded_max(bound: np.ndarray, tiles, tile_max) -> tuple[float, tuple[int, int]]:
+    """Largest tile_max(rows, cols) over the tiles (i, j), rows and cols the
+    i-th and j-th slices of _TILE, visited by descending bound[i, j], a
+    bound on every computed modulus in the tile.  The walk
+    ends at the first bound below the running maximum, since no later tile
+    can raise it; a NaN bound counts as infinite.  Returns the maximum and
+    (tiles computed, tiles).  Tiles whose moduli hold a NaN, which max
+    never returns over a number, leave it unchanged wherever they come.
+    """
+    b = bound[tiles]
+    b = np.where(np.isnan(b), np.inf, b)
+    best, computed = 0.0, 0
+    for t in np.argsort(-b, kind="stable"):
+        if b[t] < best:
+            break
+        i, j = tiles[0][t] * _TILE, tiles[1][t] * _TILE
+        best = max(best, tile_max(slice(i, i + _TILE), slice(j, j + _TILE)))
+        computed += 1
+    return best, (computed, len(b))
 
 
 def check_isometry(indices: Sequence[ModelIndex], quad: QuadratureSpec = QuadratureSpec()) -> IsometryReport:
@@ -180,25 +217,60 @@ def check_isometry(indices: Sequence[ModelIndex], quad: QuadratureSpec = Quadrat
     Builds Pi = F B on the grid, with B = F^H W and Gram matrix G = B F,
     and reports the largest entries of G - I, Pi^2 - Pi and
     W Pi - (W Pi)^H.  Pi^2 - Pi = F (G - I) B is formed from that
-    factorization, so no grid x grid x grid product is needed.  Dense
-    check; grids above MAX_GRID_POINTS points are refused before they are built.
+    factorization, so no grid x grid x grid product is needed.  Grids above
+    MAX_GRID_POINTS points are refused before they are built.  The grid x
+    grid maxima walk 128 x 128 tiles, each bounded first from per-tile
+    column maxima of the factors by the rounding bound of its products;
+    tiles are computed in descending bound order until a bound falls below
+    the running maximum, so both maxima have the bits of a walk over every
+    tile, and the report counts the tiles each one computed.
     """
     weights, F = _design_matrix(indices, quad)
     B = F.conj().T * weights[None, :]
     G = B @ F
     off = G - np.diag(np.diag(G))
     defect = (G - np.eye(len(G))) @ B
-    # Square tiles keep every grid x grid temporary in cache; each entry is one
-    # length-states product whatever the tile, so no bit depends on it.  W Pi - (W Pi)^H is
-    # anti-Hermitian, so the tiles on and above the diagonal hold every modulus.
-    idem = selfadj = 0.0
-    for i, j in product(range(0, len(weights), _TILE), repeat=2):
-        rows, cols = slice(i, i + _TILE), slice(j, j + _TILE)
-        idem = max(idem, float(np.max(np.abs(F[rows] @ defect[:, cols]))))
-        if j >= i:
-            wp = (F[rows] @ B[:, cols]) * weights[rows, None]
-            wp_t = (F[cols] @ B[:, rows]) * weights[cols, None]
-            selfadj = max(selfadj, float(np.max(np.abs(wp - wp_t.conj().T))))
+
+    # Tile bounds (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2nd ed., section 3.1).  A tile entry is a length-S complex dot product
+    # sum_s a_s b_s (S states).  Its real and imaginary parts are real dot
+    # products of 2S terms, each within gamma_2S sum_s |a_s||b_s| of exact in
+    # any order, fused or not (gamma_n = n u / (1 - n u), u = eps / 2;
+    # Cauchy-Schwarz folds |Re a Re b| + |Im a Im b| into |a||b|), so the
+    # entry is within sqrt(2) S eps sum_s |a_s||b_s| to first order.
+    # Idempotency: the entry is that product of F and D = (G - I) B; the
+    # modulus and the bound's own products and nonnegative sums lose another
+    # (S/2 + 4) eps, so a factor 1 + gamma with gamma >= (1.92 S + 4) eps bounds
+    # every computed modulus in tile (i, j) by sum_s max_i |F[p, s]| max_j |D[s, q]|.
+    # Self-adjointness: W Pi - (W Pi)^H is zero before rounding, as B is
+    # rounded once per entry and both sides read the same B, and each side is
+    # within (sqrt(2) S + 1) eps U_pq of it, U_pq = w_p sum_s |F[p, s]||B[s, q]|;
+    # per tile, U_ij takes the column maxima over each tile instead.  Both
+    # first-order constants are at most 2 (S + 2) eps, and gamma = 8 (S + 2) eps
+    # leaves a factor of 4 over them.  The gamma * tiny term covers an
+    # underflow, at most eps * tiny / 2, in each of the fewer than 16 (S + 2)
+    # operations behind an entry and its bound.
+    starts = np.arange(0, len(weights), _TILE)
+    gamma = 8 * (F.shape[1] + 2) * np.finfo(float).eps
+    tiny = np.finfo(float).tiny
+    abs_f = np.abs(F)
+    f_max = np.maximum.reduceat(abs_f, starts, axis=0)
+    wf_max = np.maximum.reduceat(abs_f * weights[:, None], starts, axis=0)
+    u_ij = wf_max @ np.maximum.reduceat(np.abs(B), starts, axis=1)
+    idem_bound = (1 + gamma) * (f_max @ np.maximum.reduceat(np.abs(defect), starts, axis=1)) + gamma * tiny
+    selfadj_bound = gamma * (u_ij + u_ij.T + tiny)
+
+    def idem_tile(rows, cols):
+        return float(np.max(np.abs(F[rows] @ defect[:, cols])))
+
+    def selfadj_tile(rows, cols):
+        wp = (F[rows] @ B[:, cols]) * weights[rows, None]
+        wp_t = (F[cols] @ B[:, rows]) * weights[cols, None]
+        return float(np.max(np.abs(wp - wp_t.conj().T)))
+
+    # W Pi - (W Pi)^H is anti-Hermitian, so the tiles on and above the diagonal hold every modulus.
+    idem, idem_tiles = _bounded_max(idem_bound, tuple(np.indices(idem_bound.shape).reshape(2, -1)), idem_tile)
+    selfadj, selfadj_tiles = _bounded_max(selfadj_bound, np.triu_indices(len(starts)), selfadj_tile)
     return IsometryReport(
         quad=quad,
         states=F.shape[1],
@@ -207,6 +279,8 @@ def check_isometry(indices: Sequence[ModelIndex], quad: QuadratureSpec = Quadrat
         max_gram_diag_error=float(np.max(np.abs(np.diag(G) - 1.0))),
         max_idempotency_defect=idem,
         max_selfadjoint_defect=selfadj,
+        idempotency_tiles=idem_tiles,
+        selfadjoint_tiles=selfadj_tiles,
     )
 
 

@@ -60,6 +60,14 @@ __all__ = [
 
 CONJUGATE_ULPS = 4
 
+# Largest degree |gamma| of a symbol term.  Exact eigenvalues multiply one
+# rising-factorial factor per unit of degree into growing integers, so the
+# time grows about as the square of the degree.  On CPython 3.11 and a
+# 2-vCPU Xeon VM the README theorem2 manifest, its gamma set to (d, 0, 0, 0),
+# takes 1.0 s at d = 1,000, 5.1 s at 2,000 and 14 s at 4,000; the other
+# README manifests stay under 0.05 s at 1,000.
+MAX_SYMBOL_DEGREE = 1000
+
 
 def monomial_norm(mu: Sequence[int], n: int) -> Fraction:
     """Exact squared norm of z^mu on the unit sphere of C^n.
@@ -88,6 +96,12 @@ def _is_conjugate(c, cc) -> bool:
     return gap <= CONJUGATE_ULPS * sys.float_info.epsilon * max(abs(c), abs(cc))
 
 
+def _check_degree(gammas, operation: str) -> None:
+    degree = max((sum(g) for g in gammas), default=0)
+    if degree > MAX_SYMBOL_DEGREE:
+        raise SymbolFormatError(f"symbol degree {degree} is over the limit of {MAX_SYMBOL_DEGREE}", operation=operation)
+
+
 def _as_multiindex(mi) -> MultiIndex:
     t = tuple(int(e) for e in mi)
     if any(e < 0 for e in t):
@@ -105,7 +119,8 @@ class SymbolPoly:
     are summed first, and float sums need only match their partner to
     CONJUGATE_ULPS units in the last place.  Coefficients may
     be int, float, Fraction or complex; they are kept as given so exact
-    inputs stay exact.
+    inputs stay exact.  A term of degree |gamma| above MAX_SYMBOL_DEGREE is
+    refused.
     """
 
     terms: tuple[tuple[MultiIndex, MultiIndex, complex], ...]
@@ -124,6 +139,7 @@ class SymbolPoly:
                     operation="hardy_sphere.SymbolPoly",
                 )
             merged[(gamma, delta)] = merged.get((gamma, delta), 0) + c
+        _check_degree((gamma for gamma, _ in merged), "hardy_sphere.SymbolPoly")
         for (gamma, delta), c in merged.items():
             cc = merged.get((delta, gamma))
             if cc is None or not _is_conjugate(c, cc):
@@ -200,11 +216,21 @@ class InvariantSymbol:
 
     ``poly`` holds its monomial form as exact (gamma, coefficient) pairs;
     the compressed block is diagonal with eigenvalue
-    sum_gamma c_gamma h(alpha+gamma)/h(alpha) on z^alpha.
+    sum_gamma c_gamma h(alpha+gamma)/h(alpha) on z^alpha.  Each ratio
+    h(alpha+gamma)/h(alpha) lies in (0, 1], so a symbol whose coefficients
+    sum in modulus to at most the largest float has float eigenvalues and
+    values; a larger one is refused, as is a term of degree |gamma| above
+    MAX_SYMBOL_DEGREE.
     """
 
     n: int
     poly: tuple[tuple[MultiIndex, Fraction], ...]
+
+    def __post_init__(self):
+        _check_degree((g for g, _ in self.poly), "hardy_sphere.InvariantSymbol")
+        if sum(abs(c) for _, c in self.poly) > sys.float_info.max:
+            raise SymbolFormatError("symbol coefficients sum in modulus past the float range",
+                                    operation="hardy_sphere.InvariantSymbol")
 
     @classmethod
     def from_poly(cls, terms, n: int) -> "InvariantSymbol":

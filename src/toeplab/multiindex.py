@@ -179,7 +179,8 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
     Bt = sub.weight_matrix
     target = [k * a for a in sub.alpha]
     bounds = [floor(k * max(v[i] for v in vertices)) for i in range(n)]
-    reach = max(abs(t) + sum(abs(w) * b for w, b in zip(row, bounds)) for row, t in zip(Bt, target))
+    # every weight enters the int64 search, also one whose coordinate is pinned at 0
+    reach = max(abs(t) + sum(abs(w) * (b + 1) for w, b in zip(row, bounds)) for row, t in zip(Bt, target))
     if max(reach, sum(bounds)) >= _INT64_SAFE:
         raise ValidationError(
             f"level {k} fiber exceeds the int64 range of the lattice search",

@@ -1,11 +1,13 @@
 import tracemalloc
 import warnings
+from itertools import product
 from math import pi
 
 import numpy as np
 import pytest
 
 from toeplab.canonical_model import (
+    _TILE,
     IsometryReport,
     ModelIndex,
     QuadratureSpec,
@@ -27,6 +29,15 @@ def test_model_index_validation():
         ModelIndex(m=(1,), k_dim=-1)
     with pytest.raises(ValidationError):
         ModelIndex(m=(1.0,), k_dim=1)
+
+
+def test_model_index_float_range():
+    with pytest.raises(ValidationError, match="float range"):
+        ModelIndex(m=(10**400,), k_dim=1)
+    # (|m|/pi)^(k_dim/4) passes the float range from k_dim = 5 on
+    assert ModelIndex(m=(10**308,), k_dim=4).frequency == 1e308
+    with pytest.raises(ValidationError, match="normalization"):
+        ModelIndex(m=(10**308,), k_dim=5)
 
 
 def test_frequency_is_euclidean():
@@ -140,6 +151,93 @@ def test_check_isometry_bits_frozen(quad, frozen):
         rep = check_isometry(EIGHT, quad)
     defects = (rep.max_gram_offdiag, rep.max_gram_diag_error, rep.max_idempotency_defect, rep.max_selfadjoint_defect)
     assert repr(defects) == frozen
+
+
+# the aliased family of test_check_isometry_flags_aliased_rule
+ALIASED = [ModelIndex(m=(s * m,), k_dim=1) for m in range(1, 6) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("family,quad,frozen", [
+    (EIGHT, QuadratureSpec(64, 64),
+     "(3.8942138595414504e-16, 9.325873623687858e-15, 9.792847342082915e-17, 2.175498386946725e-19)"),
+    (ALIASED, QuadratureSpec(24, 8),
+     "(0.9999924368333354, 9.881039170678285e-05, 0.304050747609908, 1.3944339072654627e-17)"),
+], ids=["4096_points", "aliased_rule"])
+def test_check_isometry_bits_frozen_at_cap_and_aliased(family, quad, frozen):
+    # recorded from the walk over every tile: the bounded walk must find
+    # the same maxima at the grid cap and where the defects are order one
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = check_isometry(family, quad)
+    defects = (rep.max_gram_offdiag, rep.max_gram_diag_error, rep.max_idempotency_defect, rep.max_selfadjoint_defect)
+    assert repr(defects) == frozen
+
+
+def full_tile_walk(family, quad):
+    """The idempotency and self-adjointness maxima over every tile, in row-major tile order."""
+    weights, F = _design_matrix(family, quad)
+    B = F.conj().T * weights[None, :]
+    defect = (B @ F - np.eye(F.shape[1])) @ B
+    idem = selfadj = 0.0
+    for i, j in product(range(0, len(weights), _TILE), repeat=2):
+        rows, cols = slice(i, i + _TILE), slice(j, j + _TILE)
+        idem = max(idem, float(np.max(np.abs(F[rows] @ defect[:, cols]))))
+        if j >= i:
+            wp = (F[rows] @ B[:, cols]) * weights[rows, None]
+            wp_t = (F[cols] @ B[:, rows]) * weights[cols, None]
+            selfadj = max(selfadj, float(np.max(np.abs(wp - wp_t.conj().T))))
+    return idem, selfadj
+
+
+def random_families(seed, count):
+    """Families of 1-12 states on grids of 2-64 points per axis with a partial last tile."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        k_dim, l_dim = int(rng.integers(0, 3)), int(rng.integers(1, 3))
+        quad = QuadratureSpec(int(rng.integers(2, 65)), int(rng.integers(2, 65)))
+        points = quad.hermite_points**k_dim * quad.fourier_points**l_dim
+        if points > 4096 or points % _TILE == 0:
+            continue
+        top = int(rng.choice([3, 8, 40]))
+        ms = [m for m in rng.integers(-top, top + 1, size=(int(rng.integers(1, 13)), l_dim)).tolist() if any(m)]
+        if ms:
+            found.append(([ModelIndex(m=tuple(m), k_dim=k_dim) for m in ms], quad))
+    return found
+
+
+PURE_TORUS = ([ModelIndex(m=(s, t), k_dim=0) for s, t in [(1, 0), (0, 1), (2, -1), (-3, 2)]], QuadratureSpec(2, 45))
+
+
+@pytest.mark.parametrize("family,quad", random_families(15, 12) + [PURE_TORUS])
+def test_bounded_walk_matches_full_walk(family, quad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = check_isometry(family, quad)
+        idem, selfadj = full_tile_walk(family, quad)
+    assert repr((rep.max_idempotency_defect, rep.max_selfadjoint_defect)) == repr((idem, selfadj))
+    tiles = -(-rep.grid_points // _TILE)
+    assert rep.idempotency_tiles[1] == tiles * tiles
+    assert rep.selfadjoint_tiles[1] == tiles * (tiles + 1) // 2
+
+
+def test_pure_torus_walk_computes_every_tile():
+    # every state has modulus (2 pi)^(-l/2) at every point, so every tile's
+    # bound is as large as the maxima and none can be skipped
+    rep = check_isometry(*PURE_TORUS)
+    assert rep.grid_points == 45 * 45
+    assert rep.idempotency_tiles == (256, 256)
+    assert rep.selfadjoint_tiles == (136, 136)
+
+
+def test_tiles_computed_reported():
+    # sphere_dense's model family: the Gaussian cores hold both maxima
+    rep = check_isometry(EIGHT, QuadratureSpec(64, 40))
+    computed = rep.to_json()["tiles_computed"]
+    assert computed == {"idempotency": list(rep.idempotency_tiles), "selfadjoint": list(rep.selfadjoint_tiles)}
+    assert computed["idempotency"][1] == 400 and computed["selfadjoint"][1] == 210
+    for done, total in computed.values():
+        assert 1 <= done <= total / 10
 
 
 def test_check_isometry_memory_at_grid_cap():

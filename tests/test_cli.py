@@ -10,6 +10,7 @@ import pytest
 
 import toeplab
 from toeplab.cli import main
+from toeplab.toric import EXAMPLE_SUBTORI
 
 A1_POLY = {"terms": [{"gamma": [1, 0], "delta": [1, 0], "re": 1.0, "im": 0.0}]}
 A1_INV = {"terms": [{"gamma": [1, 0], "coeff": 1}]}
@@ -276,14 +277,55 @@ def test_bad_threads_flag(tmp_path):
                   "k_list": [10, 20, 30, 40]}, "-1" + "0" * 400),
     # past Python's 4,300-digit limit on int parsing, in a field that is never a float
     ("theorem1", {"n": 2, "symbol": A1_POLY, "f": F_X, "k_list": [10, 20, 30, "@"]}, "7" * 5000),
+    # integers past the float range or int64 where the program reads them as such
+    ("model", {"states": [{"m": ["@"], "k_dim": 1}]}, "1" + "0" * 400),
+    ("theorem2", {"subtorus": {"n": 4, "d": 1, "Bt": [["@", 1, 1, 1]], "alpha": [1]}, "symbol": {
+        "terms": [{"gamma": [0, 1, 0, 0], "coeff": 1}]}, "f": F_X, "k_list": [4, 8, 12]}, str(2**70)),
+    ("inverse", {"n": 2, "symbol": {"terms": [{"gamma": [1, 0], "coeff": "@"}]}, "grid": [["1/2", "1/2"]],
+                 "k_max": 8}, "1" + "0" * 400),
 ], ids=["tol_nan", "tol_overflow", "coeff_nan", "coeff_minus_infinity", "grid_infinity",
-        "coeff_int_overflow", "tol_int_overflow", "re_int_overflow", "im_int_overflow", "int_5000_digits"])
+        "coeff_int_overflow", "tol_int_overflow", "re_int_overflow", "im_int_overflow", "int_5000_digits",
+        "state_m_int_overflow", "weight_past_int64", "invariant_coeff_int_overflow"])
 def test_non_finite_manifest_number_exits_2(tmp_path, experiment, manifest, literal):
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps(manifest).replace('"@"', literal))
     out = tmp_path / "out"
     assert main(["--experiment", experiment, "--manifest", str(mpath), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def _int_leaves(obj, path=()):
+    """Paths to the integer leaves of a JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        yield path
+    for key, value in items:
+        yield from _int_leaves(value, path + (key,))
+
+
+def test_integer_leaves_past_machine_range_exit_0_or_2(tmp_path):
+    """Each integer of each README manifest, set to 10**400 alone, runs or is
+    refused with status 2 within a second; no integer crashes or hangs a run."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    manifests = [json.loads(block.split("```", 1)[0]) for block in section.split("```json\n")[1:]]
+    theorem2 = next(m for m in manifests if m["experiment"] == "theorem2")
+    sub = EXAMPLE_SUBTORI[theorem2["subtorus"]["example"]]
+    manifests.append({**theorem2, "subtorus": {"n": sub.n, "d": sub.d, "alpha": list(sub.alpha),
+                                               "Bt": [list(row) for row in sub.weight_matrix]}})
+    for number, manifest in enumerate(manifests):
+        for path in _int_leaves(manifest):
+            changed = json.loads(json.dumps(manifest))
+            parent = changed
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = 10**400
+            run_dir = tmp_path / f"{number}_{'_'.join(map(str, path))}"
+            run_dir.mkdir()
+            start = time.perf_counter()
+            code, _ = run_cli(run_dir, manifest["experiment"], changed)
+            assert code in (0, 2), (manifest["experiment"], path)
+            assert time.perf_counter() - start < 1.0, (manifest["experiment"], path)
 
 
 def test_large_seed_stays_valid(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from toeplab.errors import SymbolFormatError, ValidationError
 from toeplab.hardy_sphere import (
+    MAX_SYMBOL_DEGREE,
     InvariantSymbol,
     SymbolPoly,
     assemble_block,
@@ -54,6 +55,25 @@ def test_symbol_requires_hermitian_closure():
 def test_symbol_requires_degree_balance():
     with pytest.raises(SymbolFormatError):
         SymbolPoly.from_terms([((2, 0), (0, 1), 1.0)], hermitize=True)
+
+
+def test_symbol_degree_limit():
+    top = MAX_SYMBOL_DEGREE
+    assert SymbolPoly.from_terms([((top, 0), (0, top), 1.0)], hermitize=True).n == 2
+    assert InvariantSymbol.from_poly([((top - 1, 1), 1)], 2).n == 2
+    for degree in (top + 1, 10**400):
+        with pytest.raises(SymbolFormatError, match="degree"):
+            SymbolPoly.from_terms([((degree, 0), (0, degree), 1.0)], hermitize=True)
+        with pytest.raises(SymbolFormatError, match="degree"):
+            InvariantSymbol.from_poly([((0, 0), 1), ((degree, 0), 1)], 2)
+
+
+def test_invariant_coefficients_stay_in_float_range():
+    # every eigenvalue and value is at most the coefficients' modulus sum
+    assert InvariantSymbol.from_poly([((1, 0), 2**1023), ((0, 1), -(2**1022))], 2).evaluate((1.0, 0.0)) == 2.0**1023
+    for terms in ([((1, 0), 10**400)], [((1, 0), 2**1023), ((0, 1), -(2**1023))]):
+        with pytest.raises(SymbolFormatError, match="float range"):
+            InvariantSymbol.from_poly(terms, 2)
 
 
 def test_symbol_conjugate_partner_tolerance():

@@ -180,6 +180,14 @@ def test_fiber_rejects_int64_overflow():
         enumerate_fiber(sub, 2**60)
 
 
+def test_fiber_counts_weights_of_coordinates_pinned_at_zero():
+    # x_0 = 0 in every point, yet its weight still enters the int64 search
+    assert enumerate_fiber(SubtorusData(n=4, d=1, weight_matrix=((2**61, 1, 1, 1),), alpha=(1,)), 1) == [
+        (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    with pytest.raises(ValidationError, match="int64"):
+        enumerate_fiber(SubtorusData(n=4, d=1, weight_matrix=((2**70, 1, 1, 1),), alpha=(1,)), 1)
+
+
 def test_fiber_refuses_oversized_search_before_allocating():
     # C(305, 5) ~ 2.1e10 points; the prefix count at coordinate 3 already
     # passes the limit, so the search stops before repeating those rows
