@@ -3,7 +3,8 @@
 Everything here operates on nested sequences of ints or Fractions and
 returns Fractions.  Matrices are small (a handful of rows), so one plain
 Gauss-Jordan elimination over Fractions serves the rank, the solves, the
-nullspace and the integer determinant.
+nullspace and the integer determinant.  One Newton table of divided
+differences serves every polynomial read off exact samples.
 """
 
 from __future__ import annotations
@@ -104,3 +105,15 @@ def integer_nullspace(rows) -> list[list[int]]:
         g = gcd(*w)
         result.append([x // g for x in w])
     return result
+
+
+def divided_differences(xs, ys) -> list:
+    """Newton coefficients c of the polynomial p through the points (xs[i], ys[i]):
+    p(x) = c[0] + c[1] (x - xs[0]) + ... + c[-1] (x - xs[0]) ... (x - xs[-2]).
+    c[j] is zero past the degree of p.  The arithmetic is that of the input,
+    so Fractions give Fractions; xs must be distinct."""
+    c = list(ys)
+    for j in range(1, len(c)):
+        for i in range(len(c) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    return c

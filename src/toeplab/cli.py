@@ -29,7 +29,7 @@ from .hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block
 from .inverse import loglog_slope, reconstruct, spectral_distinguishability
 from .multiindex import MAX_SECTOR_BYTES, SubtorusData, _is_int, diagonal_circle, fiber_polytope_vertices
 from .reduction import _check_samples
-from .spectral import TestFunction, fit_expansion, measure_eigen, measure_poly, scaled_measure
+from .spectral import MAX_TRACE_DEGREE, TestFunction, fit_expansion, measure_eigen, measure_poly, scaled_measure
 from .toric import EXAMPLE_SUBTORI, equivariant_spectrum, fiber_measure_series, regular_free_check, theorem2_leading
 
 # Bytes one ray level holds in an inverse run: level, weight, eigenvalues, spectrum
@@ -143,6 +143,8 @@ def _run_theorem1(fields: dict, seed: int) -> dict:
     method = fields["measure"]
     if method not in ("eigen", "poly"):
         raise _validation_error("field 'measure' must be 'eigen' or 'poly'")
+    if method == "poly" and f.degree > MAX_TRACE_DEGREE:
+        raise _validation_error(f"'f' of degree {f.degree} is past the trace-power cap {MAX_TRACE_DEGREE} of 'poly'")
     m = n - 1
     rows = []
     samples = []

@@ -53,8 +53,8 @@ def extrapolate_ray(ks: Sequence[int], values: Sequence, order: int) -> Extrapol
     ``order`` 0 takes the last value as-is.  Otherwise the reported error
     is the gap between the order and order-1 accelerated limits, and the
     result is flagged low confidence when that correction exceeds the
-    last raw increment of the series, the usual signature of the tableau
-    amplifying noise instead of cancelling terms.
+    last raw increment of the series, the usual signature of the
+    extrapolation amplifying noise instead of cancelling terms.
     """
     if order < 0:
         raise ValidationError("order must be nonnegative", operation="inverse.extrapolate_ray")
@@ -109,10 +109,6 @@ class RayResult:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    n: int
-    k_max: int
-    order: int
-    spacing: str
     rays: tuple[RayResult, ...]
 
     def max_error(self, truth: Callable) -> float:
@@ -146,9 +142,9 @@ def reconstruct(
     one oracle call and one ``eigenvalues_of`` batch over the weights k a
     of its rays, so no fiber is enumerated.  A grid point whose ray meets
     fewer than max(2, order + 1) usable levels is reported missing rather
-    than extrapolated.  Exact rational eigenvalues feed the exact
-    acceleration path, so "all" spacing with a high order reaches
-    roundoff-limited accuracy.
+    than extrapolated.  Exact rational eigenvalues are extrapolated
+    exactly, so "all" spacing with a high order reaches roundoff-limited
+    accuracy.
     """
     points = [_as_point(pt, n) for pt in grid]
     plans = [(point, ray_levels(lcm(*(c.denominator for c in point)), k_max, spacing)) for point in points]
@@ -170,7 +166,7 @@ def reconstruct(
         res = extrapolate_ray(ks, lams, order)
         rays.append(RayResult(point=point, ks=tuple(ks), values=tuple(float(v) for v in lams),
                               estimate=res.limit, error=res.error, low_confidence=res.low_confidence, missing=False))
-    return Reconstruction(n=n, k_max=k_max, order=order, spacing=spacing, rays=tuple(rays))
+    return Reconstruction(rays=tuple(rays))
 
 
 @dataclass(frozen=True)

@@ -150,15 +150,20 @@ def _vertices_cached(Bt: tuple[tuple[int, ...], ...], target: tuple[int, ...]) -
 
 
 def fiber_polytope_vertices(sub: SubtorusData, level: int = 1) -> list[tuple[Fraction, ...]]:
-    """Vertices of {x >= 0 : Bt x = level * alpha} as a new list; the exact solves are cached."""
+    """Vertices of {x >= 0 : Bt x = level * alpha} as a new list; the exact
+    solves are cached.  Raises UnboundedFiberError when the polytope is
+    unbounded: the one guard of every fiber search, count and check."""
+    if not recession_pointed(sub):
+        raise UnboundedFiberError("level polytope {x >= 0 : Bt x = alpha} is unbounded: its recession cone "
+                                  "holds a nonzero ray", operation="multiindex.fiber_polytope_vertices")
     return list(_vertices_cached(sub.weight_matrix, tuple(level * a for a in sub.alpha)))
 
 
 def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
     """Lattice points beta >= 0 with Bt beta = k * alpha, graded-lex order.
 
-    Raises UnboundedFiberError when the recession cone of the level
-    polytope is nontrivial, since the lattice set is then infinite, and
+    Raises UnboundedFiberError (from fiber_polytope_vertices) when the
+    level polytope is unbounded, since the lattice set is then infinite, and
     ValidationError when the level or the bounding box is too large for
     int64 arithmetic, or when the live prefixes at some coordinate, each
     charged the int64 rows and returned tuple of a finished point, would
@@ -166,12 +171,6 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
     """
     if k < 1:
         raise ValidationError("level multiplier k must be >= 1", operation="multiindex.enumerate_fiber")
-    if not recession_pointed(sub):
-        raise UnboundedFiberError(
-            f"weight fiber at level {k} is unbounded: the recession cone of "
-            f"{{x >= 0 : Bt x = k alpha}} contains a nonzero ray",
-            operation="multiindex.enumerate_fiber",
-        )
     vertices = fiber_polytope_vertices(sub)
     if not vertices:
         return []

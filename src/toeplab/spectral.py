@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._exact import divided_differences
 from .errors import (
     EigensolveError,
     IllConditionedFitError,
@@ -203,11 +204,12 @@ def fit_expansion(samples: Sequence[tuple[int, float]], order: int = 2) -> Asymp
 
 
 def richardson_limit(ks: Sequence[int], values: Sequence, order: int):
-    """Neville extrapolation of value(k) to k -> infinity in powers of 1/k.
+    """Extrapolation of value(k) to k -> infinity in powers of 1/k.
 
-    Uses the last order+1 entries.  When every value is exact (int or
-    Fraction) the whole tableau is computed in rational arithmetic and the
-    result is a Fraction; float input gives a float.
+    Uses the last order+1 entries: the polynomial in x = 1/k through them,
+    in Newton form over the exact nodes Fraction(1, k), evaluated at x = 0.
+    The values enter as given, so exact input (int or Fraction) gives a
+    Fraction and float input a float.
     """
     if order < 0:
         raise ValidationError("order must be non-negative", operation="spectral.richardson_limit")
@@ -215,20 +217,11 @@ def richardson_limit(ks: Sequence[int], values: Sequence, order: int):
         raise ValidationError("ks and values must have equal length", operation="spectral.richardson_limit")
     if len(ks) < order + 1:
         raise ValidationError(f"need at least {order + 1} entries for order {order}", operation="spectral.richardson_limit")
-    ks = list(ks)[len(ks) - order - 1:]
-    vals = list(values)[len(values) - order - 1:]
-    if len(set(ks)) != len(ks):
+    xs = [Fraction(1, int(k)) for k in list(ks)[-order - 1:]]
+    if len(set(xs)) != len(xs):
         raise ValidationError("k values must be distinct", operation="spectral.richardson_limit")
-    exact = all(isinstance(v, (int, Fraction)) for v in vals)
-    if exact:
-        xs = [Fraction(1, int(k)) for k in ks]
-        t = [Fraction(v) for v in vals]
-    else:
-        xs = [1.0 / float(k) for k in ks]
-        t = [float(v) for v in vals]
-    npts = len(t)
-    for m in range(1, npts):
-        for i in range(npts - 1, m - 1, -1):
-            t[i] = (xs[i - m] * t[i] - xs[i] * t[i - 1]) / (xs[i - m] - xs[i])
-    return t[-1]
-
+    coeffs = divided_differences(xs, list(values)[-order - 1:])
+    limit = 0
+    for c, x in zip(reversed(coeffs), reversed(xs)):
+        limit = c - x * limit  # Horner at x = 0
+    return limit

@@ -21,18 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm, pi
+from math import lcm, pi
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from ._exact import det_int, integer_nullspace, solve_rectangular
+from ._exact import det_int, divided_differences, integer_nullspace, solve_rectangular
 from .errors import (
     RegularityError,
     SamplerEfficiencyError,
     ToeplabError,
-    UnboundedFiberError,
     ValidationError,
 )
 from .hardy_sphere import InvariantSymbol, _invariant_numerators
@@ -46,7 +45,7 @@ from .multiindex import (
     recession_pointed,
 )
 from .reduction import _check_batch, _check_samples, _pieces, mean_stderr
-from .spectral import TestFunction, richardson_limit, scaled_measure
+from .spectral import TestFunction, scaled_measure
 
 __all__ = [
     "EquivariantSpectrum",
@@ -144,28 +143,25 @@ def fiber_volume(sub: SubtorusData) -> float:
 
     q is the lcm of the vertex denominators of the level polytope P, so qP
     is a lattice polytope and #fiber(q t) is its Ehrhart polynomial in t,
-    of degree at most m (Beck & Robins, ch. 3).  The counts at t = 1..m+1
-    fix it, and exact Richardson extrapolation of count / k^m gives its
-    leading coefficient over q^m as a Fraction; the volume is (2 pi)^m
-    times that.  Off qN a fiber may be smaller or empty (Bt = (2, 2) has
-    none at odd k), so the limit is only taken along qN.  One more count at
-    t = m + 2 certifies the polynomial: the (m+1)-th finite difference of
-    the m + 2 counts must vanish, else no volume is returned.  The sphere
-    is the diagonal_circle(n) case, (2 pi)^(n-1) / (n-1)!.
+    of degree at most m (Beck & Robins, ch. 3).  One Newton table of the
+    counts at k = q, 2q, ..., (m+2)q, in Fractions, reads that polynomial
+    in k: its coefficient c[m+1] must vanish, which certifies the degree,
+    else no volume is returned, and c[m] is the leading coefficient; the
+    volume is (2 pi)^m times it.  Off qN a fiber may be smaller or empty
+    (Bt = (2, 2) has none at odd k), so the limit is only taken along qN.
+    The sphere is the diagonal_circle(n) case, (2 pi)^(n-1) / (n-1)!.
     """
-    if not recession_pointed(sub):
-        raise UnboundedFiberError("level polytope is unbounded", operation="toric.fiber_volume")
     m = sub.n - sub.d
     q = lcm(*(c.denominator for v in fiber_polytope_vertices(sub) for c in v))
     ks = [q * t for t in range(1, m + 3)]
     counts = [len(enumerate_fiber(sub, k)) for k in ks]
-    if sum((-1) ** t * comb(m + 1, t) * c for t, c in enumerate(counts)):
+    coeffs = divided_differences(ks, [Fraction(c) for c in counts])
+    if coeffs[m + 1]:
         raise ToeplabError(
             f"fiber counts {counts} at k = {ks} are not a polynomial of degree {m} in k",
             operation="toric.fiber_volume",
         )
-    lead = richardson_limit(ks[:-1], [Fraction(c, k**m) for k, c in zip(ks, counts[:-1])], order=m)
-    return (2.0 * pi) ** m * lead.numerator / lead.denominator
+    return (2.0 * pi) ** m * coeffs[m].numerator / coeffs[m].denominator
 
 
 @dataclass(frozen=True)
@@ -205,8 +201,6 @@ def regular_free_check(sub: SubtorusData) -> RegularFreeReport:
     corresponding d x d minor of Bt has determinant +-1; a smaller
     support means the vertex is degenerate and the check fails there.
     """
-    if not recession_pointed(sub):
-        raise UnboundedFiberError("level polytope is unbounded", operation="toric.regular_free_check")
     verts = fiber_polytope_vertices(sub)
     if not verts:
         raise ValidationError("level polytope is empty", operation="toric.regular_free_check")

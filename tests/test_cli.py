@@ -370,6 +370,20 @@ def test_distinguish_work_refused_before_the_first_level(tmp_path, capsys):
     assert "-point limit" in capsys.readouterr().err
 
 
+def test_theorem1_poly_degree_past_cap_refused_before_work(tmp_path, monkeypatch, capsys):
+    # the trace-power path caps f's degree; the manifest check refuses it before any block
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block was assembled")
+
+    monkeypatch.setattr(toeplab.cli, "assemble_block", no_block)
+    f = {"coeffs": [0] * (toeplab.spectral.MAX_TRACE_DEGREE + 1) + [1]}
+    manifest = {"n": 2, "symbol": A1_POLY, "f": f, "k_list": [10, 20, 30, 40], "measure": "poly"}
+    code, out = run_cli(tmp_path, "theorem1", manifest)
+    assert code == 2
+    assert not out.exists()
+    assert "trace-power cap 16" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("source", ["flag", "manifest"])
 def test_negative_seed_exits_2_before_writing(tmp_path, source):
     manifest = {

@@ -5,6 +5,8 @@ the standard library or numpy, the one runtime dependency, and all
 randomness comes from seeded generators, so reruns stay byte-identical.
 Every function the benchmark's tracer (bench/tracer.py) wraps by name
 still exists, so a deletion that would crash a traced pass fails here.
+Every public function and class is read somewhere in src/ or bench/:
+code that only tests call is deleted, bar a named allow-list.
 """
 
 import ast
@@ -218,3 +220,44 @@ def test_traced_methods_exist():
     assert callable(EquivariantSpectrum.eigenvalue_of)
     assert callable(InvariantSymbol.eval_array)
     assert "batch_size" in inspect.signature(toeplab.toric.theorem2_leading).parameters
+
+
+# Public names only tests read, kept on purpose: the oracles of acceptance
+# criteria 03, 09 and 10, and the order test_multiindex checks fibers against.
+TEST_ONLY_NAMES = {"c0_simplex_quad", "annihilation_residual", "grlex_key"}
+
+
+def unreferenced_public_names(defining: list[str], using: list[str]) -> list[str]:
+    """Public top-level functions and classes of the ``defining`` sources that
+    no top-level statement of ``defining`` or ``using`` reads, as a name or an
+    attribute, apart from the statement that defines them."""
+    defs = set()
+    reads = []
+    for i, source in enumerate(defining + using):
+        for stmt in ast.parse(source).body:
+            name = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if i < len(defining) and name and not name.startswith("_"):
+                defs.add(name)
+            got = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            got |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            reads.append(got - {name})
+    return sorted(d for d in defs if not any(d in got for got in reads))
+
+
+def test_public_names_are_read_outside_tests():
+    # __init__.py only re-exports, which is no use
+    bench = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+    found = unreferenced_public_names([p.read_text() for p in SOURCES], [p.read_text() for p in bench])
+    assert found == sorted(TEST_ONLY_NAMES)
+
+
+def test_unreferenced_public_name_detection():
+    defining = (
+        "def used(): return helper()\n"
+        "def helper(): return 1\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Orphan: pass\n"
+        "def _private(): pass\n"
+    )
+    using = "import lib\nlib.used()\n"
+    assert unreferenced_public_names([defining], [using]) == ["Orphan", "recursive"]

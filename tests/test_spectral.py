@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,29 @@ def test_richardson_exact_on_polynomial_data():
     assert richardson_limit(RICH_KS, vals, 2) == Fraction(1, 4)
     # float input gives a float answer
     assert richardson_limit(RICH_KS, [float(v) for v in vals], 2) == pytest.approx(0.25, abs=1e-13)
+
+
+def neville_limit(ks, values, order):
+    """The Neville tableau richardson_limit ran before its Newton table, exact path."""
+    xs = [Fraction(1, k) for k in ks[-order - 1:]]
+    t = [Fraction(v) for v in values[-order - 1:]]
+    for m in range(1, len(t)):
+        for i in range(len(t) - 1, m - 1, -1):
+            t[i] = (xs[i - m] * t[i] - xs[i] * t[i - 1]) / (xs[i - m] - xs[i])
+    return t[-1]
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_richardson_matches_neville_tableau(order):
+    rng = random.Random(order)
+    for _ in range(40):
+        ks = rng.sample(range(1, 200), rng.randint(order + 1, order + 3))
+        vals = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in ks]
+        if rng.random() < 0.25:
+            vals = [int(v) for v in vals]
+        r = richardson_limit(ks, vals, order)
+        assert isinstance(r, Fraction)
+        assert r == neville_limit(ks, vals, order)
 
 
 def test_richardson_validation():

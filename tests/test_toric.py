@@ -178,6 +178,27 @@ def test_fiber_volume_rational_vertices(weights, target):
     assert fiber_volume(sub) == pytest.approx(target, rel=1e-14, abs=0)
 
 
+# frozen bits: every exact volume is one Fraction, however the counts are read
+FIBER_VOLUME_REPRS = {
+    "diagonal_circle_2": "6.283185307179586",
+    "diagonal_circle_3": "19.739208802178716",
+    "product_of_lines": "39.47841760435743",
+    "weighted_line": "6.283185307179586",
+    "full_torus_12": "1.0",
+    2: "6.283185307179586",
+    3: "19.739208802178716",
+    4: "41.341702240399755",
+    5: "64.93939402266828",
+    6: "81.60524927607504",
+}
+
+
+@pytest.mark.parametrize("key", FIBER_VOLUME_REPRS)
+def test_fiber_volume_bits_frozen(key):
+    sub = EXAMPLE_SUBTORI[key] if isinstance(key, str) else diagonal_circle(key)
+    assert repr(fiber_volume(sub)) == FIBER_VOLUME_REPRS[key]
+
+
 def test_fiber_volume_point_fiber_is_one():
     assert fiber_volume(EXAMPLE_SUBTORI["full_torus_12"]) == 1.0
 
