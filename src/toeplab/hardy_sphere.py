@@ -442,7 +442,7 @@ def _invariant_numerators(symbol: InvariantSymbol, points) -> tuple[tuple[int, .
     L = lcm(*(c.denominator for _, c in symbol.poly))
     coeffs = [c.numerator * (L // c.denominator) for _, c in symbol.poly]
     base = pts.sum(axis=1) + (n - 1)
-    degrees, where = np.unique(base, return_inverse=True)
+    degrees = sorted(set(base.tolist()))  # np.unique sorts Python ints over 10x slower
     dens = [prod(b + s for s in range(1, G + 1)) for b in degrees]
     M = lcm(*dens)
     total = np.zeros(len(pts), dtype=object)
@@ -452,7 +452,8 @@ def _invariant_numerators(symbol: InvariantSymbol, points) -> tuple[tuple[int, .
             term *= base + s
         total += term
     if len(dens) > 1:
-        total *= np.array([M // den for den in dens], dtype=object)[where]
+        scale = {b: M // den for b, den in zip(degrees, dens)}
+        total *= np.array([scale[b] for b in base.tolist()], dtype=object)
     return tuple(total.tolist()), L * M
 
 

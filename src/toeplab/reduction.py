@@ -102,12 +102,24 @@ def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, flo
     """Mean and standard error of ``samples`` values arriving in batches.
 
     Each batch adds its own float sum and sum of squares, so results
-    depend on the batching only through summation grouping.
+    depend on the batching only through summation grouping.  It consumes
+    its batches: each is squared in place and released before the next is
+    pulled, so a caller passes arrays nothing else reads.  A value count
+    other than ``samples``, or below 2, is refused.
     """
     total = total_sq = 0.0
+    count = 0
     for vals in batches:
+        count += vals.size
         total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
+        vals *= vals
+        total_sq += float(np.sum(vals))
+        del vals  # before the generator builds the next batch
+    if count != samples or count < 2:
+        raise ValidationError(
+            f"{count} values arrived for samples={samples!r}; need equal counts of at least 2",
+            operation="reduction.mean_stderr",
+        )
     mean = total / samples
     var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
     return mean, (var / samples) ** 0.5

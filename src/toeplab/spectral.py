@@ -28,6 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .hardy_sphere import ToeplitzBlock
+from .multiindex import _is_int
 
 __all__ = [
     "TestFunction",
@@ -217,7 +218,9 @@ def richardson_limit(ks: Sequence[int], values: Sequence, order: int):
         raise ValidationError("ks and values must have equal length", operation="spectral.richardson_limit")
     if len(ks) < order + 1:
         raise ValidationError(f"need at least {order + 1} entries for order {order}", operation="spectral.richardson_limit")
-    xs = [Fraction(1, int(k)) for k in list(ks)[-order - 1:]]
+    if not all(_is_int(k) and k > 0 for k in ks):
+        raise ValidationError(f"levels k must be positive integers, got {list(ks)!r}", operation="spectral.richardson_limit")
+    xs = [Fraction(1, k) for k in list(ks)[-order - 1:]]
     if len(set(xs)) != len(xs):
         raise ValidationError("k values must be distinct", operation="spectral.richardson_limit")
     coeffs = divided_differences(xs, list(values)[-order - 1:])

@@ -259,9 +259,11 @@ def theorem2_leading(
     bit-stable.  A batch is drawn, mapped and tested in _CHUNK-row pieces,
     of which only the kept rows outlive the piece; the per-piece draws are
     the batch's stream, scaled in place by columns to the bits of
-    rng.uniform(lo, hi).  Requires the regular-free check to pass.  d = n
-    has a zero-dimensional fiber and returns the exact point evaluation
-    with stderr 0.
+    rng.uniform(lo, hi).  Each array is released once read, so a batch's
+    peak is its kept rows plus their one join, and only its values reach
+    mean_stderr, which consumes them.  Requires the regular-free check to
+    pass.  d = n has a zero-dimensional fiber and returns the exact point
+    evaluation with stderr 0.
     """
     if not isinstance(symbol, InvariantSymbol):
         raise ValidationError("the limit oracle needs an invariant symbol", operation="toric.theorem2_leading")
@@ -307,14 +309,20 @@ def theorem2_leading(
                     col += shift
                     inside &= col >= 0.0
                 kept.append(np.compress(inside, pts, axis=0))  # 6x faster than pts[inside]
+            del y, pts, inside, col  # the last piece's arrays; col is a view of pts
             keep = np.concatenate(kept)[: samples - accepted]
+            del kept
             drawn += batch_size
             if len(keep):
                 norm = keep.sum(axis=1)  # numpy's pairwise sum; a column loop differs in the last bit at n >= 8
                 for col in keep.T:
                     col /= norm
-                yield f(symbol.eval_array(keep))
+                del norm, col
+                vals = f(symbol.eval_array(keep))
                 accepted += len(keep)
+                del keep
+                yield vals
+                del vals
             if drawn >= 50_000 and accepted / drawn < 1e-4:
                 raise SamplerEfficiencyError(
                     f"acceptance rate {accepted / drawn:.2e} below 1e-4",

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import pi
 
@@ -11,6 +12,7 @@ from toeplab.reduction import (
     _staircase_cells,
     c0_simplex_quad,
     c0_sphere_mc,
+    mean_stderr,
     sample_sphere,
     sphere_sigma_volume,
 )
@@ -131,6 +133,58 @@ def test_mc_input_validation():
         c0_sphere_mc(A1_2, F_X, 2, samples=5000)
     with pytest.raises(ValidationError):
         c0_sphere_mc("a1", F_X, 2, samples=10_000)
+
+
+def test_mc_peak_memory_is_one_batch_of_values():
+    # a 250,000-point batch of values is 1.9 MiB: one may be held, not a
+    # second beside it or its square while the next batch is built
+    run = lambda: c0_sphere_mc(A1_3, F_X, 3, samples=1_000_000)
+    run()  # warm: first-call allocations are not the oracle's
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
+
+
+def mean_stderr_before_in_place(batches, samples):
+    """mean_stderr as it was before it squared its batches in place."""
+    total = total_sq = 0.0
+    for vals in batches:
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals * vals))
+    mean = total / samples
+    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    return mean, (var / samples) ** 0.5
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mean_stderr_in_place_keeps_the_bits(seed):
+    # squaring in place keeps the bits of summing vals * vals, on batches of 2 to 300,000 values
+    rng = np.random.default_rng(seed)
+    sizes = [2, 300_000] if seed == 0 else rng.integers(2, 300_001, size=rng.integers(1, 4)).tolist()
+    batches = [rng.standard_normal(s) * 10.0 ** rng.integers(-3, 4) + rng.random() for s in sizes]
+    want = mean_stderr_before_in_place([b.copy() for b in batches], sum(sizes))
+    assert repr(mean_stderr(iter(batches), sum(sizes))) == repr(want)
+
+
+def test_mean_stderr_counts_its_values():
+    # five ones counted as ten samples would give mean 0.5
+    with pytest.raises(ValidationError, match="5 values"):
+        mean_stderr([np.ones(5)], 10)
+    with pytest.raises(ValidationError, match="15 values"):
+        mean_stderr([np.ones(5), np.ones(10)], 10)
+    assert mean_stderr([np.ones(5), np.ones(5)], 10) == (1.0, 0.0)
+
+
+def test_mean_stderr_needs_two_values():
+    # the variance divides by samples - 1
+    with pytest.raises(ValidationError):
+        mean_stderr([np.ones(1)], 1)
+    with pytest.raises(ValidationError):
+        mean_stderr([], 0)
 
 
 def test_staircase_cells_structure():

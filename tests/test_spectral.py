@@ -150,6 +150,13 @@ def test_richardson_validation():
         richardson_limit([4, 8], [1.0], 0)
 
 
+@pytest.mark.parametrize("ks", [[0, 4], [4, 0], [-4, 8], [4.5, 8], [4, 8.0], [True, 8], [Fraction(4), 8]])
+def test_richardson_refuses_levels_that_are_not_positive_integers(ks):
+    # the nodes are 1/k, and a level such as 4.5 must not be read as 4
+    with pytest.raises(ValidationError, match="positive integers"):
+        richardson_limit(ks, [Fraction(1), Fraction(2)], 1)
+
+
 def test_write_measure_csv(tmp_path):
     from toeplab.cli import _write
 

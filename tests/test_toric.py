@@ -367,6 +367,21 @@ def test_theorem2_peak_memory_is_a_few_pieces():
     assert peak < 4 * 2**20
 
 
+def test_theorem2_peak_memory_keeps_one_join_of_kept_rows():
+    # product_of_lines keeps every draw, so each dead copy of a 100,000-row
+    # batch of points, values or squares would add 0.8 to 3.1 MiB
+    sub = EXAMPLE_SUBTORI["product_of_lines"]
+    run = lambda: theorem2_leading(InvariantSymbol.coordinate(0, sub.n), F_X, sub, samples=200_000)
+    run()  # warm: the fiber volume and first-call allocations are not the sampler's
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
+
+
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_theorem2_rejects_empty_batches(batch_size):
     # a zero-size batch never moves the acceptance guard, so the loop would never end
