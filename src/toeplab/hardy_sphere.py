@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, isqrt, lcm, prod
+from math import comb, factorial, isqrt, lcm, perm
 from typing import Sequence
 
 import numpy as np
@@ -326,8 +326,8 @@ def _grlex_rank(rows: np.ndarray, k: int) -> np.ndarray:
     return table[np.arange(n - 1), suffix].sum(axis=1)
 
 
-def _rising(rows: np.ndarray, exponents: Sequence[int], scale: int = 1) -> np.ndarray:
-    """scale * prod_i (r_i+1)(r_i+2)...(r_i+e_i) for every row r.
+def _rising(rows: np.ndarray, exponents: Sequence[int], scale: int | np.ndarray = 1) -> np.ndarray:
+    """scale * prod_i (r_i+1)(r_i+2)...(r_i+e_i) for every row r, scale one integer or one per row.
 
     The product is an object array, so int64 rows are cast to Python ints
     before they multiply and no size of product can overflow.
@@ -397,7 +397,7 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
         beta = rows + np.subtract(gamma, delta)
         cols = np.flatnonzero((beta >= 0).all(axis=1))
         beta = beta[cols]
-        den = prod(n - 1 + k + s for s in range(1, sum(gamma) + 1))
+        den = perm(n - 1 + k + sum(gamma), sum(gamma))
         products = (_rising(rows[cols], gamma) * _rising(beta, delta)).tolist()  # the P of each entry
         roots = [isqrt(p) for p in products]
         den2 = den * den
@@ -422,15 +422,16 @@ def _invariant_numerators(symbol: InvariantSymbol, points) -> tuple[tuple[int, .
     """Exact eigenvalues of a polynomial invariant symbol on many monomials.
 
     Returns integer numerators N_alpha and one positive common denominator
-    D with lambda_alpha = N_alpha / D.  With G = max |gamma|, L the lcm of
-    the coefficient denominators and D(b) = prod_{s=1..G} (n-1+b+s),
+    D = L M with lambda_alpha = N_alpha / D, where L is the lcm of the
+    coefficient denominators.  With b = n-1+|alpha| and the rising product
+    R(b, g) = (b+1)...(b+g), h(alpha+gamma)/h(alpha) is
+    prod_i (alpha_i+1)...(alpha_i+gamma_i) / R(b, |gamma|), so with M the
+    lcm of R(b, max |gamma|) over the degrees present each term is scaled once:
 
-        N_alpha = sum_gamma (c_gamma L) prod_i (alpha_i+1)...(alpha_i+gamma_i)
-                  * prod_{s=|gamma|+1..G} (n-1+b+s) * M / D(b),
+        N_alpha = sum_gamma c_gamma L M / R(b, |gamma|) * prod_i (alpha_i+1)...(alpha_i+gamma_i).
 
-    where b = |alpha| and M is the lcm of D(b) over the degrees present,
-    so D = L M.  The sums run on object arrays of Python integers, so no
-    size of alpha, coefficient or degree can overflow.
+    The sums run on object arrays of Python integers, so no size of alpha,
+    coefficient or degree can overflow.
     """
     n = symbol.n
     pts = np.array(points, dtype=object)
@@ -440,20 +441,16 @@ def _invariant_numerators(symbol: InvariantSymbol, points) -> tuple[tuple[int, .
         raise ValidationError("alpha length must equal n", operation="hardy_sphere.invariant_eigenvalue")
     G = max((sum(g) for g, _ in symbol.poly), default=0)
     L = lcm(*(c.denominator for _, c in symbol.poly))
-    coeffs = [c.numerator * (L // c.denominator) for _, c in symbol.poly]
-    base = pts.sum(axis=1) + (n - 1)
-    degrees = sorted(set(base.tolist()))  # np.unique sorts Python ints over 10x slower
-    dens = [prod(b + s for s in range(1, G + 1)) for b in degrees]
-    M = lcm(*dens)
+    base = (pts.sum(axis=1) + (n - 1)).tolist()
+    degrees = set(base)
+    M = lcm(*(perm(b + G, G) for b in degrees))
     total = np.zeros(len(pts), dtype=object)
-    for (gamma, _), c in zip(symbol.poly, coeffs):
-        term = _rising(pts, gamma, c)
-        for s in range(sum(gamma) + 1, G + 1):
-            term *= base + s
-        total += term
-    if len(dens) > 1:
-        scale = {b: M // den for b, den in zip(degrees, dens)}
-        total *= np.array([scale[b] for b in base.tolist()], dtype=object)
+    for gamma, c in symbol.poly:
+        g = sum(gamma)
+        scale = {b: c.numerator * (L // c.denominator) * (M // perm(b + g, g)) for b in degrees}
+        # one integer for one degree; mixed degrees (weighted_line's fibers) scale row by row
+        row_scale = scale.popitem()[1] if len(scale) == 1 else np.array([scale[b] for b in base], dtype=object)
+        total += _rising(pts, gamma, row_scale)
     return tuple(total.tolist()), L * M
 
 

@@ -100,7 +100,6 @@ def ray_levels(denominator: int, k_max: int, spacing: str = "geometric") -> list
 class RayResult:
     point: tuple[Fraction, ...]
     ks: tuple[int, ...]
-    values: tuple[float, ...]
     estimate: float | None
     error: float | None
     low_confidence: bool
@@ -159,13 +158,12 @@ def reconstruct(
     rays = []
     for point, ks in plans:
         if len(ks) < needed:
-            rays.append(RayResult(point=point, ks=tuple(ks), values=(float('nan'),) * len(ks),
-                                  estimate=None, error=None, low_confidence=False, missing=True))
+            rays.append(RayResult(point=point, ks=tuple(ks), estimate=None, error=None, low_confidence=False, missing=True))
             continue
         lams = [reads[k][tuple(int(c * k) for c in point)] for k in ks]
         res = extrapolate_ray(ks, lams, order)
-        rays.append(RayResult(point=point, ks=tuple(ks), values=tuple(float(v) for v in lams),
-                              estimate=res.limit, error=res.error, low_confidence=res.low_confidence, missing=False))
+        rays.append(RayResult(point=point, ks=tuple(ks), estimate=res.limit, error=res.error,
+                              low_confidence=res.low_confidence, missing=False))
     return Reconstruction(rays=tuple(rays))
 
 
@@ -227,10 +225,9 @@ def spectral_distinguishability(
     for k in range(1, k_max + 1):
         sa = oracle_a(k)
         sb = oracle_b(k)
-        if first_labeled is None:
-            same_fiber = [b for b, _ in sa.entries] == [b for b, _ in sb.entries]
-            if not same_fiber or _differ(sa.numerators, sa.denominator, sb.numerators, sb.denominator, tol):
-                first_labeled = k
+        if first_labeled is None and (sa.fiber != sb.fiber or _differ(
+                sa.numerators, sa.denominator, sb.numerators, sb.denominator, tol)):
+            first_labeled = k
         # one positive denominator per spectrum: numerators sort like eigenvalues
         if first_multiset is None and _differ(
             sorted(sa.numerators), sa.denominator, sorted(sb.numerators), sb.denominator, tol

@@ -192,11 +192,9 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
     suffix_hi = [[0] * (n + 1) for _ in range(d)]
     for r in range(d):
         for j in range(n - 1, -1, -1):
-            w = Bt[r][j]
-            lo = w * bounds[j] if w < 0 else 0
-            hi = w * bounds[j] if w > 0 else 0
-            suffix_lo[r][j] = suffix_lo[r][j + 1] + lo
-            suffix_hi[r][j] = suffix_hi[r][j + 1] + hi
+            extent = Bt[r][j] * bounds[j]  # bounds[j] >= 0, so the sign is the weight's
+            suffix_lo[r][j] = suffix_lo[r][j + 1] + min(extent, 0)
+            suffix_hi[r][j] = suffix_hi[r][j + 1] + max(extent, 0)
 
     # Every live prefix at once: row p of `points` holds x_0..x_{j-1} and
     # row p of `residual` what the later coordinates must still supply.

@@ -22,12 +22,12 @@ dimension counts alone, which pins the constant without any integral.
 from __future__ import annotations
 
 from itertools import permutations, product
-from math import factorial, pi
+from math import factorial, isfinite, pi
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly
 from .multiindex import MAX_SECTOR_BYTES, _is_int
 from .spectral import TestFunction
@@ -47,6 +47,11 @@ _CHUNK = 16_384  # points a Monte Carlo oracle handles per pass, few enough to s
 # which keeps one draw in six (2-vCPU Xeon, numpy 2.4), so 10**8 samples run 9 to 25 s,
 # more where the polytope sampler rejects more.
 MAX_SAMPLES = 10**8
+
+# Most cells c0_simplex_quad may walk, mesh^(n-1), one at a time in Python.  A cell costs
+# 16 us at n = 3 and 4, 19 us at n = 5 and 23 us at n = 6 (2-vCPU Xeon, CPython 3.11, numpy
+# 2.4) and 250 bytes kept to the end, so 2**20 cells (n = 5 at mesh 32) take 20-25 s, 250 MB.
+MAX_SIMPLEX_CELLS = 2**20
 
 
 def sphere_sigma_volume(n: int) -> float:
@@ -101,11 +106,11 @@ def _pieces(size: int) -> list[tuple[int, int]]:
 def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, float]:
     """Mean and standard error of ``samples`` values arriving in batches.
 
-    Each batch adds its own float sum and sum of squares, so results
-    depend on the batching only through summation grouping.  It consumes
-    its batches: each is squared in place and released before the next is
-    pulled, so a caller passes arrays nothing else reads.  A value count
-    other than ``samples``, or below 2, is refused.
+    Each batch adds its own float sum and sum of squares, so results depend
+    on the batching only through summation grouping.  It consumes its batches:
+    each is squared in place and released before the next is pulled, so a
+    caller passes arrays nothing else reads.  A value count other than
+    ``samples``, or below 2, is refused, as is an inf or NaN mean or variance.
     """
     total = total_sq = 0.0
     count = 0
@@ -121,8 +126,10 @@ def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, flo
             operation="reduction.mean_stderr",
         )
     mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    return mean, (var / samples) ** 0.5
+    var = (total_sq - samples * mean * mean) / (samples - 1)
+    if not (isfinite(mean) and isfinite(var)):
+        raise ToeplabError(f"sample mean {mean} or variance {var} is not finite", operation="reduction.mean_stderr")
+    return mean, (max(0.0, var) / samples) ** 0.5
 
 
 def c0_sphere_mc(
@@ -189,10 +196,10 @@ def _staircase_cells(p: int, mesh: int) -> np.ndarray:
 def c0_simplex_quad(symbol: InvariantSymbol, f: TestFunction, n: int, mesh: int = 32) -> float:
     """Deterministic leading coefficient for invariant symbols.
 
-    Returns (2 pi)^(n-1) * integral over the unit simplex of f(g(a)), the
-    simplex carrying Lebesgue measure of total mass 1/(n-1)!.  Midpoint
-    (centroid) evaluation on the uniform refinement converges at
-    O(mesh^-2); f = 1 returns sigma_vol(n) exactly.
+    Returns (2 pi)^(n-1) * integral over the unit simplex of f(g(a)), the simplex
+    carrying Lebesgue measure of total mass 1/(n-1)!.  Midpoint (centroid) evaluation
+    on the uniform refinement converges at O(mesh^-2); f = 1 returns sigma_vol(n)
+    exactly.  A refinement of more than MAX_SIMPLEX_CELLS cells is refused.
     """
     if not isinstance(symbol, InvariantSymbol):
         raise ValidationError("simplex quadrature needs an invariant symbol", operation="reduction.c0_simplex_quad")
@@ -202,6 +209,9 @@ def c0_simplex_quad(symbol: InvariantSymbol, f: TestFunction, n: int, mesh: int 
         raise ValidationError("n must be positive", operation="reduction.c0_simplex_quad")
     if n == 1:
         return f(symbol.evaluate((1.0,)))
+    if mesh ** min(n - 1, MAX_SIMPLEX_CELLS.bit_length()) > MAX_SIMPLEX_CELLS:  # mesh >= 8: a capped power decides
+        raise ValidationError(f"mesh {mesh} at n = {n} needs {mesh}^{n - 1} cells, over the limit of {MAX_SIMPLEX_CELLS}",
+                              operation="reduction.c0_simplex_quad")
     pts = _staircase_cells(n - 1, mesh)
     return float(np.mean(f(symbol.eval_array(pts)))) * sphere_sigma_volume(n)
 

@@ -25,6 +25,7 @@ from .errors import (
     EigensolveError,
     IllConditionedFitError,
     PolynomialDegreeError,
+    ToeplabError,
     ValidationError,
 )
 from .hardy_sphere import ToeplitzBlock
@@ -132,7 +133,6 @@ class AsymptoticFit:
     coefficients: tuple[float, ...]
     residual_norm: float
     ks: tuple[int, ...]
-    order: int
     condition: float
     c0_uncertainty: float
 
@@ -166,9 +166,9 @@ def _lstsq_powers(ks: np.ndarray, ys: np.ndarray, order: int) -> tuple[np.ndarra
 def fit_expansion(samples: Sequence[tuple[int, float]], order: int = 2) -> AsymptoticFit:
     """Fit value(k) ~ c_0 + c_1/k + ... + c_order/k^order.
 
-    Needs at least order+2 distinct k values, all >= 2*order, so the
-    columns stay distinguishable; a condition number beyond 1e12 is
-    rejected rather than silently returning garbage.  The c0 uncertainty
+    Needs at least order+2 distinct k values, all >= 2*order, so the columns
+    stay distinguishable; a condition number beyond 1e12 is rejected rather than
+    silently returning garbage, as is an inf or NaN value.  The c0 uncertainty
     is estimated by refitting on the upper half of the window.
     """
     if order < 0:
@@ -186,6 +186,8 @@ def fit_expansion(samples: Sequence[tuple[int, float]], order: int = 2) -> Asymp
             f"k values must be at least {2 * order} for order {order}",
             operation="spectral.fit_expansion",
         )
+    if not np.isfinite(ys).all():  # an overflowed measure
+        raise ToeplabError(f"fit values {ys.tolist()} are not all finite", operation="spectral.fit_expansion")
     coef, residual, cond = _lstsq_powers(ks, ys, order)
 
     half = len(ks) // 2
@@ -198,7 +200,6 @@ def fit_expansion(samples: Sequence[tuple[int, float]], order: int = 2) -> Asymp
         coefficients=tuple(float(c) for c in coef),
         residual_norm=residual,
         ks=tuple(int(k) for k in ks),
-        order=order,
         condition=cond,
         c0_uncertainty=float(unc),
     )

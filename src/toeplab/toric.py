@@ -12,8 +12,9 @@ the exact Ehrhart volume of P times a rejection-sampled mean, giving an
 oracle that never sees the operator side.
 
 A spectrum evaluates lookups at given weights in one batch per
-``eigenvalues_of`` call; its full fiber table, integer numerators over
-one common denominator, is computed in one batch on first use.
+``eigenvalues_of`` call.  On first use it keeps its fiber points and their
+exact eigenvalues as integer numerators over one common denominator,
+computed in one batch; floats are rounded from them only when read.
 """
 
 from __future__ import annotations
@@ -71,28 +72,23 @@ def _fiber(sub: SubtorusData, k: int) -> tuple[MultiIndex, ...]:
 class EquivariantSpectrum:
     """Eigenvalues of an invariant symbol on one weight fiber.
 
-    ``eigenvalues_of`` evaluates only the weights it is given.  The table
-    is enumerated on first use: the exact eigenvalue of ``entries[i]`` is
-    ``numerators[i] / denominator``, integers over one positive common
-    denominator, so equal-level spectra compare and sort without
-    Fractions.  The float in each entry is that quotient, correctly rounded.
+    ``eigenvalues_of`` evaluates only the weights it is given.  The
+    ``fiber`` and its table are computed on first use: the exact eigenvalue
+    at ``fiber[i]`` is ``numerators[i] / denominator``, integers over one
+    positive common denominator, so equal-level spectra compare and sort
+    without Fractions; ``eigenvalues`` rounds each quotient correctly when read.
     """
 
     symbol: InvariantSymbol
     sub: SubtorusData
     k: int
 
-    @cached_property
-    def _table(self) -> tuple[tuple[tuple[MultiIndex, float], ...], tuple[int, ...], int]:
-        fiber = _fiber(self.sub, self.k)
-        nums, den = _invariant_numerators(self.symbol, fiber)
-        return tuple(zip(fiber, [num / den for num in nums])), nums, den
-
-    entries = property(lambda self: self._table[0])
-    numerators = property(lambda self: self._table[1])
-    denominator = property(lambda self: self._table[2])
-    count = property(lambda self: len(self.entries))
-    eigenvalues = property(lambda self: np.array([lam for _, lam in self.entries]))
+    fiber = cached_property(lambda self: _fiber(self.sub, self.k))
+    _integers = cached_property(lambda self: _invariant_numerators(self.symbol, self.fiber))  # (numerators, denominator)
+    numerators = property(lambda self: self._integers[0])
+    denominator = property(lambda self: self._integers[1])
+    count = property(lambda self: len(self.fiber))
+    eigenvalues = property(lambda self: (np.array(self.numerators, dtype=object) / self.denominator).astype(float))
 
     def eigenvalues_of(self, betas: Sequence[Sequence[int]]) -> list[Fraction]:
         """Exact eigenvalues at fiber points, in one batch, each point checked against Bt beta = k alpha."""

@@ -90,6 +90,21 @@ def test_theorem2_regularity_failure_exits_3(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment,manifest", [
+    ("theorem1", {"n": 2, "symbol": {"terms": [{"gamma": [1, 0], "delta": [1, 0], "re": 1.5e308, "im": 0.0}]},
+                  "f": {"coeffs": [0, 1e308]}, "k_list": [8, 12, 16, 24, 32, 48]}),
+    ("theorem2", {"subtorus": {"example": "product_of_lines"}, "symbol": {"terms": [{"gamma": [1, 0, 0, 0], "coeff": "1e300"}]},
+                  "f": {"coeffs": [0, 0, 1e300]}, "k_list": [4, 8, 12, 16, 24, 32, 40]}),
+], ids=["theorem1", "theorem2"])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_measures_exit_3(tmp_path, capsys, experiment, manifest):
+    # the measures overflow to inf; a fit of them wrote NaN and Infinity, which is not JSON
+    code, out = run_cli(tmp_path, experiment, manifest)
+    assert code == 3
+    assert not out.exists()
+    assert "numerical failure in spectral.fit_expansion" in capsys.readouterr().err
+
+
 def test_theorem2_unbounded_samples_refused_before_work(tmp_path):
     manifest = {"subtorus": {"example": "product_of_lines"}, "symbol": {"terms": [{"gamma": [1, 0, 0, 0], "coeff": 1}]},
                 "f": F_X, "k_list": [4, 8, 12, 16, 24, 32, 40], "samples": 10 ** 12}

@@ -6,7 +6,8 @@ randomness comes from seeded generators, so reruns stay byte-identical.
 Every function the benchmark's tracer (bench/tracer.py) wraps by name
 still exists, so a deletion that would crash a traced pass fails here.
 Every public function and class is read somewhere in src/ or bench/:
-code that only tests call is deleted, bar a named allow-list.
+code that only tests call is deleted, bar a named allow-list.  Every
+dataclass field is read there as an attribute, or the field is deleted.
 """
 
 import ast
@@ -261,3 +262,51 @@ def test_unreferenced_public_name_detection():
     )
     using = "import lib\nlib.used()\n"
     assert unreferenced_public_names([defining], [using]) == ["Orphan", "recursive"]
+
+
+def unread_dataclass_fields(defining: list[str], using: list[str]) -> list[str]:
+    """``Class.field`` for each field of a ``@dataclass`` class in ``defining``
+    whose name no source of ``defining`` or ``using`` reads as an attribute.
+    A method call such as ``d.values()`` is not a read of a field ``values``."""
+    fields = []
+    reads = set()
+    for i, source in enumerate(defining + using):
+        tree = ast.parse(source)
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        reads |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in called}
+        for cls in ast.walk(tree) if i < len(defining) else ():
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(cls, "decorator_list", [])]
+            if isinstance(cls, ast.ClassDef) and "dataclass" in {getattr(d, "id", getattr(d, "attr", None)) for d in decorators}:
+                fields += [(cls.name, stmt.target.id) for stmt in cls.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return sorted(f"{cls}.{name}" for cls, name in fields if name not in reads)
+
+
+def test_dataclass_fields_are_read_outside_tests():
+    bench = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+    assert unread_dataclass_fields([p.read_text() for p in SOURCES], [p.read_text() for p in bench]) == []
+
+
+def test_unread_dataclass_field_detection():
+    defining = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Record:\n"
+        "    read: int\n"
+        "    called: int\n"
+        "    stored: int\n"
+        "    counted = 0\n"
+        "@dataclasses.dataclass\n"
+        "class Nested:\n"
+        "    kept: dict\n"
+        "    values: tuple\n"
+        "class Plain:\n"
+        "    loose: int\n"
+        "def build(r):\n"
+        "    r.stored = r.called()\n"
+        "    return Nested(kept={}, values=(r.read,))\n"
+    )
+    using = "def use(n):\n    return n.kept.values()\n"
+    assert unread_dataclass_fields([defining], [using]) == ["Nested.values", "Record.called", "Record.stored"]

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from fractions import Fraction
 from math import pi
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from toeplab import reduction
-from toeplab.errors import ValidationError
+from toeplab.errors import ToeplabError, ValidationError
 from toeplab.hardy_sphere import InvariantSymbol, SymbolPoly
 from toeplab.reduction import (
     _staircase_cells,
@@ -179,6 +180,17 @@ def test_mean_stderr_counts_its_values():
     assert mean_stderr([np.ones(5), np.ones(5)], 10) == (1.0, 0.0)
 
 
+@pytest.mark.parametrize("values", [[np.inf, 1.0], [-np.inf, 1.0], [np.nan, 1.0], [1e200, -1e200]],
+                         ids=["inf", "minus_inf", "nan", "square_overflows"])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_mean_stderr_refuses_non_finite_results(values):
+    # [inf, 1.0] gave (inf, 0.0): max(0.0, nan) hid the NaN variance
+    with pytest.raises(ToeplabError, match="not finite") as info:
+        mean_stderr([np.array(values)], 2)
+    assert not isinstance(info.value, ValidationError)
+    assert info.value.operation == "reduction.mean_stderr"
+
+
 def test_mean_stderr_needs_two_values():
     # the variance divides by samples - 1
     with pytest.raises(ValidationError):
@@ -226,4 +238,19 @@ def test_quad_one_coordinate_case():
 def test_quad_validation():
     with pytest.raises(ValidationError):
         c0_simplex_quad(A1_2, F_X, 2, mesh=4)
+
+
+def test_quad_cell_count_bounded_before_the_walk(monkeypatch):
+    # the acceptance calls (n <= 3, mesh <= 48) walk far fewer cells than the bound
+    assert 100 * 48**2 < reduction.MAX_SIMPLEX_CELLS
+    for n, mesh in ((5, 33), (6, 32), (10**9, 8), (3, 10**9)):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="cells, over the limit"):
+            c0_simplex_quad(InvariantSymbol.coordinate(0, min(n, 6)), F_X, n, mesh=mesh)
+        assert time.perf_counter() - start < 0.1
+    # the bound itself is allowed
+    monkeypatch.setattr(reduction, "MAX_SIMPLEX_CELLS", 8**2)
+    assert c0_simplex_quad(A1_3, F_X, 3, mesh=8) == pytest.approx(2 * pi**2 / 3, abs=1e-12)
+    with pytest.raises(ValidationError):
+        c0_simplex_quad(A1_3, F_X, 3, mesh=9)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toeplab.errors import IllConditionedFitError, PolynomialDegreeError, ValidationError
+from toeplab.errors import IllConditionedFitError, PolynomialDegreeError, ToeplabError, ValidationError
 from toeplab.hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block
 from toeplab.spectral import (
     TestFunction,
@@ -90,6 +90,17 @@ def test_fit_expansion_condition_guard():
     samples = [(k, 1.0 + 1.0 / k) for k in range(40, 47)]
     with pytest.raises(IllConditionedFitError):
         fit_expansion(samples, order=4)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_fit_expansion_refuses_non_finite_values(bad):
+    # an overflowed measure fitted by least squares gave NaN coefficients
+    samples = [(k, 1.0 + 1.0 / k) for k in (10, 20, 30, 40, 50)]
+    samples[2] = (30, bad)
+    with pytest.raises(ToeplabError, match="not all finite") as info:
+        fit_expansion(samples, order=2)
+    assert not isinstance(info.value, ValidationError)
+    assert info.value.operation == "spectral.fit_expansion"
 
 
 # value(k) = (k/4 + 1)/(k + 2) = 1/4 + 1/(2(k+2)); limit 1/4

@@ -1,6 +1,7 @@
+import random
 import tracemalloc
 from fractions import Fraction
-from math import factorial, pi
+from math import factorial, lcm, pi, prod
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from toeplab.errors import (
     UnboundedFiberError,
     ValidationError,
 )
-from toeplab.hardy_sphere import InvariantSymbol, monomial_norm
+from toeplab.hardy_sphere import InvariantSymbol, _invariant_numerators, monomial_norm
 from toeplab.multiindex import SubtorusData, diagonal_circle, enumerate_fiber, full_torus, recession_pointed
 from toeplab.reduction import _pieces, mean_stderr, sphere_sigma_volume
 from toeplab.spectral import TestFunction
@@ -67,9 +68,9 @@ def _check_against_oracle(symbol, sub, k):
     spec = equivariant_spectrum(symbol, sub, k)
     fiber = enumerate_fiber(sub, k)
     oracle = [_oracle_eigenvalue(symbol, beta) for beta in fiber]
-    assert [beta for beta, _ in spec.entries] == fiber
+    assert list(spec.fiber) == fiber
     assert exact(spec) == tuple(oracle)
-    assert [lam for _, lam in spec.entries] == [float(x) for x in oracle]
+    assert spec.eigenvalues.tolist() == [float(x) for x in oracle]
     assert all(spec.eigenvalue_of(beta) == x for beta, x in zip(fiber, oracle))
     return spec
 
@@ -101,9 +102,80 @@ def test_spectrum_matches_norm_ratio_oracle(name):
             spec.eigenvalue_of(off_fiber)  # and after
         # one batch over the whole fiber, mixed degrees included, gives the table's values
         assert spec.eigenvalues_of(fiber) == [Fraction(num, spec.denominator) for num in spec.numerators]
-        mixed |= len({sum(beta) for beta, _ in spec.entries}) > 1
+        mixed |= len({sum(beta) for beta in spec.fiber}) > 1
     # only the weighted line mixes degrees within one fiber
     assert mixed == (name == "weighted_line")
+
+
+def invariant_numerators_padded(symbol, points):
+    """_invariant_numerators as it was before it scaled each term once: every
+    term padded to the top degree G one unit at a time, then each row rescaled
+    by M / D(b) when the points hold more than one degree."""
+    n = symbol.n
+    pts = np.array(points, dtype=object)
+    if len(pts) == 0:
+        pts = pts.reshape(0, n)
+    G = max((sum(g) for g, _ in symbol.poly), default=0)
+    L = lcm(*(c.denominator for _, c in symbol.poly))
+    coeffs = [c.numerator * (L // c.denominator) for _, c in symbol.poly]
+    base = pts.sum(axis=1) + (n - 1)
+    degrees = sorted(set(base.tolist()))
+    dens = [prod(b + s for s in range(1, G + 1)) for b in degrees]
+    M = lcm(*dens)
+    total = np.zeros(len(pts), dtype=object)
+    for (gamma, _), c in zip(symbol.poly, coeffs):
+        term = np.full(len(pts), c, dtype=object)
+        for i, e in enumerate(gamma):
+            for t in range(1, e + 1):
+                term *= pts[:, i] + t
+        for s in range(sum(gamma) + 1, G + 1):
+            term *= base + s
+        total += term
+    if len(dens) > 1:
+        scale = {b: M // den for b, den in zip(degrees, dens)}
+        total *= np.array([scale[b] for b in base.tolist()], dtype=object)
+    return tuple(total.tolist()), L * M
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_SUBTORI))
+def test_invariant_numerators_match_the_padded_formula(name):
+    # seeded symbols of 1 to 4 terms, exponents 0 to 3, on every fiber for k = 1..12
+    # (weighted_line's mix degrees), on no point, and one case in five on keys past int64
+    sub = EXAMPLE_SUBTORI[name]
+    n = sub.n
+    rng = random.Random(f"numerators {name}")
+    for case in range(80):
+        symbol = InvariantSymbol.from_poly(
+            [(tuple(rng.randint(0, 3) for _ in range(n)), Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 360)))
+             for _ in range(rng.randint(1, 4))],
+            n,
+        )
+        if case % 5 == 4:
+            points = [tuple(rng.randrange(2**70) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        else:
+            points = enumerate_fiber(sub, case % 12 + 1)
+        want = invariant_numerators_padded(symbol, points)
+        assert _invariant_numerators(symbol, points) == want
+        assert all(type(v) is int for v in want[0])
+        # no point: no degree, so M = 1 and the denominator is L alone
+        L = lcm(*(c.denominator for _, c in symbol.poly))
+        assert _invariant_numerators(symbol, []) == invariant_numerators_padded(symbol, []) == ((), L)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_SUBTORI))
+def test_eigenvalues_are_the_correctly_rounded_quotients(name):
+    # numerators past the float range still round as one exact division
+    sub = EXAMPLE_SUBTORI[name]
+    n = sub.n
+    symbol = InvariantSymbol.from_poly([((3,) + (0,) * (n - 1), Fraction(10**307, 7)), ((0,) * (n - 1) + (2,), Fraction(-1, 3))], n)
+    for k in (1, 7, 12):
+        spec = equivariant_spectrum(symbol, sub, k)
+        got = spec.eigenvalues
+        want = np.array([num / spec.denominator for num in spec.numerators])  # the floats the table once held
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert got.tolist() == [float(Fraction(num, spec.denominator)) for num in spec.numerators]
+        assert spec.count == len(spec.fiber) == len(got)
+    assert max(abs(num) for num in spec.numerators) > 2**1024
 
 
 def test_spectrum_beyond_int64():
