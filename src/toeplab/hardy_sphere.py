@@ -247,8 +247,7 @@ class InvariantSymbol:
         return cls.from_poly([(g, 1)], n)
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
-        """Values at the rows of pts.  ``evaluate`` calls this, not
-        ``eval_array``, so eval_array calls stay one per sampler batch."""
+        """Values at the rows of pts, shared by ``evaluate`` and ``eval_array``."""
         out = np.zeros(pts.shape[0])
         for g, c in self.poly:
             term = np.full(pts.shape[0], float(c))

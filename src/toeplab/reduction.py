@@ -42,9 +42,9 @@ __all__ = [
 
 _CHUNK = 16_384  # points a Monte Carlo oracle handles per pass, few enough to stay in cache
 
-# Most samples a Monte Carlo oracle may take.  A sample costs about 0.2 us on the
-# sphere (n = 3), 0.09 us on product_of_lines' polytope and 0.25 us on diagonal_circle(4)'s,
-# which keeps one draw in six (2-vCPU Xeon, numpy 2.4), so 10**8 samples run 9 to 25 s,
+# Most samples a Monte Carlo oracle may take.  A sample costs about 0.15 us on the
+# sphere (n = 3), 0.06 us on product_of_lines' polytope and 0.22 us on diagonal_circle(4)'s,
+# which keeps one draw in six (2-vCPU Xeon, numpy 2.4), so 10**8 samples run 6 to 22 s,
 # more where the polytope sampler rejects more.
 MAX_SAMPLES = 10**8
 
@@ -76,11 +76,15 @@ def sample_sphere(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _symbol_values(symbol, z: np.ndarray) -> np.ndarray:
-    if isinstance(symbol, SymbolPoly):
-        return symbol.evaluate(z).real
-    if isinstance(symbol, InvariantSymbol):
-        return symbol.eval_array(np.abs(z) ** 2)
-    raise ValidationError("symbol must be SymbolPoly or InvariantSymbol", operation="reduction.c0_sphere_mc")
+    return symbol.evaluate(z).real if isinstance(symbol, SymbolPoly) else symbol.eval_array(np.abs(z) ** 2)
+
+
+def _check_dimension(symbol, n: int, operation: str) -> None:
+    """Refuse an n that is not a positive integer, or a symbol on another number of coordinates."""
+    if not _is_int(n) or n < 1:
+        raise ValidationError(f"n {n!r} must be a positive integer", operation=operation)
+    if symbol.n != n:
+        raise ValidationError(f"the symbol has {symbol.n} coordinates, not n = {n}", operation=operation)
 
 
 def _check_samples(samples: int, operation: str) -> None:
@@ -147,6 +151,9 @@ def c0_sphere_mc(
     pieces of _CHUNK points, never of one (numpy's in-place complex product
     rounds differently on one element): each value has one pass's bits.
     """
+    if not isinstance(symbol, (SymbolPoly, InvariantSymbol)):
+        raise ValidationError("symbol must be SymbolPoly or InvariantSymbol", operation="reduction.c0_sphere_mc")
+    _check_dimension(symbol, n, "reduction.c0_sphere_mc")
     _check_batch(min(batch_size, samples), 8, "reduction.c0_sphere_mc")  # one value per point
     _check_samples(samples, "reduction.c0_sphere_mc")
     rng = np.random.default_rng(seed)
@@ -205,13 +212,13 @@ def c0_simplex_quad(symbol: InvariantSymbol, f: TestFunction, n: int, mesh: int 
         raise ValidationError("simplex quadrature needs an invariant symbol", operation="reduction.c0_simplex_quad")
     if mesh < 8:
         raise ValidationError("mesh must be at least 8 subdivisions per edge", operation="reduction.c0_simplex_quad")
-    if n < 1:
-        raise ValidationError("n must be positive", operation="reduction.c0_simplex_quad")
-    if n == 1:
-        return f(symbol.evaluate((1.0,)))
-    if mesh ** min(n - 1, MAX_SIMPLEX_CELLS.bit_length()) > MAX_SIMPLEX_CELLS:  # mesh >= 8: a capped power decides
+    # mesh >= 8: a capped power decides; it comes first because no symbol matches an n past the limit
+    if _is_int(n) and mesh ** min(n - 1, MAX_SIMPLEX_CELLS.bit_length()) > MAX_SIMPLEX_CELLS:
         raise ValidationError(f"mesh {mesh} at n = {n} needs {mesh}^{n - 1} cells, over the limit of {MAX_SIMPLEX_CELLS}",
                               operation="reduction.c0_simplex_quad")
+    _check_dimension(symbol, n, "reduction.c0_simplex_quad")
+    if n == 1:
+        return f(symbol.evaluate((1.0,)))
     pts = _staircase_cells(n - 1, mesh)
     return float(np.mean(f(symbol.eval_array(pts)))) * sphere_sigma_volume(n)
 

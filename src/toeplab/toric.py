@@ -252,12 +252,12 @@ def theorem2_leading(
     box of the polytope in primitive nullspace coordinates, where the
     uniform measure matches the count normalization; the mean itself is
     chart-independent.  For a fixed seed and batch size the result is
-    bit-stable.  A batch is drawn, mapped and tested in _CHUNK-row pieces,
-    of which only the kept rows outlive the piece; the per-piece draws are
-    the batch's stream, scaled in place by columns to the bits of
-    rng.uniform(lo, hi).  Each array is released once read, so a batch's
-    peak is its kept rows plus their one join, and only its values reach
-    mean_stderr, which consumes them.  Requires the regular-free check to
+    bit-stable.  Each _CHUNK-row piece of a batch is drawn, scaled in place
+    by columns to the bits of rng.uniform(lo, hi), mapped, tested, and its
+    kept rows normalized and evaluated into the batch's value buffer while
+    still in cache; the per-piece draws are the batch's stream.  So a batch
+    holds its values plus one piece, and the last one stops drawing once
+    full; mean_stderr consumes the values.  Requires the regular-free check to
     pass.  d = n has a zero-dimensional fiber and returns the exact point
     evaluation with stderr 0.
     """
@@ -274,7 +274,7 @@ def theorem2_leading(
         a = np.array([float(c) for c in verts[0]])
         return f(symbol.evaluate(a / a.sum())), 0.0
     _check_samples(samples, "toric.theorem2_leading")
-    _check_batch(batch_size, 8 * (m + 2 * sub.n), "toric.theorem2_leading")  # draws, points, kept points
+    _check_batch(batch_size, 8 * (m + 2 * sub.n), "toric.theorem2_leading")  # upper bound: draws, points, kept points
     basis = integer_nullspace([list(row) for row in sub.weight_matrix])
     a0 = verts[0]
     ys = _vertex_y_coordinates(verts, basis, a0)
@@ -290,35 +290,33 @@ def theorem2_leading(
     rng = np.random.default_rng(seed)
 
     def batches():
-        accepted = 0
-        drawn = 0
+        accepted = drawn = 0
         while accepted < samples:
-            kept = []
-            for start, stop in _pieces(batch_size):  # single-threaded BLAS calls, in cache
-                y = rng.random((stop - start, m))
-                for col, span, low in zip(y.T, span_f, lo_f):  # by columns: a 3- or 4-wide broadcast loops per row
+            vals = np.empty(min(batch_size, samples - accepted))
+            filled = 0
+            for start, stop in _pieces(batch_size):  # each piece runs the whole pipeline in cache
+                pts = rng.random((stop - start, m))
+                drawn += stop - start
+                for col, span, low in zip(pts.T, span_f, lo_f):  # by columns: a 3- or 4-wide broadcast loops per row
                     col *= span
                     col += low
-                pts = y @ chart.T
+                pts = pts @ chart.T  # single-threaded BLAS call
                 inside = np.ones(stop - start, dtype=bool)
                 for col, shift in zip(pts.T, a0_f):  # by columns: np.all(axis=1) is 4x slower
                     col += shift
                     inside &= col >= 0.0
-                kept.append(np.compress(inside, pts, axis=0))  # 6x faster than pts[inside]
-            del y, pts, inside, col  # the last piece's arrays; col is a view of pts
-            keep = np.concatenate(kept)[: samples - accepted]
-            del kept
-            drawn += batch_size
-            if len(keep):
-                norm = keep.sum(axis=1)  # numpy's pairwise sum; a column loop differs in the last bit at n >= 8
-                for col in keep.T:
+                pts = np.compress(inside, pts, axis=0)[: len(vals) - filled]  # 6x faster than pts[inside]
+                norm = pts.sum(axis=1)  # numpy's pairwise sum; a column loop differs in the last bit at n >= 8
+                for col in pts.T:  # rebinding col releases the previous pts, which it viewed
                     col /= norm
-                del norm, col
-                vals = f(symbol.eval_array(keep))
-                accepted += len(keep)
-                del keep
-                yield vals
-                del vals
+                vals[filled:filled + len(pts)] = f(symbol.eval_array(pts))
+                filled += len(pts)
+                if filled == len(vals):
+                    break  # only a last batch fills early, and the generator is not read again
+            accepted += filled
+            if filled:
+                yield vals[:filled]
+            del vals
             if drawn >= 50_000 and accepted / drawn < 1e-4:
                 raise SamplerEfficiencyError(
                     f"acceptance rate {accepted / drawn:.2e} below 1e-4",

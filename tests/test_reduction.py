@@ -240,6 +240,30 @@ def test_quad_validation():
         c0_simplex_quad(A1_2, F_X, 2, mesh=4)
 
 
+@pytest.mark.parametrize(
+    "symbol,n",
+    [(A1_3, 2), (InvariantSymbol.coordinate(2, 3), 2), (A1_2, 3), (A1_3, 1), (A1_2, 2.5), (A1_2, 0)],
+    ids=["a1_on_3_at_2", "a3_on_3_at_2", "a1_on_2_at_3", "a1_on_3_at_1", "n_2.5", "n_0"],
+)
+def test_quad_refuses_a_symbol_of_another_size_before_any_cell(monkeypatch, symbol, n):
+    # a1 on 3 coordinates at n = 2 gave pi, a3 an IndexError, a1 on 2 coordinates at n = 3 gave 6.5797
+    monkeypatch.setattr(reduction, "_staircase_cells", lambda p, mesh: pytest.fail("walked the cells"))
+    with pytest.raises(ValidationError, match="coordinates|positive integer"):
+        c0_simplex_quad(symbol, F_X, n)
+
+
+@pytest.mark.parametrize(
+    "symbol,n",
+    [(A1_2, 3), (InvariantSymbol.coordinate(2, 3), 2), (A1_2, 2.5), (A1_2, 0)],
+    ids=["a1_on_2_at_3", "a3_on_3_at_2", "n_2.5", "n_0"],
+)
+def test_mc_refuses_a_symbol_of_another_size_before_drawing(monkeypatch, symbol, n):
+    # a1 on 2 coordinates at n = 3 gave (6.5699, 0.0465), a3 at n = 2 an IndexError, n = 2.5 a TypeError
+    monkeypatch.setattr(reduction, "sample_sphere", lambda n, size, rng: pytest.fail("drew points"))
+    with pytest.raises(ValidationError, match="coordinates|positive integer"):
+        c0_sphere_mc(symbol, F_X, n, samples=10_000)
+
+
 def test_quad_cell_count_bounded_before_the_walk(monkeypatch):
     # the acceptance calls (n <= 3, mesh <= 48) walk far fewer cells than the bound
     assert 100 * 48**2 < reduction.MAX_SIMPLEX_CELLS

@@ -454,6 +454,115 @@ def test_theorem2_peak_memory_keeps_one_join_of_kept_rows():
     assert peak < 7 * 2**20
 
 
+def _peak_of_product_of_lines(batch_size):
+    """tracemalloc peak of 200,000 samples on product_of_lines, after a warm call."""
+    sub = EXAMPLE_SUBTORI["product_of_lines"]
+    run = lambda: theorem2_leading(InvariantSymbol.coordinate(0, sub.n), F_X, sub, samples=200_000, batch_size=batch_size)
+    run()  # warm: the fiber volume and first-call allocations are not the sampler's
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_theorem2_peak_memory_is_one_value_buffer():
+    # every draw is kept, so joining a batch's kept rows held two copies of
+    # its 100,000 x 4 points: 6.1 MiB; its values and one piece take 2.0 MiB
+    assert _peak_of_product_of_lines(100_000) < 3.5 * 2**20
+
+
+def test_theorem2_batch_costs_one_value_per_row():
+    # 200,000 samples in one batch of 400,000 instead of two of 100,000:
+    # the value buffer grows by 100,000 values and the pieces stay the same
+    assert _peak_of_product_of_lines(400_000) - _peak_of_product_of_lines(100_000) <= 400_000 * 8 * 1.25
+
+
+def test_theorem2_last_batch_stops_once_full(monkeypatch):
+    # the second 100,000-draw batch needs 50,000 rows: four 16,384-row pieces
+    make_rng = np.random.default_rng
+    drawn = []
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def random(self, shape):
+            drawn.append(shape[0])
+            return self.rng.random(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    sym = InvariantSymbol.from_poly([((1, 0, 0, 0), 1), ((0, 1, 1, 0), Fraction(1, 2)), ((0, 0, 0, 2), 3)], 4)
+    f = TestFunction.polynomial([0.25, -1.0, 2.0])
+    got = theorem2_leading(sym, f, EXAMPLE_SUBTORI["product_of_lines"], samples=150_000, seed=7, volume=1.0)
+    assert repr(got) == "(0.4003859592549406, 0.0009300590932317884)"
+    assert sum(drawn) == 100_000 + 4 * 16_384
+
+
+def _joined_piece_batches(symbol, f, sub, samples, seed, batch_size):
+    """The sampler's batches as they were before per-piece evaluation: each
+    piece kept its rows, and the batch joined, truncated, normalized and
+    evaluated them at once."""
+    verts = [r.vertex for r in regular_free_check(sub).vertices]
+    m = sub.n - sub.d
+    basis = integer_nullspace([list(row) for row in sub.weight_matrix])
+    ys = toric._vertex_y_coordinates(verts, basis, verts[0])
+    lo_f = np.array([float(min(y[j] for y in ys)) for j in range(m)])
+    span_f = np.array([float(max(y[j] for y in ys)) for j in range(m)]) - lo_f
+    chart = np.array([[float(basis[j][i]) for j in range(m)] for i in range(sub.n)])
+    a0_f = np.array([float(c) for c in verts[0]])
+    rng = np.random.default_rng(seed)
+    accepted = 0
+    while accepted < samples:
+        kept = []
+        for start, stop in _pieces(batch_size):
+            y = rng.random((stop - start, m))
+            for col, span, low in zip(y.T, span_f, lo_f):
+                col *= span
+                col += low
+            pts = y @ chart.T
+            inside = np.ones(stop - start, dtype=bool)
+            for col, shift in zip(pts.T, a0_f):
+                col += shift
+                inside &= col >= 0.0
+            kept.append(np.compress(inside, pts, axis=0))
+        keep = np.concatenate(kept)[: samples - accepted]
+        if len(keep):
+            norm = keep.sum(axis=1)
+            for col in keep.T:
+                col /= norm
+            yield f(symbol.eval_array(keep))
+            accepted += len(keep)
+
+
+_SAMPLED = {
+    **{name: sub for name, sub in EXAMPLE_SUBTORI.items() if regular_free_check(sub).ok and sub.n > sub.d},
+    **{f"diagonal_circle_{n}": diagonal_circle(n) for n in range(2, 6)},  # 2 and 3 are examples too
+}
+
+
+@pytest.mark.parametrize("batch_size", [5_000, 16_384, 40_000])
+@pytest.mark.parametrize("name", sorted(_SAMPLED))
+def test_theorem2_values_match_the_joined_batches(monkeypatch, name, batch_size):
+    # batches below, equal to and not a multiple of one 16,384-row piece;
+    # 12,345 samples truncate the last batch mid-way
+    sub = _SAMPLED[name]
+    gammas = [tuple(int(j in idx) for j in range(sub.n)) for idx in ((0,), (1, sub.n - 1), (sub.n - 1,))]
+    sym = InvariantSymbol.from_poly(list(zip(gammas, [1, Fraction(1, 2), 3])), sub.n)
+    f = TestFunction.polynomial([0.25, -1.0, 2.0])
+    handed = []
+
+    def capture(batches, samples):
+        handed.extend(batches)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(toric, "mean_stderr", capture)
+    theorem2_leading(sym, f, sub, samples=12_345, seed=13, batch_size=batch_size, volume=1.0)
+    want = list(_joined_piece_batches(sym, f, sub, 12_345, 13, batch_size))
+    assert [b.tobytes() for b in handed] == [b.tobytes() for b in want]
+
+
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_theorem2_rejects_empty_batches(batch_size):
     # a zero-size batch never moves the acceptance guard, so the loop would never end
