@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ToeplabError, ValidationError
+from .errors import SamplerEfficiencyError, ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly
 from .multiindex import MAX_SECTOR_BYTES, _is_int
 from .spectral import TestFunction
@@ -94,11 +94,17 @@ def _check_samples(samples: int, operation: str) -> None:
 
 
 def _check_batch(size: int, row_bytes: int, operation: str) -> None:
-    """Refuse before drawing an empty batch, whose loop never ends, or one past MAX_SECTOR_BYTES."""
-    if size < 1:
-        raise ValidationError("batch_size must be at least 1", operation=operation)
+    """Refuse before drawing a batch that is not a positive integer (an empty one never ends), or one past MAX_SECTOR_BYTES."""
+    if not _is_int(size) or size < 1:
+        raise ValidationError(f"batch_size {size!r} must be a positive integer", operation=operation)
     if size * row_bytes > MAX_SECTOR_BYTES:
         raise ValidationError(f"a batch of {size} needs {size * row_bytes} bytes, over {MAX_SECTOR_BYTES}", operation=operation)
+
+
+def _check_seed(seed: int, operation: str) -> None:
+    """Refuse a seed that is not a non-negative integer, which numpy would reject unnamed."""
+    if not _is_int(seed) or seed < 0:
+        raise ValidationError(f"seed {seed!r} must be a non-negative integer", operation=operation)
 
 
 def _pieces(size: int) -> list[tuple[int, int]]:
@@ -112,9 +118,9 @@ def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, flo
 
     Each batch adds its own float sum and sum of squares, so results depend
     on the batching only through summation grouping.  It consumes its batches:
-    each is squared in place and released before the next is pulled, so a
-    caller passes arrays nothing else reads.  A value count other than
-    ``samples``, or below 2, is refused, as is an inf or NaN mean or variance.
+    each is squared in place, so a caller passes arrays nothing else reads
+    until the next is pulled.  A value count other than ``samples``, or
+    below 2, is refused, as is an inf or NaN mean or variance.
     """
     total = total_sq = 0.0
     count = 0
@@ -123,7 +129,6 @@ def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, flo
         total += float(np.sum(vals))
         vals *= vals
         total_sq += float(np.sum(vals))
-        del vals  # before the generator builds the next batch
     if count != samples or count < 2:
         raise ValidationError(
             f"{count} values arrived for samples={samples!r}; need equal counts of at least 2",
@@ -136,6 +141,44 @@ def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, flo
     return mean, (max(0.0, var) / samples) ** 0.5
 
 
+def _monte_carlo(draw, samples: int, seed: int, batch_size: int, operation: str) -> tuple[float, float]:
+    """Mean and standard error of ``samples`` values in batches of up to ``batch_size``, for both oracles.
+
+    ``draw(rng, rows)`` draws ``rows`` rows from ``default_rng(seed)`` and returns the values of
+    those it keeps.  A batch walks its ``_pieces``, each drawn whole and never of one row (numpy's
+    in-place complex product rounds differently on one element), so each value has one pass's bits
+    and the pieces' draws are the batch's stream.  A piece's values, up to what the batch still
+    needs, go into one buffer of min(batch_size, samples) for the whole call and are released
+    before the next draw; a full batch stops drawing, and mean_stderr reads it as a view of the
+    buffer.  A seed that is not a non-negative integer is refused, and so is a draw that keeps
+    fewer than 1 in 10**4 rows after 50,000.
+    """
+    _check_seed(seed, operation)
+    rng = np.random.default_rng(seed)
+    vals = np.empty(min(batch_size, samples))
+
+    def batches():
+        accepted = drawn = 0
+        while accepted < samples:
+            need = min(batch_size, samples - accepted)
+            filled = 0
+            for start, stop in _pieces(batch_size):
+                got = draw(rng, stop - start)[: need - filled]
+                drawn += stop - start
+                vals[filled:filled + len(got)] = got
+                filled += len(got)
+                del got  # before the next piece is drawn
+                if filled == need:
+                    break
+            accepted += filled
+            if filled:
+                yield vals[:filled]
+            if drawn >= 50_000 and accepted / drawn < 1e-4:
+                raise SamplerEfficiencyError(f"acceptance rate {accepted / drawn:.2e} below 1e-4", operation=operation)
+
+    return mean_stderr(batches(), samples)
+
+
 def c0_sphere_mc(
     symbol,
     f: TestFunction,
@@ -146,26 +189,18 @@ def c0_sphere_mc(
 ) -> tuple[float, float]:
     """Monte Carlo leading coefficient sigma_vol(n) * E[f(F(z))].
 
-    The sample stream is independent of the batch size, which sets only
-    the summation grouping.  A batch is drawn and evaluated in cache-sized
-    pieces of _CHUNK points, never of one (numpy's in-place complex product
-    rounds differently on one element): each value has one pass's bits.
+    Every draw is kept, so the sample stream is independent of the batch
+    size, which sets only the summation grouping.
     """
     if not isinstance(symbol, (SymbolPoly, InvariantSymbol)):
         raise ValidationError("symbol must be SymbolPoly or InvariantSymbol", operation="reduction.c0_sphere_mc")
     _check_dimension(symbol, n, "reduction.c0_sphere_mc")
-    _check_batch(min(batch_size, samples), 8, "reduction.c0_sphere_mc")  # one value per point
+    if _is_int(batch_size) and _is_int(samples) and samples > 0:
+        batch_size = min(batch_size, samples)  # the most points drawn at once
+    _check_batch(batch_size, 8, "reduction.c0_sphere_mc")  # one value per point
     _check_samples(samples, "reduction.c0_sphere_mc")
-    rng = np.random.default_rng(seed)
-
-    def batch(size: int) -> np.ndarray:
-        vals = np.empty(size)
-        for lo, hi in _pieces(size):
-            vals[lo:hi] = f(_symbol_values(symbol, sample_sphere(n, hi - lo, rng)))
-        return vals
-
-    batches = (batch(min(batch_size, samples - done)) for done in range(0, samples, batch_size))
-    mean, stderr = mean_stderr(batches, samples)
+    draw = lambda rng, rows: f(_symbol_values(symbol, sample_sphere(n, rows, rng)))
+    mean, stderr = _monte_carlo(draw, samples, seed, batch_size, "reduction.c0_sphere_mc")
     vol = sphere_sigma_volume(n)
     return vol * mean, vol * stderr
 

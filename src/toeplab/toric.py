@@ -29,12 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from ._exact import det_int, divided_differences, integer_nullspace, solve_rectangular
-from .errors import (
-    RegularityError,
-    SamplerEfficiencyError,
-    ToeplabError,
-    ValidationError,
-)
+from .errors import RegularityError, ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, _invariant_numerators
 from .multiindex import (
     MultiIndex,
@@ -45,7 +40,7 @@ from .multiindex import (
     full_torus,
     recession_pointed,
 )
-from .reduction import _check_batch, _check_samples, _pieces, mean_stderr
+from .reduction import _check_batch, _check_dimension, _check_samples, _check_seed, _monte_carlo
 from .spectral import TestFunction, scaled_measure
 
 __all__ = [
@@ -252,17 +247,15 @@ def theorem2_leading(
     box of the polytope in primitive nullspace coordinates, where the
     uniform measure matches the count normalization; the mean itself is
     chart-independent.  For a fixed seed and batch size the result is
-    bit-stable.  Each _CHUNK-row piece of a batch is drawn, scaled in place
-    by columns to the bits of rng.uniform(lo, hi), mapped, tested, and its
-    kept rows normalized and evaluated into the batch's value buffer while
-    still in cache; the per-piece draws are the batch's stream.  So a batch
-    holds its values plus one piece, and the last one stops drawing once
-    full; mean_stderr consumes the values.  Requires the regular-free check to
-    pass.  d = n has a zero-dimensional fiber and returns the exact point
-    evaluation with stderr 0.
+    bit-stable.  Each piece of draws is scaled in place by columns to the
+    bits of rng.uniform(lo, hi), mapped, tested, and its kept rows
+    normalized and evaluated while still in cache.  Requires the
+    regular-free check to pass.  d = n has a zero-dimensional fiber and
+    returns the exact point evaluation with stderr 0.
     """
     if not isinstance(symbol, InvariantSymbol):
         raise ValidationError("the limit oracle needs an invariant symbol", operation="toric.theorem2_leading")
+    _check_dimension(symbol, sub.n, "toric.theorem2_leading")
     report = regular_free_check(sub)
     if not report.ok:
         raise RegularityError(report.message, operation="toric.theorem2_leading")
@@ -270,11 +263,12 @@ def theorem2_leading(
     if all(c == 0 for c in verts[0]):
         raise ValidationError("level polytope touches the origin", operation="toric.theorem2_leading")
     m = sub.n - sub.d
+    _check_samples(samples, "toric.theorem2_leading")
+    _check_batch(batch_size, 8 * (m + 2 * sub.n), "toric.theorem2_leading")  # upper bound: draws, points, kept points
+    _check_seed(seed, "toric.theorem2_leading")
     if m == 0:
         a = np.array([float(c) for c in verts[0]])
         return f(symbol.evaluate(a / a.sum())), 0.0
-    _check_samples(samples, "toric.theorem2_leading")
-    _check_batch(batch_size, 8 * (m + 2 * sub.n), "toric.theorem2_leading")  # upper bound: draws, points, kept points
     basis = integer_nullspace([list(row) for row in sub.weight_matrix])
     a0 = verts[0]
     ys = _vertex_y_coordinates(verts, basis, a0)
@@ -287,43 +281,23 @@ def theorem2_leading(
     chart = np.array([[float(basis[j][i]) for j in range(m)] for i in range(sub.n)])
     a0_f = np.array([float(c) for c in a0])
 
-    rng = np.random.default_rng(seed)
+    def draw(rng, rows):
+        pts = rng.random((rows, m))
+        for col, span, low in zip(pts.T, span_f, lo_f):  # by columns: a 3- or 4-wide broadcast loops per row
+            col *= span
+            col += low
+        pts = pts @ chart.T  # single-threaded BLAS call
+        inside = np.ones(rows, dtype=bool)
+        for col, shift in zip(pts.T, a0_f):  # by columns: np.all(axis=1) is 4x slower
+            col += shift
+            inside &= col >= 0.0
+        pts = np.compress(inside, pts, axis=0)  # 6x faster than pts[inside]
+        norm = pts.sum(axis=1)  # numpy's pairwise sum; a column loop differs in the last bit at n >= 8
+        for col in pts.T:  # rebinding col releases the previous pts, which it viewed
+            col /= norm
+        return f(symbol.eval_array(pts))
 
-    def batches():
-        accepted = drawn = 0
-        while accepted < samples:
-            vals = np.empty(min(batch_size, samples - accepted))
-            filled = 0
-            for start, stop in _pieces(batch_size):  # each piece runs the whole pipeline in cache
-                pts = rng.random((stop - start, m))
-                drawn += stop - start
-                for col, span, low in zip(pts.T, span_f, lo_f):  # by columns: a 3- or 4-wide broadcast loops per row
-                    col *= span
-                    col += low
-                pts = pts @ chart.T  # single-threaded BLAS call
-                inside = np.ones(stop - start, dtype=bool)
-                for col, shift in zip(pts.T, a0_f):  # by columns: np.all(axis=1) is 4x slower
-                    col += shift
-                    inside &= col >= 0.0
-                pts = np.compress(inside, pts, axis=0)[: len(vals) - filled]  # 6x faster than pts[inside]
-                norm = pts.sum(axis=1)  # numpy's pairwise sum; a column loop differs in the last bit at n >= 8
-                for col in pts.T:  # rebinding col releases the previous pts, which it viewed
-                    col /= norm
-                vals[filled:filled + len(pts)] = f(symbol.eval_array(pts))
-                filled += len(pts)
-                if filled == len(vals):
-                    break  # only a last batch fills early, and the generator is not read again
-            accepted += filled
-            if filled:
-                yield vals[:filled]
-            del vals
-            if drawn >= 50_000 and accepted / drawn < 1e-4:
-                raise SamplerEfficiencyError(
-                    f"acceptance rate {accepted / drawn:.2e} below 1e-4",
-                    operation="toric.theorem2_leading",
-                )
-
-    mean, stderr = mean_stderr(batches(), samples)
+    mean, stderr = _monte_carlo(draw, samples, seed, batch_size, "toric.theorem2_leading")
     vol = fiber_volume(sub) if volume is None else float(volume)
     return vol * mean, vol * stderr
 

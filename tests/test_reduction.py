@@ -10,6 +10,7 @@ from toeplab import reduction
 from toeplab.errors import ToeplabError, ValidationError
 from toeplab.hardy_sphere import InvariantSymbol, SymbolPoly
 from toeplab.reduction import (
+    _pieces,
     _staircase_cells,
     c0_simplex_quad,
     c0_sphere_mc,
@@ -89,7 +90,7 @@ def test_mc_pieces_keep_the_bits_of_one_pass(monkeypatch):
     def values(chunk, batch_size):
         monkeypatch.setattr(reduction, "_CHUNK", chunk)
         seen = []
-        monkeypatch.setattr(reduction, "mean_stderr", lambda batches, samples: (seen.extend(batches), (0.0, 0.0))[1])
+        monkeypatch.setattr(reduction, "mean_stderr", lambda batches, samples: (seen.extend(b.copy() for b in batches), (0.0, 0.0))[1])
         c0_sphere_mc(sym, F_X2, 3, samples=10_000, seed=6, batch_size=batch_size)
         return np.concatenate(seen)
 
@@ -197,6 +198,68 @@ def test_mean_stderr_needs_two_values():
         mean_stderr([np.ones(1)], 1)
     with pytest.raises(ValidationError):
         mean_stderr([], 0)
+
+
+def _batches_before_the_shared_loop(symbol, f, n, samples, seed, batch_size):
+    """c0_sphere_mc's batches as they were before both oracles shared one loop:
+    each batch, the last one too, drawn in pieces of its own size."""
+    rng = np.random.default_rng(seed)
+
+    def batch(size):
+        vals = np.empty(size)
+        for lo, hi in _pieces(size):
+            vals[lo:hi] = f(reduction._symbol_values(symbol, sample_sphere(n, hi - lo, rng)))
+        return vals
+
+    return [batch(min(batch_size, samples - done)) for done in range(0, samples, batch_size)]
+
+
+@pytest.mark.parametrize("samples,batch_size", [(10_001, 10_000), (36_385, 20_000), (25_000, 10_000), (10_000, 2**40)])
+@pytest.mark.parametrize("complex_symbol", [False, True], ids=["invariant", "complex"])
+def test_mc_shared_loop_keeps_the_values_of_each_batch(monkeypatch, samples, batch_size, complex_symbol):
+    # last batches of 1 and 16,385 values now draw a whole piece and keep a prefix
+    sym = (SymbolPoly.from_terms([((1, 0, 0), (1, 0, 0), 0.5), ((1, 0, 0), (0, 1, 0), 0.3 - 0.2j)], hermitize=True)
+           if complex_symbol else InvariantSymbol.from_poly([((2, 0, 0), 1), ((0, 1, 1), Fraction(1, 2))], 3))
+    f = TestFunction.polynomial([0.25, -1.0, 2.0])
+    got = []
+
+    def capture(batches, samples):
+        got.extend(b.copy() for b in batches)  # each batch is a view of one reused buffer
+        return 0.0, 0.0
+
+    monkeypatch.setattr(reduction, "mean_stderr", capture)
+    c0_sphere_mc(sym, f, 3, samples=samples, seed=9, batch_size=batch_size)
+    want = _batches_before_the_shared_loop(sym, f, 3, samples, 9, batch_size)
+    assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+
+def test_mc_batches_share_one_value_buffer(monkeypatch):
+    # 25,000 samples in batches of 10,000: three batches, every one a view of the first's buffer
+    handed = []
+
+    def capture(batches, samples):
+        handed.extend(batches)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(reduction, "mean_stderr", capture)
+    c0_sphere_mc(A1_3, F_X, 3, samples=25_000, seed=7, batch_size=10_000)
+    assert [len(b) for b in handed] == [10_000, 10_000, 5_000]
+    assert all(np.shares_memory(b, handed[0]) for b in handed)
+
+
+@pytest.mark.parametrize("batch_size", [2.5, 5000.0, "5", True])
+def test_mc_refuses_a_batch_that_is_not_an_integer(batch_size):
+    # each raised a bare TypeError
+    with pytest.raises(ValidationError, match="batch_size"):
+        c0_sphere_mc(A1_2, F_X, 2, samples=10_000, batch_size=batch_size)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+def test_mc_refuses_a_seed_that_is_not_a_non_negative_integer(monkeypatch, seed):
+    # numpy raised a bare ValueError or TypeError, or drew from fresh entropy for None
+    monkeypatch.setattr(reduction, "sample_sphere", lambda n, size, rng: pytest.fail("drew points"))
+    with pytest.raises(ValidationError, match="seed"):
+        c0_sphere_mc(A1_2, F_X, 2, samples=10_000, seed=seed)
 
 
 def test_staircase_cells_structure():

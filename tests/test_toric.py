@@ -6,7 +6,7 @@ from math import factorial, lcm, pi, prod
 import numpy as np
 import pytest
 
-from toeplab import toric
+from toeplab import reduction, toric
 from toeplab._exact import integer_nullspace
 from toeplab.errors import (
     RegularityError,
@@ -554,10 +554,10 @@ def test_theorem2_values_match_the_joined_batches(monkeypatch, name, batch_size)
     handed = []
 
     def capture(batches, samples):
-        handed.extend(batches)
+        handed.extend(b.copy() for b in batches)
         return 0.0, 0.0
 
-    monkeypatch.setattr(toric, "mean_stderr", capture)
+    monkeypatch.setattr(reduction, "mean_stderr", capture)
     theorem2_leading(sym, f, sub, samples=12_345, seed=13, batch_size=batch_size, volume=1.0)
     want = list(_joined_piece_batches(sym, f, sub, 12_345, 13, batch_size))
     assert [b.tobytes() for b in handed] == [b.tobytes() for b in want]
@@ -573,6 +573,62 @@ def test_theorem2_rejects_empty_batches(batch_size):
 def test_theorem2_refuses_oversized_batch_before_drawing():
     with pytest.raises(ValidationError, match="bytes"):
         theorem2_leading(A1_2, F_X, diagonal_circle(2), samples=10_000, batch_size=2**40)
+
+
+def test_theorem2_batches_share_one_value_buffer(monkeypatch):
+    # product_of_lines keeps every draw: 25,000 samples in batches of 10,000 are three views of one buffer
+    handed = []
+
+    def capture(batches, samples):
+        handed.extend(batches)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(reduction, "mean_stderr", capture)
+    sub = EXAMPLE_SUBTORI["product_of_lines"]
+    theorem2_leading(InvariantSymbol.coordinate(0, sub.n), F_X, sub, samples=25_000, batch_size=10_000, volume=1.0)
+    assert [len(b) for b in handed] == [10_000, 10_000, 5_000]
+    assert all(np.shares_memory(b, handed[0]) for b in handed)
+
+
+@pytest.mark.parametrize(
+    "symbol,sub",
+    [
+        (InvariantSymbol.coordinate(0, 3), diagonal_circle(2)),
+        (InvariantSymbol.coordinate(2, 3), diagonal_circle(2)),
+        (A1_2, diagonal_circle(3)),
+        (InvariantSymbol.from_poly([((0, 1), 1)], 2), diagonal_circle(3)),
+    ],
+    ids=["a1_on_3_over_2", "a3_on_3_over_2", "a1_on_2_over_3", "a2_on_2_over_3"],
+)
+def test_theorem2_refuses_a_symbol_of_another_size_before_any_vertex(monkeypatch, symbol, sub):
+    # a1 on 3 coordinates over diagonal_circle(2) gave 3.1453, a3 an IndexError,
+    # a1 and a2 on 2 coordinates over diagonal_circle(3) gave 6.5120 and 6.5800
+    monkeypatch.setattr(toric, "regular_free_check", lambda sub: pytest.fail("computed the vertices"))
+    with pytest.raises(ValidationError, match="coordinates"):
+        theorem2_leading(symbol, F_X, sub, samples=10_000)
+
+
+@pytest.mark.parametrize("batch_size", [2.5, 5000.0, "5", True])
+@pytest.mark.parametrize("sub", [diagonal_circle(2), full_torus((1, 2))], ids=["diagonal_circle_2", "point_fiber"])
+def test_theorem2_refuses_a_batch_that_is_not_an_integer(sub, batch_size):
+    # each raised a bare TypeError, or was never checked on a point fiber
+    with pytest.raises(ValidationError, match="batch_size"):
+        theorem2_leading(A1_2, F_X, sub, samples=10_000, batch_size=batch_size)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+@pytest.mark.parametrize("sub", [diagonal_circle(2), full_torus((1, 2))], ids=["diagonal_circle_2", "point_fiber"])
+def test_theorem2_refuses_a_seed_that_is_not_a_non_negative_integer(sub, seed):
+    # numpy raised a bare ValueError or TypeError, or drew from fresh entropy for None
+    with pytest.raises(ValidationError, match="seed"):
+        theorem2_leading(A1_2, F_X, sub, samples=10_000, seed=seed)
+
+
+@pytest.mark.parametrize("samples", [-1, "x", 100, 10**9])
+def test_theorem2_point_fiber_checks_its_samples(samples):
+    # the exact point evaluation returned (0.333..., 0.0) for any sample count
+    with pytest.raises(ValidationError, match="samples"):
+        theorem2_leading(A1_2, F_X, EXAMPLE_SUBTORI["full_torus_12"], samples=samples)
 
 
 def test_theorem2_supplied_volume():
