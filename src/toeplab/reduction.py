@@ -21,9 +21,9 @@ dimension counts alone, which pins the constant without any integral.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial, isfinite, pi
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -93,24 +93,23 @@ def _check_samples(samples: int, operation: str) -> None:
         raise ValidationError(f"samples {samples!r} must be an integer from 10000 to {MAX_SAMPLES}", operation=operation)
 
 
-def _check_batch(size: int, row_bytes: int, operation: str) -> None:
-    """Refuse before drawing a batch that is not a positive integer (an empty one never ends), or one past MAX_SECTOR_BYTES."""
-    if not _is_int(size) or size < 1:
-        raise ValidationError(f"batch_size {size!r} must be a positive integer", operation=operation)
-    if size * row_bytes > MAX_SECTOR_BYTES:
-        raise ValidationError(f"a batch of {size} needs {size * row_bytes} bytes, over {MAX_SECTOR_BYTES}", operation=operation)
-
-
-def _check_seed(seed: int, operation: str) -> None:
-    """Refuse a seed that is not a non-negative integer, which numpy would reject unnamed."""
+def _check_run(samples: int, batch_size: int, seed: int, operation: str) -> None:
+    """Refuse, in this order and before any draw, a batch that is not a positive integer (an empty one never ends),
+    a buffer of min(batch_size, samples) values past MAX_SECTOR_BYTES, a bad sample count and a seed numpy rejects."""
+    if not _is_int(batch_size) or batch_size < 1:
+        raise ValidationError(f"batch_size {batch_size!r} must be a positive integer", operation=operation)
+    held = min(batch_size, samples) if _is_int(samples) else batch_size  # _monte_carlo's one value buffer
+    if 8 * held > MAX_SECTOR_BYTES:
+        raise ValidationError(f"a batch of {held} values needs {8 * held} bytes, over {MAX_SECTOR_BYTES}", operation=operation)
+    _check_samples(samples, operation)
     if not _is_int(seed) or seed < 0:
         raise ValidationError(f"seed {seed!r} must be a non-negative integer", operation=operation)
 
 
-def _pieces(size: int) -> list[tuple[int, int]]:
-    """(start, stop) of a batch's pieces of _CHUNK points, none of one point."""
-    cuts = [0, *range(_CHUNK, size - 1, _CHUNK), size]
-    return list(zip(cuts, cuts[1:]))
+def _pieces(size: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of a batch's pieces of _CHUNK points, none of one point, made as they are read."""
+    inner = range(_CHUNK, size - 1, _CHUNK)
+    return zip(chain((0,), inner), chain(inner, (size,)))
 
 
 def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, float]:
@@ -141,8 +140,8 @@ def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, flo
     return mean, (max(0.0, var) / samples) ** 0.5
 
 
-def _monte_carlo(draw, samples: int, seed: int, batch_size: int, operation: str) -> tuple[float, float]:
-    """Mean and standard error of ``samples`` values in batches of up to ``batch_size``, for both oracles.
+def _monte_carlo(draw, volume, samples: int, seed: int, batch_size: int, operation: str) -> tuple[float, float]:
+    """``volume()`` times the mean and stderr of ``samples`` values in batches of up to ``batch_size``, for both oracles.
 
     ``draw(rng, rows)`` draws ``rows`` rows from ``default_rng(seed)`` and returns the values of
     those it keeps.  A batch walks its ``_pieces``, each drawn whole and never of one row (numpy's
@@ -150,10 +149,10 @@ def _monte_carlo(draw, samples: int, seed: int, batch_size: int, operation: str)
     and the pieces' draws are the batch's stream.  A piece's values, up to what the batch still
     needs, go into one buffer of min(batch_size, samples) for the whole call and are released
     before the next draw; a full batch stops drawing, and mean_stderr reads it as a view of the
-    buffer.  A seed that is not a non-negative integer is refused, and so is a draw that keeps
-    fewer than 1 in 10**4 rows after 50,000.
+    buffer.  After every piece, a draw that has kept fewer than 1 in 10**4 rows after 50,000 is
+    refused, so no batch draws on unbounded, and never pays for ``volume``, called once the mean is
+    known.  Each oracle passes its arguments through _check_run first.
     """
-    _check_seed(seed, operation)
     rng = np.random.default_rng(seed)
     vals = np.empty(min(batch_size, samples))
 
@@ -168,15 +167,18 @@ def _monte_carlo(draw, samples: int, seed: int, batch_size: int, operation: str)
                 vals[filled:filled + len(got)] = got
                 filled += len(got)
                 del got  # before the next piece is drawn
+                rate = (accepted + filled) / drawn
+                if drawn >= 50_000 and rate < 1e-4:
+                    raise SamplerEfficiencyError(f"acceptance rate {rate:.2e} below 1e-4", operation=operation)
                 if filled == need:
                     break
             accepted += filled
             if filled:
                 yield vals[:filled]
-            if drawn >= 50_000 and accepted / drawn < 1e-4:
-                raise SamplerEfficiencyError(f"acceptance rate {accepted / drawn:.2e} below 1e-4", operation=operation)
 
-    return mean_stderr(batches(), samples)
+    mean, stderr = mean_stderr(batches(), samples)
+    vol = volume()
+    return vol * mean, vol * stderr
 
 
 def c0_sphere_mc(
@@ -189,20 +191,15 @@ def c0_sphere_mc(
 ) -> tuple[float, float]:
     """Monte Carlo leading coefficient sigma_vol(n) * E[f(F(z))].
 
-    Every draw is kept, so the sample stream is independent of the batch
-    size, which sets only the summation grouping.
+    Every draw is kept, so the batch size sets only the summation grouping;
+    past the sample count it costs nothing, as the loop holds min(batch_size, samples) values.
     """
     if not isinstance(symbol, (SymbolPoly, InvariantSymbol)):
         raise ValidationError("symbol must be SymbolPoly or InvariantSymbol", operation="reduction.c0_sphere_mc")
     _check_dimension(symbol, n, "reduction.c0_sphere_mc")
-    if _is_int(batch_size) and _is_int(samples) and samples > 0:
-        batch_size = min(batch_size, samples)  # the most points drawn at once
-    _check_batch(batch_size, 8, "reduction.c0_sphere_mc")  # one value per point
-    _check_samples(samples, "reduction.c0_sphere_mc")
+    _check_run(samples, batch_size, seed, "reduction.c0_sphere_mc")
     draw = lambda rng, rows: f(_symbol_values(symbol, sample_sphere(n, rows, rng)))
-    mean, stderr = _monte_carlo(draw, samples, seed, batch_size, "reduction.c0_sphere_mc")
-    vol = sphere_sigma_volume(n)
-    return vol * mean, vol * stderr
+    return _monte_carlo(draw, lambda: sphere_sigma_volume(n), samples, seed, batch_size, "reduction.c0_sphere_mc")
 
 
 def _staircase_cells(p: int, mesh: int) -> np.ndarray:

@@ -40,7 +40,7 @@ from .multiindex import (
     full_torus,
     recession_pointed,
 )
-from .reduction import _check_batch, _check_dimension, _check_samples, _check_seed, _monte_carlo
+from .reduction import _check_dimension, _check_run, _monte_carlo
 from .spectral import TestFunction, scaled_measure
 
 __all__ = [
@@ -216,16 +216,9 @@ def regular_free_check(sub: SubtorusData) -> RegularFreeReport:
 def _vertex_y_coordinates(
     verts: list[tuple[Fraction, ...]], basis: list[list[int]], a0: tuple[Fraction, ...]
 ) -> list[list[Fraction]]:
-    n = len(a0)
-    rows = [[Fraction(basis[j][i]) for j in range(len(basis))] for i in range(n)]
-    out = []
-    for v in verts:
-        rhs = [v[i] - a0[i] for i in range(n)]
-        y = solve_rectangular(rows, rhs)
-        if y is None:
-            raise ValidationError("vertex outside the nullspace chart", operation="toric.theorem2_leading")
-        out.append(y)
-    return out
+    """Each vertex's exact y in v = a0 + sum_j y_j basis[j], always solvable: v - a0 lies in ker Bt, which the basis spans."""
+    rows = [[Fraction(b[i]) for b in basis] for i in range(len(a0))]
+    return [solve_rectangular(rows, [c - c0 for c, c0 in zip(v, a0)]) for v in verts]
 
 
 def theorem2_leading(
@@ -246,16 +239,18 @@ def theorem2_leading(
     fiber_volume unless supplied.  Sampling rejects from the bounding
     box of the polytope in primitive nullspace coordinates, where the
     uniform measure matches the count normalization; the mean itself is
-    chart-independent.  For a fixed seed and batch size the result is
-    bit-stable.  Each piece of draws is scaled in place by columns to the
-    bits of rng.uniform(lo, hi), mapped, tested, and its kept rows
-    normalized and evaluated while still in cache.  Requires the
-    regular-free check to pass.  d = n has a zero-dimensional fiber and
-    returns the exact point evaluation with stderr 0.
+    chart-independent.  For a fixed seed and batch size the result is bit-stable;
+    samples, batch and seed pass reduction._check_run before any vertex is computed,
+    and a batch past the sample count costs nothing.  Each piece of draws is scaled
+    in place by columns to the bits of rng.uniform(lo, hi), mapped, tested, and its
+    kept rows normalized and evaluated while still in cache.  Requires the
+    regular-free check to pass.  d = n has a zero-dimensional fiber and returns the
+    exact point evaluation with stderr 0.
     """
     if not isinstance(symbol, InvariantSymbol):
         raise ValidationError("the limit oracle needs an invariant symbol", operation="toric.theorem2_leading")
     _check_dimension(symbol, sub.n, "toric.theorem2_leading")
+    _check_run(samples, batch_size, seed, "toric.theorem2_leading")
     report = regular_free_check(sub)
     if not report.ok:
         raise RegularityError(report.message, operation="toric.theorem2_leading")
@@ -263,9 +258,6 @@ def theorem2_leading(
     if all(c == 0 for c in verts[0]):
         raise ValidationError("level polytope touches the origin", operation="toric.theorem2_leading")
     m = sub.n - sub.d
-    _check_samples(samples, "toric.theorem2_leading")
-    _check_batch(batch_size, 8 * (m + 2 * sub.n), "toric.theorem2_leading")  # upper bound: draws, points, kept points
-    _check_seed(seed, "toric.theorem2_leading")
     if m == 0:
         a = np.array([float(c) for c in verts[0]])
         return f(symbol.evaluate(a / a.sum())), 0.0
@@ -297,9 +289,8 @@ def theorem2_leading(
             col /= norm
         return f(symbol.eval_array(pts))
 
-    mean, stderr = _monte_carlo(draw, samples, seed, batch_size, "toric.theorem2_leading")
-    vol = fiber_volume(sub) if volume is None else float(volume)
-    return vol * mean, vol * stderr
+    vol = lambda: fiber_volume(sub) if volume is None else float(volume)
+    return _monte_carlo(draw, vol, samples, seed, batch_size, "toric.theorem2_leading")
 
 
 EXAMPLE_SUBTORI: dict[str, SubtorusData] = {

@@ -3,6 +3,8 @@
 Every import is used and sits at module level, every absolute import is
 the standard library or numpy, the one runtime dependency, and all
 randomness comes from seeded generators, so reruns stay byte-identical.
+Only the shared Monte Carlo loop, ``reduction._monte_carlo``, makes a
+generator, walks batch pieces or raises the sampler efficiency error.
 Every function the benchmark's tracer (bench/tracer.py) wraps by name
 still exists, so a deletion that would crash a traced pass fails here.
 Every public function and class is read somewhere in src/ or bench/:
@@ -198,6 +200,63 @@ def test_unseeded_random_detection():
         "7: np.random.seed",
         "8: numpy.random.normal",
     ]
+
+
+MONTE_CARLO_LOOP = ("reduction.py", "_monte_carlo")
+LOOP_CALLS = {"default_rng", "_pieces"}
+
+
+def monte_carlo_leaks(source: str, owner: str | None = None) -> list[str]:
+    """``line: name`` for each call of a LOOP_CALLS name and each raise of
+    SamplerEfficiencyError outside the top-level function ``owner``."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == owner:
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if name in LOOP_CALLS:
+                    found.append((node.lineno, name))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "SamplerEfficiencyError":
+                    found.append((node.lineno, "SamplerEfficiencyError"))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=[p.name for p in ALL_SOURCES])
+def test_only_the_monte_carlo_loop_draws(path):
+    owner = MONTE_CARLO_LOOP[1] if path.name == MONTE_CARLO_LOOP[0] else None
+    assert monte_carlo_leaks(path.read_text(), owner) == []
+
+
+def test_monte_carlo_leak_detection():
+    source = (
+        "import numpy as np\n"
+        "from .errors import SamplerEfficiencyError, errors\n"
+        "def _monte_carlo(seed):\n"
+        "    rng = np.random.default_rng(seed)\n"
+        "    def batches():\n"
+        "        for piece in _pieces(9):\n"
+        "            raise SamplerEfficiencyError('low')\n"
+        "def oracle(seed):\n"
+        "    rng = default_rng(seed)\n"
+        "    pieces = list(reduction._pieces(9))\n"
+        "    raise errors.SamplerEfficiencyError\n"
+        "class Sampler:\n"
+        "    def run(self):\n"
+        "        raise SamplerEfficiencyError('low')\n"
+        "    def check(self, exc):\n"
+        "        return isinstance(exc, SamplerEfficiencyError)\n"
+    )
+    assert monte_carlo_leaks(source, "_monte_carlo") == [
+        "9: default_rng",
+        "10: _pieces",
+        "11: SamplerEfficiencyError",
+        "14: SamplerEfficiencyError",
+    ]
+    assert monte_carlo_leaks(source)[:3] == ["4: default_rng", "6: _pieces", "7: SamplerEfficiencyError"]
 
 
 def _tracer_spans() -> list[tuple[str, str]]:

@@ -262,6 +262,30 @@ def test_mc_refuses_a_seed_that_is_not_a_non_negative_integer(monkeypatch, seed)
         c0_sphere_mc(A1_2, F_X, 2, samples=10_000, seed=seed)
 
 
+def _pieces_as_a_list(size):
+    """_pieces as it was when it built its list of cuts at once."""
+    cuts = [0, *range(reduction._CHUNK, size - 1, reduction._CHUNK), size]
+    return list(zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("size", [1, 2, 16_383, 16_384, 16_385, 16_386, 40_000])
+def test_pieces_keep_their_cuts(size):
+    # never a one-row piece: 16,385 rows are one piece, 16,386 two
+    assert list(_pieces(size)) == _pieces_as_a_list(size)
+
+
+def test_pieces_are_made_as_they_are_read():
+    # the list of cuts of a 2**30-row batch took about 6 MiB, of a 2**40-row one about 6 GiB
+    tracemalloc.start()
+    try:
+        first = next(iter(_pieces(2**30)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (0, reduction._CHUNK)
+    assert peak < 64 * 2**10
+
+
 def test_staircase_cells_structure():
     cells = _staircase_cells(2, 8)
     assert cells.shape == (64, 3)

@@ -570,9 +570,54 @@ def test_theorem2_rejects_empty_batches(batch_size):
         theorem2_leading(A1_2, F_X, diagonal_circle(2), samples=10_000, batch_size=batch_size)
 
 
-def test_theorem2_refuses_oversized_batch_before_drawing():
-    with pytest.raises(ValidationError, match="bytes"):
-        theorem2_leading(A1_2, F_X, diagonal_circle(2), samples=10_000, batch_size=2**40)
+def test_theorem2_refuses_oversized_batch_before_drawing(monkeypatch):
+    sub = EXAMPLE_SUBTORI["product_of_lines"]
+    a1 = InvariantSymbol.coordinate(0, sub.n)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew points"))
+        with pytest.raises(ValidationError, match="bytes"):
+            theorem2_leading(a1, F_X, sub, samples=2**40, batch_size=2**40)
+    # only min(batch_size, samples) values are ever held: this batch was refused for 8 * (m + 2n) bytes a row
+    got = theorem2_leading(a1, F_X, sub, samples=10_000, batch_size=2**40)
+    assert repr(got) == repr(theorem2_leading(a1, F_X, sub, samples=10_000, batch_size=10_000))
+
+
+def test_theorem2_holds_a_batch_of_one_gibibyte(monkeypatch):
+    # 2**27 values at 10**8 samples take 1 GiB; they were refused for 10,737,418,240 bytes
+    runs = []
+    monkeypatch.setattr(toric, "_monte_carlo", lambda draw, volume, *run: runs.append(run) or (0.0, 0.0))
+    sub = EXAMPLE_SUBTORI["product_of_lines"]
+    theorem2_leading(InvariantSymbol.coordinate(0, sub.n), F_X, sub, samples=10**8, batch_size=2**27, volume=1.0)
+    assert runs == [(10**8, 0, 2**27, "toric.theorem2_leading")]
+
+
+def test_theorem2_efficiency_guard_fires_at_a_piece(monkeypatch):
+    # one batch past the sample count on a simplex that fills ~1/8! of its box: the guard
+    # stops it after the first four pieces, not after some 3.3e8 draws once it fills
+    make_rng = np.random.default_rng
+    drawn = []
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def random(self, shape):
+            drawn.append(shape[0])
+            return self.rng.random(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    with pytest.raises(SamplerEfficiencyError, match="acceptance rate"):
+        theorem2_leading(InvariantSymbol.coordinate(0, 9), F_X, diagonal_circle(9), samples=10_000,
+                         batch_size=2**40, volume=1.0)
+    assert drawn == [16_384] * 4
+
+
+def test_theorem2_refused_sampler_never_computes_the_volume(monkeypatch):
+    # the volume is read once the mean is known: at m = 10 its fiber counts take 3 s and
+    # about 340 MB more peak RSS, before a sampler the guard refuses after 0.1 s
+    monkeypatch.setattr(toric, "fiber_volume", lambda sub: pytest.fail("computed the volume"))
+    with pytest.raises(SamplerEfficiencyError):
+        theorem2_leading(InvariantSymbol.coordinate(0, 11), F_X, diagonal_circle(11), samples=10_000)
 
 
 def test_theorem2_batches_share_one_value_buffer(monkeypatch):
