@@ -155,8 +155,8 @@ def _run_theorem1(fields: dict, seed: int) -> dict:
         sm = scaled_measure(mu, m, k)
         rows.append([n, k, m, f.label, repr(mu), repr(sm)])
         samples.append((k, sm))
-        sectors.append({"k": k, "count": len(block.sectors),
-                        "largest": max(len(pos) for pos, _ in block.sectors)})
+        sectors.append({"k": k, "count": sum(len(pos) for pos, _ in block.sectors),
+                        "largest": max(pos.shape[1] for pos, _ in block.sectors)})
     fit = fit_expansion(samples, order=order)
     return {"measures.csv": (["n", "k", "m", "f_id", "mu", "scaled_mu"], rows),
             "fit.json": {**fit.to_json(), "sectors": sectors}}

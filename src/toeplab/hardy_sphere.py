@@ -18,12 +18,12 @@ the Hermitian matrix with entries
 Each term moves alpha by its shift gamma_t - delta_t, so every integer
 vector c orthogonal to all shifts is a conserved torus charge: Q only
 couples monomials with equal charges c.alpha.  Blocks are therefore
-assembled and stored sector by sector, one Hermitian matrix per charge
-value, and never as the dense dim x dim matrix.  Symbols whose terms all
-have gamma = delta have no shifts; they depend only on the squared
-coordinate sizes a_i = |z_i|^2 / |z|^2, every monomial is its own
-sector, and the diagonal entries are exactly rational, kept here as
-Fractions end to end.
+assembled and stored by sector, one Hermitian matrix per charge value,
+the sectors of one size as one stack, and never as the dense dim x dim
+matrix.  Symbols whose terms all have gamma = delta have no shifts; they
+depend only on the squared coordinate sizes a_i = |z_i|^2 / |z|^2, every
+monomial is its own sector, and the diagonal entries are exactly
+rational, kept here as Fractions end to end.
 
 Assembly runs term by term over the whole basis at once.  All coupled
 monomials have degree k, so h(alpha+gamma)/h(alpha) has the scalar
@@ -272,19 +272,21 @@ class ToeplitzBlock:
     """Compressed multiplication block on the degree-k monomial basis.
 
     ``basis`` lists the multi-indices in graded-lex order.  The Hermitian
-    complex matrix in the orthonormalized basis is stored as ``sectors``:
-    one (positions, matrix) pair per torus-charge sector, where
-    ``positions`` are ascending indices into ``basis`` and ``matrix`` is
-    the block restricted to them.  Entries between different sectors are
-    zero; the sector sizes sum to ``dim``.  The float diagonal rounds the exact
-    one, ``diagonal_numerators`` over ``diagonal_denominator`` in grlex order,
-    which ``exact_diagonal`` builds as Fractions on first read.
+    complex matrix in the orthonormalized basis is stored by torus-charge
+    sector, batched by size: ``sectors`` holds one (positions, matrices)
+    pair per sector size s, sizes in first-seen order.  ``positions`` is an
+    int64 (count, s) array, one row of ascending ``basis`` indices per sector
+    in first-seen order, and ``matrices`` the (count, s, s) view of one shared
+    buffer restricting the block to them.  Entries between different sectors
+    are zero; the sector sizes sum to ``dim``.  The float diagonal rounds the
+    exact one, ``diagonal_numerators`` over ``diagonal_denominator`` in grlex
+    order, which ``exact_diagonal`` builds as Fractions on first read.
     """
 
     n: int
     k: int
     basis: tuple[MultiIndex, ...]
-    sectors: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    sectors: tuple[tuple[np.ndarray, np.ndarray], ...]
     diagonal_numerators: tuple[int, ...]
     diagonal_denominator: int
     exact_diagonal = cached_property(lambda self: tuple(Fraction(num, self.diagonal_denominator) for num in self.diagonal_numerators))
@@ -296,7 +298,7 @@ class ToeplitzBlock:
 
 
 def _charge_sectors(symbol: SymbolPoly, rows: np.ndarray) -> np.ndarray:
-    """Sector label of every basis row, sectors numbered in first-seen order.
+    """Sector label of every basis row, equal sizes numbered together, sizes and sectors in first-seen order.
 
     The charges are an integer basis of the vectors orthogonal to every
     shift gamma - delta, so no term couples two sectors.  Without shifts
@@ -308,7 +310,10 @@ def _charge_sectors(symbol: SymbolPoly, rows: np.ndarray) -> np.ndarray:
     shifts = [[g - d for g, d in zip(gamma, delta)] for gamma, delta, _ in symbol.terms if gamma != delta]
     charges = np.array(_exact.integer_nullspace(shifts or [[0] * symbol.n]), dtype=np.int64)
     _, first, label = np.unique(rows @ charges.T, axis=0, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[label.reshape(-1)]
+    sizes = np.bincount(label.reshape(-1))
+    lead = np.full(sizes.max() + 1, len(rows))
+    np.minimum.at(lead, sizes, first)  # lead[s]: first row of any sector of size s
+    return np.argsort(np.lexsort((first, lead[sizes])))[label.reshape(-1)]
 
 
 def _grlex_rank(rows: np.ndarray, k: int) -> np.ndarray:
@@ -410,11 +415,12 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
     diagonal = InvariantSymbol.from_poly([(g, Fraction(c.real)) for g, d, c in symbol.terms if g == d], n)
     numerators, den = _invariant_numerators(diagonal, basis)
     flat[start + local * (width + 1)] = [num / den for num in numerators]
-    sectors = tuple(
-        (tuple(pos.tolist()), flat[o:o + s * s].reshape(s, s))
-        for pos, o, s in zip(np.split(order, np.cumsum(sizes)[:-1]), offsets.tolist(), sizes.tolist())
-    )
-    return ToeplitzBlock(n=n, k=k, basis=basis, sectors=sectors, diagonal_numerators=numerators, diagonal_denominator=den)
+    runs = np.flatnonzero(np.diff(sizes, prepend=0))  # first sector of each size
+    sectors, h, o = [], 0, 0
+    for s, c in zip(sizes[runs].tolist(), np.diff(runs, append=len(sizes)).tolist()):
+        sectors.append((order[h:h + c * s].reshape(c, s), flat[o:o + c * s * s].reshape(c, s, s)))
+        h, o = h + c * s, o + c * s * s
+    return ToeplitzBlock(n=n, k=k, basis=basis, sectors=tuple(sectors), diagonal_numerators=numerators, diagonal_denominator=den)
 
 
 def _invariant_numerators(symbol: InvariantSymbol, points) -> tuple[tuple[int, ...], int]:

@@ -94,10 +94,11 @@ def _check_samples(samples: int, operation: str) -> None:
 
 
 def _check_run(samples: int, batch_size: int, seed: int, operation: str) -> None:
-    """Refuse, in this order and before any draw, a batch that is not a positive integer (an empty one never ends),
-    a buffer of min(batch_size, samples) values past MAX_SECTOR_BYTES, a bad sample count and a seed numpy rejects."""
-    if not _is_int(batch_size) or batch_size < 1:
-        raise ValidationError(f"batch_size {batch_size!r} must be a positive integer", operation=operation)
+    """Refuse, in this order and before any draw, a batch that is not an integer of at least 2 (an empty one never
+    ends, a one-point piece rounds differently), a buffer of min(batch_size, samples) values past MAX_SECTOR_BYTES,
+    a bad sample count and a seed numpy rejects."""
+    if not _is_int(batch_size) or batch_size < 2:
+        raise ValidationError(f"batch_size {batch_size!r} must be an integer of at least 2", operation=operation)
     held = min(batch_size, samples) if _is_int(samples) else batch_size  # _monte_carlo's one value buffer
     if 8 * held > MAX_SECTOR_BYTES:
         raise ValidationError(f"a batch of {held} values needs {8 * held} bytes, over {MAX_SECTOR_BYTES}", operation=operation)

@@ -74,19 +74,11 @@ class TestFunction:
         return out if out.ndim else float(out)
 
 
-def _sector_stacks(block: ToeplitzBlock) -> list[np.ndarray]:
-    """The block's sector matrices stacked by size, one (count, s, s) array per size."""
-    by_size: dict[int, list[np.ndarray]] = {}
-    for _, q in block.sectors:
-        by_size.setdefault(q.shape[0], []).append(q)
-    return [np.stack(qs) for qs in by_size.values()]
-
-
 def measure_poly(block: ToeplitzBlock, f: TestFunction) -> float:
     """trace f(Q) via iterated matrix products.
 
-    No eigensolve: tr Q^j is accumulated from explicit powers of each
-    sector matrix (sectors of one size are multiplied as one batch), which
+    No eigensolve: tr Q^j is accumulated from explicit powers of the
+    block's stored stacks of equal-size sectors, read in place, which
     makes this path an independent check on measure_eigen.  Degree is
     capped at MAX_TRACE_DEGREE.
     """
@@ -96,7 +88,7 @@ def measure_poly(block: ToeplitzBlock, f: TestFunction) -> float:
             operation="spectral.measure_poly",
         )
     total = f.coeffs[0] * block.dim
-    for q in _sector_stacks(block):
+    for _, q in block.sectors:
         power = None
         for j in range(1, f.degree + 1):
             power = q if power is None else power @ q
@@ -108,7 +100,7 @@ def measure_poly(block: ToeplitzBlock, f: TestFunction) -> float:
 def measure_eigen(block: ToeplitzBlock, f: TestFunction) -> float:
     """trace f(Q) through Hermitian eigensolves, one batched call per sector size."""
     try:
-        lam = np.concatenate([np.linalg.eigvalsh(q).ravel() for q in _sector_stacks(block)])
+        lam = np.concatenate([np.linalg.eigvalsh(q).ravel() for _, q in block.sectors])
     except np.linalg.LinAlgError as exc:
         raise EigensolveError(
             f"eigensolve failed to converge on the k={block.k} block (dim {block.dim})",

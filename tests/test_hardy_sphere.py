@@ -142,8 +142,9 @@ def test_invariant_eigenvalue_alpha_length_and_size():
 def dense(block) -> np.ndarray:
     """The block's dim x dim matrix, its sectors scattered into zeros."""
     q = np.zeros((block.dim, block.dim), dtype=complex)
-    for positions, m in block.sectors:
-        q[np.ix_(positions, positions)] = m
+    for positions, matrices in block.sectors:
+        for pos, m in zip(positions, matrices):
+            q[np.ix_(pos, pos)] = m
     return q
 
 
@@ -251,14 +252,20 @@ def test_block_sectors_match_dense_oracle(name):
     q = dense_oracle(sym, 3, block.basis)
     assert np.max(np.abs(dense(block) - q)) <= 1e-15
 
-    positions = [j for pos, _ in block.sectors for j in pos]
+    positions = [j for pos, _ in block.sectors for j in pos.ravel().tolist()]
     assert sorted(positions) == list(range(block.dim))
-    assert sum(m.shape[0] for _, m in block.sectors) == block.dim
-    assert len(block.sectors) == n_sectors
+    assert sum(m.shape[0] * m.shape[1] for _, m in block.sectors) == block.dim
+    assert sum(len(pos) for pos, _ in block.sectors) == n_sectors
     label = np.empty(block.dim, dtype=int)
-    for s, (pos, _) in enumerate(block.sectors):
-        label[list(pos)] = s
+    for s, pos in enumerate(p for stack, _ in block.sectors for p in stack):
+        label[pos] = s
     assert np.all(q[label[:, None] != label[None, :]] == 0)
+    # one (positions, matrices) pair per size, every stack a view of one buffer the measures read in place
+    assert len({m.shape[1] for _, m in block.sectors}) == len(block.sectors)
+    assert all(pos.dtype == np.int64 and pos.shape == m.shape[:2] for pos, m in block.sectors)
+    buffer = block.sectors[0][1].base
+    assert buffer.size == sum(m.size for _, m in block.sectors)
+    assert all(np.shares_memory(m, buffer) for _, m in block.sectors)
 
     f = TestFunction.polynomial([0.1, -0.5, 0.0, 1.0, 0.25])
     want_eig = float(np.sum(f(np.linalg.eigvalsh(q))))
@@ -338,6 +345,9 @@ ENTRY_ORACLE_CASES = [
     ("one_coordinate", SymbolPoly.from_terms([((2,), (2,), 0.3)]), 1, 5),
     ("complex_coefficient", SymbolPoly.from_terms(
         [((2, 0), (1, 1), 0.3 - 0.7j), ((0, 1), (0, 1), Fraction(2, 7))], hermitize=True), 2, 10),
+    # sector sizes 10, 18, 24, 28, 30, 30, 28, 24, 18, 10: equal sizes apart in first-seen order
+    ("scattered_sizes", SymbolPoly.from_terms(
+        [((1, 0, 0, 0), (0, 1, 0, 0), 0.25 + 0.1j), ((0, 0, 1, 0), (0, 0, 0, 1), -0.4)], hermitize=True), 4, 9),
     # |gamma| = |delta| = 6 at k = 60: P reaches 7.4e19 > 2^63
     ("degree_six", SymbolPoly.from_terms([((6, 0), (5, 1), Fraction(1, 3))], hermitize=True), 2, 60),
 ]
@@ -350,7 +360,10 @@ def test_block_bitwise_matches_entry_oracle(name, sym, n, k):
     q, diag, groups, radicands = entry_oracle(sym, n, k)
     assert dense(block).tobytes() == q.tobytes()
     assert block.exact_diagonal == diag
-    assert [pos for pos, _ in block.sectors] == groups
+    by_size = {}
+    for g in groups:
+        by_size.setdefault(len(g), []).append(list(g))
+    assert [pos.tolist() for pos, _ in block.sectors] == list(by_size.values())
     if name == "z1_conj_z2":
         assert any(_entry_oracle_sqrt(r) is not None for r in radicands)
     if name == "degree_six":
@@ -367,7 +380,7 @@ def test_block_refuses_oversized_sectors():
     sym, _ = ORACLE_SYMBOLS["sphere_shape"]
     block = assemble_block(sym, 3, 64)
     assert block.dim == 2145
-    assert max(m.shape[0] for _, m in block.sectors) == 65
+    assert max(m.shape[1] for _, m in block.sectors) == 65
 
 
 def test_block_refuses_oversized_basis_before_enumerating():

@@ -97,10 +97,11 @@ def test_mc_pieces_keep_the_bits_of_one_pass(monkeypatch):
     assert values(7, 22).tobytes() == values(20_000, 10_000).tobytes()
 
 
-@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize("batch_size", [0, -1, 1])
 def test_mc_rejects_empty_batches(batch_size):
-    # a zero-size batch adds nothing, so the draw loop would never end
-    with pytest.raises(ValidationError):
+    # a zero-size batch adds nothing, so the draw loop would never end; a
+    # one-point piece takes numpy's one-element complex product and its bits
+    with pytest.raises(ValidationError, match="batch_size"):
         c0_sphere_mc(A1_2, F_X, 2, samples=10_000, batch_size=batch_size)
 
 

@@ -42,6 +42,28 @@ def test_measure_paths_agree_on_offdiagonal_block():
     assert measure_poly(block, f) == pytest.approx(measure_eigen(block, f), abs=1e-12)
 
 
+PINNED_BLOCKS = {
+    # sector sizes 10, 18, 24, 28, 30, 30, 28, 24, 18, 10 in first-seen order:
+    # each size but 30 comes back only after the others
+    "scattered_sizes": (SymbolPoly.from_terms(
+        [((1, 0, 0, 0), (0, 1, 0, 0), 0.25 + 0.1j), ((0, 0, 1, 0), (0, 0, 0, 1), -0.4)], hermitize=True), 4, 9,
+        "23.09365160872781", "23.093651608727807"),
+    # 66 sectors of one monomial each
+    "invariant": (InvariantSymbol.from_poly([((2, 0, 0), 1), ((0, 1, 1), Fraction(1, 2))], 3).to_symbol_poly(), 3, 10,
+                  "3.1710857749140082", "3.171085774914008"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BLOCKS))
+def test_measures_bits_frozen(name):
+    # the summation order of both measures follows the sector layout
+    sym, n, k, eigen, poly = PINNED_BLOCKS[name]
+    block = assemble_block(sym, n, k)
+    f = TestFunction.polynomial([0.1, -0.5, 0.3, 1.0, 0.25])
+    assert repr(measure_eigen(block, f)) == eigen
+    assert repr(measure_poly(block, f)) == poly
+
+
 def test_measure_poly_rejects_high_degree():
     block = a1_block(2)
     with pytest.raises(PolynomialDegreeError):

@@ -563,10 +563,11 @@ def test_theorem2_values_match_the_joined_batches(monkeypatch, name, batch_size)
     assert [b.tobytes() for b in handed] == [b.tobytes() for b in want]
 
 
-@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize("batch_size", [0, -1, 1])
 def test_theorem2_rejects_empty_batches(batch_size):
-    # a zero-size batch never moves the acceptance guard, so the loop would never end
-    with pytest.raises(ValidationError):
+    # a zero-size batch never moves the acceptance guard, so the loop would never end;
+    # a batch of one is refused as in c0_sphere_mc, one loop serving both
+    with pytest.raises(ValidationError, match="batch_size"):
         theorem2_leading(A1_2, F_X, diagonal_circle(2), samples=10_000, batch_size=batch_size)
 
 
