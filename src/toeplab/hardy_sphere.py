@@ -25,8 +25,11 @@ depend only on the squared coordinate sizes a_i = |z_i|^2 / |z|^2, every
 monomial is its own sector, and the diagonal entries are exactly
 rational, kept here as Fractions end to end.
 
-Assembly runs term by term over the whole basis at once.  All coupled
-monomials have degree k, so h(alpha+gamma)/h(alpha) has the scalar
+Assembly runs term by term over the whole basis at once.  A shift s has
+|s| = 0, so alpha -> alpha + s keeps the graded-lex basis order: the rows
+alpha with alpha + s >= 0 pair in order with the rows beta with beta - s >= 0,
+and no position is computed from the order.  All coupled monomials have
+degree k, so h(alpha+gamma)/h(alpha) has the scalar
 denominator D = prod_{s=1..|gamma|} (n-1+k+s) and every entry's radicand
 is an integer numerator P over D^2, computed on numpy object arrays of
 Python integers; the root is exact when P is a perfect square.  The
@@ -40,7 +43,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, isqrt, lcm, perm
+from math import factorial, isqrt, lcm, perm
 from typing import Sequence
 
 import numpy as np
@@ -296,7 +299,6 @@ class ToeplitzBlock:
         return len(self.basis)
 
 
-
 def _charge_sectors(symbol: SymbolPoly, rows: np.ndarray) -> np.ndarray:
     """Sector label of every basis row, equal sizes numbered together, sizes and sectors in first-seen order.
 
@@ -316,20 +318,6 @@ def _charge_sectors(symbol: SymbolPoly, rows: np.ndarray) -> np.ndarray:
     return np.argsort(np.lexsort((first, lead[sizes])))[label.reshape(-1)]
 
 
-def _grlex_rank(rows: np.ndarray, k: int) -> np.ndarray:
-    """Positions of degree-k multi-indices (int64 rows) in enumerate_degree.
-
-    A row beta is preceded by the multi-indices that agree with it before
-    coordinate i and are larger at i; with S = beta_{i+1} + ... + beta_{n-1}
-    there are C(S + n-i-2, n-i-1) of them, none when S = 0.
-    """
-    n = rows.shape[1]
-    table = np.array([[comb(s + n - i - 2, n - i - 1) if s else 0 for s in range(k + 1)]
-                      for i in range(n - 1)], dtype=np.int64).reshape(n - 1, k + 1)
-    suffix = np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1]  # suffix[:, i] = beta_{i+1} + ... + beta_{n-1}
-    return table[np.arange(n - 1), suffix].sum(axis=1)
-
-
 def _rising(rows: np.ndarray, exponents: Sequence[int], scale: int | np.ndarray = 1) -> np.ndarray:
     """scale * prod_i (r_i+1)(r_i+2)...(r_i+e_i) for every row r, scale one integer or one per row.
 
@@ -346,8 +334,10 @@ def _rising(rows: np.ndarray, exponents: Sequence[int], scale: int | np.ndarray 
 def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
     """Assemble the degree-k block of a polynomial symbol, sector by sector.
 
-    Each term (gamma, delta, c) couples alpha to beta = alpha + gamma -
-    delta inside one charge sector, so assembly is O(#terms * dim) and
+    Each term (gamma, delta, c) couples alpha to beta = alpha + s, s = gamma -
+    delta, inside one charge sector: the j-th basis row with alpha + s >= 0
+    meets the j-th with beta - s >= 0, as s keeps the basis order
+    (enumerate_fiber's shift property).  So assembly is O(#terms * dim) and
     storage is the sum of the squared sector sizes; a block whose sector
     storage would exceed MAX_SECTOR_BYTES is refused before any of it is
     allocated, and before the basis is enumerated when 16 * dim bytes
@@ -361,10 +351,10 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
     entries are exact: one Fraction per monomial from the integer
     numerators of the invariant terms, rounded once to float.
     """
+    if not (_is_int(n) and _is_int(k)) or n < 1 or k < 0:
+        raise ValidationError("need integers n >= 1 (coordinates) and k >= 0 (degree)", operation="hardy_sphere.assemble_block")
     if symbol.n != n:
         raise SymbolFormatError("symbol coordinate count does not match n", operation="hardy_sphere.assemble_block")
-    if n < 1 or k < 0:
-        raise ValidationError("need n >= 1 coordinates and degree k >= 0", operation="hardy_sphere.assemble_block")
     dim = dimension_of_degree_space(n, k)
     if 16 * dim > MAX_SECTOR_BYTES:  # sector storage 16 * sum(size^2) is at least 16 * dim
         raise ValidationError(
@@ -398,17 +388,16 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
     for gamma, delta, c in symbol.terms:
         if gamma == delta:
             continue
-        beta = rows + np.subtract(gamma, delta)
-        cols = np.flatnonzero((beta >= 0).all(axis=1))
-        beta = beta[cols]
+        shift = np.subtract(gamma, delta)
+        cols = np.flatnonzero((rows + shift >= 0).all(axis=1))
+        i = np.flatnonzero((rows - shift >= 0).all(axis=1))  # rows[i[j]] = rows[cols[j]] + shift
         den = perm(n - 1 + k + sum(gamma), sum(gamma))
-        products = (_rising(rows[cols], gamma) * _rising(beta, delta)).tolist()  # the P of each entry
+        products = (_rising(rows[cols], gamma) * _rising(rows[i], delta)).tolist()  # the P of each entry
         roots = [isqrt(p) for p in products]
         den2 = den * den
         mag = np.sqrt(np.array([p / den2 for p in products], dtype=float))
         square = [j for j, (r, p) in enumerate(zip(roots, products)) if r * r == p]
         mag[square] = [roots[j] / den for j in square]
-        i = _grlex_rank(beta, k)
         flat[start[cols] + local[i] * width[cols] + local[cols]] += complex(c) * mag
 
     # gamma == delta terms touch only the diagonal; Hermitian closure forces c real

@@ -68,13 +68,10 @@ def enumerate_degree(n: int, k: int) -> list[MultiIndex]:
     """All multi-indices with n entries and total degree k, graded-lex order.
 
     The level-k fiber of diagonal_circle(n) for k >= 1, of length
-    C(k+n-1, n-1); the order is the contract other modules rely on when
-    they index matrix rows by multi-index.
+    C(k+n-1, n-1).
     """
-    if n < 1:
-        raise ValidationError("need at least one coordinate", operation="multiindex.enumerate_degree")
-    if k < 0:
-        raise ValidationError("degree must be non-negative", operation="multiindex.enumerate_degree")
+    if not (_is_int(n) and _is_int(k)) or n < 1 or k < 0:
+        raise ValidationError("need integers n >= 1 (coordinates) and k >= 0 (degree)", operation="multiindex.enumerate_degree")
     return enumerate_fiber(diagonal_circle(n), k) if k else [(0,) * n]
 
 
@@ -162,6 +159,9 @@ def fiber_polytope_vertices(sub: SubtorusData, level: int = 1) -> list[tuple[Fra
 def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
     """Lattice points beta >= 0 with Bt beta = k * alpha, graded-lex order.
 
+    Every shift s with |s| = 0 and Bt s = 0 keeps the order: the points with
+    beta + s >= 0, moved by s, are in order the points with beta - s >= 0.
+
     Raises UnboundedFiberError (from fiber_polytope_vertices) when the
     level polytope is unbounded, since the lattice set is then infinite, and
     ValidationError when the level or the bounding box is too large for
@@ -169,8 +169,8 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
     charged the int64 rows and returned tuple of a finished point, would
     pass MAX_SECTOR_BYTES; that is checked before they are allocated.
     """
-    if k < 1:
-        raise ValidationError("level multiplier k must be >= 1", operation="multiindex.enumerate_fiber")
+    if not _is_int(k) or k < 1:
+        raise ValidationError("level multiplier k must be an integer >= 1", operation="multiindex.enumerate_fiber")
     vertices = fiber_polytope_vertices(sub)
     if not vertices:
         return []

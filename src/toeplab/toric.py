@@ -34,6 +34,7 @@ from .hardy_sphere import InvariantSymbol, _invariant_numerators
 from .multiindex import (
     MultiIndex,
     SubtorusData,
+    _is_int,
     diagonal_circle,
     enumerate_fiber,
     fiber_polytope_vertices,
@@ -106,7 +107,7 @@ def equivariant_spectrum(symbol: InvariantSymbol, sub: SubtorusData, k: int) -> 
         raise ValidationError("equivariant spectra need an invariant symbol", operation="toric.equivariant_spectrum")
     if symbol.n != sub.n:
         raise ValidationError("symbol and subtorus dimensions differ", operation="toric.equivariant_spectrum")
-    if k < 1 or not recession_pointed(sub):
+    if not _is_int(k) or k < 1 or not recession_pointed(sub):
         enumerate_fiber(sub, k)  # raises its level or unbounded-fiber error before enumerating
     return EquivariantSpectrum(symbol=symbol, sub=sub, k=k)
 

@@ -390,3 +390,12 @@ def test_block_refuses_oversized_basis_before_enumerating():
     with pytest.raises(ValidationError, match=r"dim 2872408791 needs at least 45958540656 bytes"):
         assemble_block(sym, 6, 200)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("level", [2.5, 2.0, True])
+def test_block_refuses_non_integer_levels(level):
+    # a float degree must not reach math.perm, nor True stand for degree 1
+    with pytest.raises(ValidationError, match="integers"):
+        assemble_block(InvariantSymbol.coordinate(0, 2).to_symbol_poly(), 2, level)
+    with pytest.raises(ValidationError, match="integers"):
+        assemble_block(InvariantSymbol.coordinate(0, 1).to_symbol_poly(), level, 2)

@@ -8,14 +8,16 @@ generator, walks batch pieces or raises the sampler efficiency error.
 Every function the benchmark's tracer (bench/tracer.py) wraps by name
 still exists, so a deletion that would crash a traced pass fails here.
 Every public function and class is read somewhere in src/ or bench/:
-code that only tests call is deleted, bar a named allow-list.  Every
-dataclass field is read there as an attribute, or the field is deleted.
+code that only tests call is deleted, bar a named allow-list.  The same
+holds for every public method and property of a class.  Every dataclass
+field is read there as an attribute, or the field is deleted.
 """
 
 import ast
 import importlib
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -321,6 +323,68 @@ def test_unreferenced_public_name_detection():
     )
     using = "import lib\nlib.used()\n"
     assert unreferenced_public_names([defining], [using]) == ["Orphan", "recursive"]
+
+
+
+# Public members only tests read, kept on purpose: the acceptance tests call them.
+TEST_ONLY_MEMBERS = {
+    "AsymptoticFit.c0",
+    "Reconstruction.max_error",
+    "InvariantSymbol.coordinate",
+    "InvariantSymbol.to_symbol_poly",
+    "ToeplitzBlock.exact_diagonal",
+}
+
+
+def _loaded_attributes(node) -> list[str]:
+    return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+
+
+def unread_public_members(defining: list[str], using: list[str]) -> list[str]:
+    """``Class.member`` for each public method of a class in ``defining``, and
+    each name a class body assigns (a ``cached_property``, say), that no
+    source of ``defining`` or ``using`` reads as an attribute outside the
+    member's own body.  A read matches by name, whatever the object."""
+    members, reads = [], Counter()
+    for i, source in enumerate(defining + using):
+        tree = ast.parse(source)
+        for cls in ast.walk(tree) if i < len(defining) else ():
+            for stmt in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    members.append((cls.name, stmt.name, stmt))
+                elif isinstance(stmt, ast.Assign):
+                    members += [(cls.name, t.id, stmt) for t in stmt.targets if isinstance(t, ast.Name)]
+        reads.update(_loaded_attributes(tree))
+    return sorted(f"{cls}.{name}" for cls, name, stmt in members
+                  if not name.startswith("_") and reads[name] == _loaded_attributes(stmt).count(name))
+
+
+def test_public_members_are_read_outside_tests():
+    bench = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+    found = unread_public_members([p.read_text() for p in SOURCES], [p.read_text() for p in bench])
+    assert found == sorted(TEST_ONLY_MEMBERS)
+
+
+def test_unread_public_member_detection():
+    defining = (
+        "from functools import cached_property\n"
+        "class Block:\n"
+        "    size: int\n"
+        "    cached = cached_property(lambda self: 1)\n"
+        "    _hidden = 2\n"
+        "    def used(self): return self.helper()\n"
+        "    def helper(self): return 1\n"
+        "    def recursive(self, n): return self.recursive(n - 1)\n"
+        "    @property\n"
+        "    def shown(self): return 3\n"
+        "    @property\n"
+        "    def orphan(self): return 4\n"
+        "    def _private(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "def free(): pass\n"
+    )
+    using = "def use(b):\n    return b.used(), b.shown\n"
+    assert unread_public_members([defining], [using]) == ["Block.cached", "Block.orphan", "Block.recursive"]
 
 
 def unread_dataclass_fields(defining: list[str], using: list[str]) -> list[str]:

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from toeplab.cli import main
@@ -18,6 +19,7 @@ from toeplab.multiindex import (
     grlex_key,
     recession_pointed,
 )
+from toeplab.toric import EXAMPLE_SUBTORI
 
 
 def test_enumerate_degree_order_and_count():
@@ -200,6 +202,39 @@ def test_fiber_refuses_oversized_search_before_allocating():
 def test_fiber_rejects_bad_level():
     with pytest.raises(ValidationError):
         enumerate_fiber(diagonal_circle(2), 0)
+
+
+@pytest.mark.parametrize("level", [2.5, 2.0, True])
+def test_non_integer_levels_are_refused(level):
+    # neither 2.5 nor True may stand for an integer level
+    with pytest.raises(ValidationError, match="integer"):
+        enumerate_fiber(diagonal_circle(3), level)
+    with pytest.raises(ValidationError, match="integers"):
+        enumerate_degree(3, level)
+    with pytest.raises(ValidationError, match="integers"):
+        enumerate_degree(level, 2)
+
+
+ORDER_FIBERS = {name: (sub.weight_matrix, [enumerate_fiber(sub, k) for k in (1, 2, 4)])
+                for name, sub in EXAMPLE_SUBTORI.items()}
+ORDER_FIBERS |= {f"degree_{n}": (((1,) * n,), [enumerate_degree(n, k) for k in (1, 2, 4)]) for n in (2, 3, 4, 5)}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_FIBERS))
+def test_shifts_inside_a_fiber_keep_its_order(name):
+    # hardy_sphere.assemble_block pairs the rows alpha with alpha + s >= 0, in
+    # order, with the rows beta with beta - s >= 0; that needs every shift of
+    # sum zero that stays in the fiber to keep the graded-lex order
+    weights, fibers = ORDER_FIBERS[name]
+    n = len(weights[0])
+    shifts = [s for s in product(range(-2, 3), repeat=n)
+              if sum(s) == 0 and all(sum(w * e for w, e in zip(row, s)) == 0 for row in weights)]
+    assert len(shifts) > 1 or name in ("full_torus_12", "weighted_line")
+    for fiber in fibers:
+        rows = np.array(fiber, dtype=np.int64)
+        for s in shifts:
+            moved = rows[(rows + s >= 0).all(axis=1)] + s
+            assert moved.tolist() == rows[(rows - s >= 0).all(axis=1)].tolist(), s
 
 
 def test_polytope_vertices_weighted_segment():

@@ -194,6 +194,13 @@ def test_spectrum_validation():
         equivariant_spectrum(A1_2, SubtorusData(n=2, d=1, weight_matrix=((1, -1),), alpha=(1,)), 1)
 
 
+@pytest.mark.parametrize("level", [2.5, 2.0, True])
+def test_spectrum_refuses_non_integer_levels(level):
+    # neither 2.5 nor True may stand for an integer level
+    with pytest.raises(ValidationError, match="integer"):
+        equivariant_spectrum(InvariantSymbol.coordinate(0, 3), diagonal_circle(3), level)
+
+
 def test_fiber_measures():
     spec = equivariant_spectrum(A1_2, diagonal_circle(2), 2)
     assert fiber_measure(spec, F_X) == pytest.approx(1.5)
