@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .multiindex import _check_int, _is_int
 
 MAX_GRID_POINTS = 4096
 _TILE = 128  # check_isometry's square tiles: 256 KiB of complex entries each
@@ -48,20 +49,19 @@ __all__ = [
 class ModelIndex:
     """One model state: frequency vector m != 0 and transverse dimension.
 
-    Entries of m past the float range, and states whose normalization
-    overflows a float, are refused.
+    Entries of m that are not ints or past the float range, a k_dim that _check_int
+    refuses, and states whose normalization overflows a float, are refused.
     """
 
     m: tuple[int, ...]
     k_dim: int
 
     def __post_init__(self):
-        if not self.m or not all(isinstance(c, int) for c in self.m):
+        if not self.m or not all(map(_is_int, self.m)):
             raise ValidationError("m must be a nonempty integer tuple", operation="canonical_model.ModelIndex")
         if all(c == 0 for c in self.m):
             raise ValidationError("m = 0 has no normalizable state", operation="canonical_model.ModelIndex")
-        if self.k_dim < 0:
-            raise ValidationError("k_dim must be nonnegative", operation="canonical_model.ModelIndex")
+        _check_int(self.k_dim, "k_dim", 0, "canonical_model.ModelIndex")
         if not all(abs(c) <= sys.float_info.max for c in self.m):
             raise ValidationError("m entries must lie in the float range", operation="canonical_model.ModelIndex")
         try:
@@ -103,14 +103,14 @@ def fm_eval(idx: ModelIndex, y, theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Hermite count per y axis and trapezoid count per angle."""
+    """Gauss-Hermite count per y axis and trapezoid count per angle, each at least 2."""
 
     hermite_points: int = 64
     fourier_points: int = 24
 
     def __post_init__(self):
-        if self.hermite_points < 2 or self.fourier_points < 2:
-            raise ValidationError("quadrature needs at least two points per axis", operation="canonical_model.QuadratureSpec")
+        _check_int(self.hermite_points, "hermite_points", 2, "canonical_model.QuadratureSpec")
+        _check_int(self.fourier_points, "fourier_points", 2, "canonical_model.QuadratureSpec")
 
 
 def _shared_dims(indices: Sequence[ModelIndex]) -> tuple[int, int]:

@@ -27,8 +27,8 @@ from .canonical_model import ModelIndex, QuadratureSpec, check_isometry
 from .errors import ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block
 from .inverse import loglog_slope, reconstruct, spectral_distinguishability
-from .multiindex import MAX_SECTOR_BYTES, SubtorusData, _is_int, diagonal_circle, fiber_polytope_vertices
-from .reduction import _check_samples
+from .multiindex import MAX_SECTOR_BYTES, SubtorusData, _check_int, _is_int, diagonal_circle, fiber_polytope_vertices
+from .reduction import MAX_SAMPLES, MIN_SAMPLES
 from .spectral import MAX_TRACE_DEGREE, TestFunction, fit_expansion, measure_eigen, measure_poly, scaled_measure
 from .toric import EXAMPLE_SUBTORI, equivariant_spectrum, fiber_measure_series, regular_free_check, theorem2_leading
 
@@ -66,12 +66,6 @@ def _record(obj, where: str, required, optional=None) -> dict:
     if unknown or missing:
         raise _validation_error(f"{where} has unknown fields {unknown} and lacks fields {missing}")
     return {**optional, **obj}
-
-
-def _int(v, name: str, minimum: int) -> int:
-    if not _is_int(v) or v < minimum:
-        raise _validation_error(f"field '{name}' must be an integer >= {minimum}")
-    return v
 
 
 def _real(v, name: str, low: float = -sys.float_info.max) -> float:
@@ -133,13 +127,13 @@ def _subtorus(obj) -> SubtorusData:
 
 
 def _run_theorem1(fields: dict, seed: int) -> dict:
-    n = _int(fields["n"], "n", 1)
+    n = _check_int(fields["n"], "n", 1, "cli.manifest")
     symbol = SymbolPoly.from_json(fields["symbol"])
     if symbol.n != n:
         raise _validation_error("symbol index length disagrees with n")
     f = _test_function(fields["f"])
     ks = _positive_ints(fields["k_list"], "k_list", 1)
-    order = _int(fields["fit_order"], "fit_order", 0)
+    order = _check_int(fields["fit_order"], "fit_order", 0, "cli.manifest")
     method = fields["measure"]
     if method not in ("eigen", "poly"):
         raise _validation_error("field 'measure' must be 'eigen' or 'poly'")
@@ -167,8 +161,8 @@ def _run_theorem2(fields: dict, seed: int) -> dict:
     symbol = _invariant_symbol(fields["symbol"], sub.n, "symbol")
     f = _test_function(fields["f"])
     ks = _positive_ints(fields["k_list"], "k_list", 1)
-    order = sub.n - sub.d if fields["fit_order"] is None else _int(fields["fit_order"], "fit_order", 0)
-    _check_samples(fields["samples"], "cli.manifest")
+    order = sub.n - sub.d if fields["fit_order"] is None else _check_int(fields["fit_order"], "fit_order", 0, "cli.manifest")
+    _check_int(fields["samples"], "samples", MIN_SAMPLES, "cli.manifest", high=MAX_SAMPLES)
     rows = fiber_measure_series(symbol, f, sub, ks)
     fit = fit_expansion([(k, sm) for k, _, _, sm in rows], order=order)
     report = regular_free_check(sub)
@@ -221,18 +215,18 @@ def _check_distinguish_work(sub: SubtorusData, k_max: int) -> None:
 
 
 def _run_inverse(fields: dict, seed: int) -> dict:
-    n = _int(fields["n"], "n", 2)
+    n = _check_int(fields["n"], "n", 2, "cli.manifest")
     symbol = _invariant_symbol(fields["symbol"], n, "symbol")
     grid = _grid_points(fields["grid"], n)
     if (fields["k_max"] is None) == (fields["k_max_list"] is None):
         raise _validation_error("provide exactly one of 'k_max' and 'k_max_list'")
     if fields["k_max_list"] is None:
-        k_maxes = [_int(fields["k_max"], "k_max", 1)]
+        k_maxes = [_check_int(fields["k_max"], "k_max", 1, "cli.manifest")]
     else:
         k_maxes = _positive_ints(fields["k_max_list"], "k_max_list", 2)
         if len(set(k_maxes)) < len(k_maxes):
             raise _validation_error("field 'k_max_list' repeats a value")
-    order = _int(fields["order"], "order", 0)
+    order = _check_int(fields["order"], "order", 0, "cli.manifest")
     spacing = fields["spacing"]
     if spacing not in ("geometric", "all"):
         raise _validation_error("field 'spacing' must be 'geometric' or 'all'")
@@ -281,14 +275,11 @@ def _run_model(fields: dict, seed: int) -> dict:
     states = []
     for obj in fields["states"]:
         s = _record(obj, "a state", ("m", "k_dim"))
-        if not isinstance(s["m"], list) or not all(_is_int(c) for c in s["m"]):
+        if not isinstance(s["m"], list):
             raise _validation_error(f"state frequency {s['m']!r} must be a list of integers")
-        states.append(ModelIndex(m=tuple(s["m"]), k_dim=_int(s["k_dim"], "k_dim", 0)))
+        states.append(ModelIndex(m=tuple(s["m"]), k_dim=s["k_dim"]))
     quad = _record(fields["quad"], "field 'quad'", (), _EXPERIMENTS["model"][2]["quad"])
-    report = check_isometry(states, QuadratureSpec(
-        hermite_points=_int(quad["hermite_points"], "hermite_points", 2),
-        fourier_points=_int(quad["fourier_points"], "fourier_points", 2),
-    ))
+    report = check_isometry(states, QuadratureSpec(hermite_points=quad["hermite_points"], fourier_points=quad["fourier_points"]))
     return {"isometry.json": report.to_json()}
 
 
@@ -296,7 +287,7 @@ def _run_distinguish(fields: dict, seed: int) -> dict:
     sub = _subtorus(fields["subtorus"])
     sym_a = _invariant_symbol(fields["symbol_a"], sub.n, "symbol_a")
     sym_b = _invariant_symbol(fields["symbol_b"], sub.n, "symbol_b")
-    k_max = _int(fields["k_max"], "k_max", 1)
+    k_max = _check_int(fields["k_max"], "k_max", 1, "cli.manifest")
     tol = _real(fields["tol"], "tol", 0)
     _check_distinguish_work(sub, k_max)
     report = spectral_distinguishability(
@@ -359,7 +350,7 @@ def main(argv=None) -> int:
         fields = _record(manifest, "the manifest", required, {"experiment": args.experiment, "seed": 0, **optional})
         if fields["experiment"] != args.experiment:
             raise _validation_error(f"manifest declares experiment {fields['experiment']!r}, flag says {args.experiment!r}")
-        seed = _int(fields["seed"] if args.seed is None else args.seed, "seed", 0)
+        seed = _check_int(fields["seed"] if args.seed is None else args.seed, "seed", 0, "cli.manifest")
         outputs = runner(fields, seed)
     except ValidationError as exc:
         print(f"invalid input ({exc.operation}): {exc}", file=sys.stderr)

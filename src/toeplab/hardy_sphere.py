@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _exact
 from .errors import SymbolFormatError, ValidationError
-from .multiindex import MAX_SECTOR_BYTES, MultiIndex, _is_int, dimension_of_degree_space, enumerate_degree
+from .multiindex import MAX_SECTOR_BYTES, MultiIndex, _check_int, _is_int, dimension_of_degree_space, enumerate_degree
 
 __all__ = [
     "monomial_norm",
@@ -78,11 +78,10 @@ def monomial_norm(mu: Sequence[int], n: int) -> Fraction:
     Normalized so the constant monomial has norm one.  Example values:
     h((1,0), 2) = 1/2 and h((1,1), 2) = 1/6.
     """
-    mu = tuple(int(e) for e in mu)
-    if len(mu) != n:
-        raise ValidationError("multi-index length must equal n", operation="hardy_sphere.monomial_norm")
-    if any(e < 0 for e in mu):
-        raise ValidationError("multi-index entries must be non-negative", operation="hardy_sphere.monomial_norm")
+    _check_int(n, "n", 1, "hardy_sphere.monomial_norm")
+    mu = tuple(mu)
+    if len(mu) != n or not all(_is_int(e) and e >= 0 for e in mu):
+        raise ValidationError(f"multi-index mu {mu} must have n = {n} non-negative integer entries", operation="hardy_sphere.monomial_norm")
     num = factorial(n - 1)
     for e in mu:
         num *= factorial(e)
@@ -106,9 +105,9 @@ def _check_degree(gammas, operation: str) -> None:
 
 
 def _as_multiindex(mi) -> MultiIndex:
-    t = tuple(int(e) for e in mi)
-    if any(e < 0 for e in t):
-        raise SymbolFormatError("multi-index entries must be non-negative", operation="hardy_sphere.SymbolPoly")
+    t = tuple(mi)
+    if not all(_is_int(e) and e >= 0 for e in t):
+        raise SymbolFormatError(f"term exponents {t} must be non-negative integers", operation="hardy_sphere.SymbolPoly")
     return t
 
 
@@ -222,7 +221,8 @@ class InvariantSymbol:
     sum_gamma c_gamma h(alpha+gamma)/h(alpha) on z^alpha.  Each ratio
     h(alpha+gamma)/h(alpha) lies in (0, 1], so a symbol whose coefficients
     sum in modulus to at most the largest float has float eigenvalues and
-    values; a larger one is refused, as is a term of degree |gamma| above
+    values; a larger one is refused, as is an n that _check_int refuses, a
+    term of another length and a term of degree |gamma| above
     MAX_SYMBOL_DEGREE.
     """
 
@@ -230,6 +230,9 @@ class InvariantSymbol:
     poly: tuple[tuple[MultiIndex, Fraction], ...]
 
     def __post_init__(self):
+        _check_int(self.n, "n", 1, "hardy_sphere.InvariantSymbol")
+        if any(len(g) != self.n for g, _ in self.poly):
+            raise SymbolFormatError("term length must equal n", operation="hardy_sphere.InvariantSymbol")
         _check_degree((g for g, _ in self.poly), "hardy_sphere.InvariantSymbol")
         if sum(abs(c) for _, c in self.poly) > sys.float_info.max:
             raise SymbolFormatError("symbol coefficients sum in modulus past the float range",
@@ -238,14 +241,13 @@ class InvariantSymbol:
     @classmethod
     def from_poly(cls, terms, n: int) -> "InvariantSymbol":
         poly = tuple(( _as_multiindex(g), Fraction(c)) for g, c in terms)
-        for g, _ in poly:
-            if len(g) != n:
-                raise SymbolFormatError("term length must equal n", operation="hardy_sphere.InvariantSymbol")
         return cls(n=n, poly=poly)
 
     @classmethod
     def coordinate(cls, i: int, n: int) -> "InvariantSymbol":
-        """The symbol a_i = |z_i|^2 / |z|^2."""
+        """The symbol a_i = |z_i|^2 / |z|^2, for 0 <= i < n."""
+        _check_int(n, "n", 1, "hardy_sphere.InvariantSymbol.coordinate")
+        _check_int(i, "i", 0, "hardy_sphere.InvariantSymbol.coordinate", high=n - 1)
         g = tuple(1 if j == i else 0 for j in range(n))
         return cls.from_poly([(g, 1)], n)
 
@@ -351,8 +353,8 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
     entries are exact: one Fraction per monomial from the integer
     numerators of the invariant terms, rounded once to float.
     """
-    if not (_is_int(n) and _is_int(k)) or n < 1 or k < 0:
-        raise ValidationError("need integers n >= 1 (coordinates) and k >= 0 (degree)", operation="hardy_sphere.assemble_block")
+    _check_int(n, "n", 1, "hardy_sphere.assemble_block")
+    _check_int(k, "k", 0, "hardy_sphere.assemble_block")
     if symbol.n != n:
         raise SymbolFormatError("symbol coordinate count does not match n", operation="hardy_sphere.assemble_block")
     dim = dimension_of_degree_space(n, k)
@@ -458,5 +460,7 @@ def invariant_eigenvalue(symbol: InvariantSymbol, alpha: Sequence[int]) -> Fract
     (alpha_1 + 2)(alpha_1 + 1) / ((k + 3)(k + 2)).  This is the one-point
     case of the batched fiber computation.
     """
-    (num,), den = _invariant_numerators(symbol, [tuple(int(e) for e in alpha)])
+    if not all(_is_int(e) and e >= 0 for e in alpha):
+        raise ValidationError(f"alpha {tuple(alpha)} must have non-negative integer entries", operation="hardy_sphere.invariant_eigenvalue")
+    (num,), den = _invariant_numerators(symbol, [tuple(alpha)])
     return Fraction(num, den)

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log
+from math import inf, lcm, log
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, _check_int
 from .spectral import richardson_limit
 from .toric import EquivariantSpectrum
 
@@ -56,8 +56,7 @@ def extrapolate_ray(ks: Sequence[int], values: Sequence, order: int) -> Extrapol
     last raw increment of the series, the usual signature of the
     extrapolation amplifying noise instead of cancelling terms.
     """
-    if order < 0:
-        raise ValidationError("order must be nonnegative", operation="inverse.extrapolate_ray")
+    _check_int(order, "order", 0, "inverse.extrapolate_ray")
     needed = max(2, order + 1)
     if len(ks) != len(values) or len(ks) < needed:
         raise ValidationError(
@@ -81,9 +80,8 @@ def ray_levels(denominator: int, k_max: int, spacing: str = "geometric") -> list
     "geometric" halves downward from the largest multiple, keeping the
     series length logarithmic in k_max.
     """
-    q = int(denominator)
-    if q < 1 or k_max < 1:
-        raise ValidationError("denominator and k_max must be positive", operation="inverse.ray_levels")
+    q = _check_int(denominator, "denominator", 1, "inverse.ray_levels")
+    _check_int(k_max, "k_max", 1, "inverse.ray_levels")
     if spacing == "all":
         return list(range(q, k_max + 1, q))
     if spacing == "geometric":
@@ -143,8 +141,10 @@ def reconstruct(
     fewer than max(2, order + 1) usable levels is reported missing rather
     than extrapolated.  Exact rational eigenvalues are extrapolated
     exactly, so "all" spacing with a high order reaches roundoff-limited
-    accuracy.
+    accuracy.  n and order pass _check_int first, k_max when the first ray is planned.
     """
+    _check_int(n, "n", 1, "inverse.reconstruct")
+    _check_int(order, "order", 0, "inverse.reconstruct")
     points = [_as_point(pt, n) for pt in grid]
     plans = [(point, ray_levels(lcm(*(c.denominator for c in point)), k_max, spacing)) for point in points]
     needed = max(2, order + 1)
@@ -216,10 +216,11 @@ def spectral_distinguishability(
     Labeled comparison matches eigenvalues on equal weights beta;
     multiset comparison sorts each level's eigenvalues first, so
     coordinate-permuted symbols tie there while still separating in the
-    labeled sense.
+    labeled sense.  A tol that is not a finite int or float >= 0 is refused: no gap exceeds NaN.
     """
-    if k_max < 1:
-        raise ValidationError("k_max must be positive", operation="inverse.spectral_distinguishability")
+    _check_int(k_max, "k_max", 1, "inverse.spectral_distinguishability")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < inf:
+        raise ValidationError(f"tol must be a finite int or float >= 0, got {tol!r}", operation="inverse.spectral_distinguishability")
     first_labeled = None
     first_multiset = None
     for k in range(1, k_max + 1):

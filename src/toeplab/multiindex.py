@@ -59,6 +59,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_int(value, name: str, low: int, operation: str, high: int | None = None) -> int:
+    """value if it is an int, not a bool, from low to high (no top when None); else a ValidationError naming them."""
+    if not _is_int(value) or value < low or high is not None and value > high:
+        bounds = f">= {low}" if high is None else f"from {low} to {high}"
+        raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}", operation=operation)
+    return value
+
+
 def grlex_key(mi: Sequence[int]):
     """Sort key for graded lexicographic order, largest leading entry first."""
     return (sum(mi), tuple(-e for e in mi))
@@ -70,8 +78,8 @@ def enumerate_degree(n: int, k: int) -> list[MultiIndex]:
     The level-k fiber of diagonal_circle(n) for k >= 1, of length
     C(k+n-1, n-1).
     """
-    if not (_is_int(n) and _is_int(k)) or n < 1 or k < 0:
-        raise ValidationError("need integers n >= 1 (coordinates) and k >= 0 (degree)", operation="multiindex.enumerate_degree")
+    _check_int(n, "n", 1, "multiindex.enumerate_degree")
+    _check_int(k, "k", 0, "multiindex.enumerate_degree")
     return enumerate_fiber(diagonal_circle(n), k) if k else [(0,) * n]
 
 
@@ -90,8 +98,8 @@ class SubtorusData:
     alpha: tuple[int, ...]
 
     def __post_init__(self):
-        if not (_is_int(self.n) and _is_int(self.d) and 1 <= self.d <= self.n):
-            raise ValidationError("need integers 1 <= d <= n", operation="multiindex.SubtorusData")
+        _check_int(self.n, "n", 1, "multiindex.SubtorusData")
+        _check_int(self.d, "d", 1, "multiindex.SubtorusData", high=self.n)
         if len(self.weight_matrix) != self.d or any(len(r) != self.n for r in self.weight_matrix):
             raise ValidationError("weight matrix must be d x n", operation="multiindex.SubtorusData")
         if len(self.alpha) != self.d:
@@ -106,14 +114,15 @@ class SubtorusData:
 
 def diagonal_circle(n: int) -> SubtorusData:
     """The diagonal circle acting with weight 1 on every coordinate."""
+    _check_int(n, "n", 1, "multiindex.diagonal_circle")
     return SubtorusData(n=n, d=1, weight_matrix=((1,) * n,), alpha=(1,))
 
 
 def full_torus(alpha: Sequence[int]) -> SubtorusData:
-    """The full torus (d = n), pinned at level alpha."""
+    """The full torus (d = n), pinned at level alpha; SubtorusData refuses an entry that is not an int."""
     n = len(alpha)
     eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return SubtorusData(n=n, d=n, weight_matrix=eye, alpha=tuple(int(a) for a in alpha))
+    return SubtorusData(n=n, d=n, weight_matrix=eye, alpha=tuple(alpha))
 
 
 def recession_pointed(sub: SubtorusData) -> bool:
@@ -150,6 +159,7 @@ def fiber_polytope_vertices(sub: SubtorusData, level: int = 1) -> list[tuple[Fra
     """Vertices of {x >= 0 : Bt x = level * alpha} as a new list; the exact
     solves are cached.  Raises UnboundedFiberError when the polytope is
     unbounded: the one guard of every fiber search, count and check."""
+    _check_int(level, "level", 1, "multiindex.fiber_polytope_vertices")
     if not recession_pointed(sub):
         raise UnboundedFiberError("level polytope {x >= 0 : Bt x = alpha} is unbounded: its recession cone "
                                   "holds a nonzero ray", operation="multiindex.fiber_polytope_vertices")
@@ -169,8 +179,7 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
     charged the int64 rows and returned tuple of a finished point, would
     pass MAX_SECTOR_BYTES; that is checked before they are allocated.
     """
-    if not _is_int(k) or k < 1:
-        raise ValidationError("level multiplier k must be an integer >= 1", operation="multiindex.enumerate_fiber")
+    _check_int(k, "k", 1, "multiindex.enumerate_fiber")
     vertices = fiber_polytope_vertices(sub)
     if not vertices:
         return []
@@ -240,4 +249,6 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
 
 def dimension_of_degree_space(n: int, k: int) -> int:
     """C(k+n-1, n-1) without enumerating."""
+    _check_int(n, "n", 1, "multiindex.dimension_of_degree_space")
+    _check_int(k, "k", 0, "multiindex.dimension_of_degree_space")
     return comb(k + n - 1, n - 1)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SamplerEfficiencyError, ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly
-from .multiindex import MAX_SECTOR_BYTES, _is_int
+from .multiindex import MAX_SECTOR_BYTES, _check_int, _is_int
 from .spectral import TestFunction
 
 __all__ = [
@@ -42,10 +42,11 @@ __all__ = [
 
 _CHUNK = 16_384  # points a Monte Carlo oracle handles per pass, few enough to stay in cache
 
-# Most samples a Monte Carlo oracle may take.  A sample costs about 0.15 us on the
+# Fewest and most samples a Monte Carlo oracle may take.  A sample costs about 0.15 us on the
 # sphere (n = 3), 0.06 us on product_of_lines' polytope and 0.22 us on diagonal_circle(4)'s,
 # which keeps one draw in six (2-vCPU Xeon, numpy 2.4), so 10**8 samples run 6 to 22 s,
 # more where the polytope sampler rejects more.
+MIN_SAMPLES = 10**4
 MAX_SAMPLES = 10**8
 
 # Most cells c0_simplex_quad may walk, mesh^(n-1), one at a time in Python.  A cell costs
@@ -56,8 +57,7 @@ MAX_SIMPLEX_CELLS = 2**20
 
 def sphere_sigma_volume(n: int) -> float:
     """(2 pi)^(n-1) / (n-1)!, the calibrated reduced-space volume."""
-    if n < 1:
-        raise ValidationError("n must be positive", operation="reduction.sphere_sigma_volume")
+    _check_int(n, "n", 1, "reduction.sphere_sigma_volume")
     return (2.0 * pi) ** (n - 1) / factorial(n - 1)
 
 
@@ -69,6 +69,7 @@ def sample_sphere(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     np.linalg.norm's sqrt(sum Re(conj(z) z)), a fused complex product that
     a*a + b*b misses in the last bit; w *= 1/norm is complex / real.
     """
+    _check_int(n, "n", 1, "reduction.sample_sphere")
     w = rng.standard_normal((size, n, 2))
     z = w.view(complex)[..., 0]
     w *= (1.0 / np.sqrt(np.add.reduce((z.conj() * z).real, axis=1)))[:, None, None]
@@ -80,31 +81,22 @@ def _symbol_values(symbol, z: np.ndarray) -> np.ndarray:
 
 
 def _check_dimension(symbol, n: int, operation: str) -> None:
-    """Refuse an n that is not a positive integer, or a symbol on another number of coordinates."""
-    if not _is_int(n) or n < 1:
-        raise ValidationError(f"n {n!r} must be a positive integer", operation=operation)
+    """Refuse an n that is not an integer >= 1, or a symbol on another number of coordinates."""
+    _check_int(n, "n", 1, operation)
     if symbol.n != n:
         raise ValidationError(f"the symbol has {symbol.n} coordinates, not n = {n}", operation=operation)
-
-
-def _check_samples(samples: int, operation: str) -> None:
-    """Refuse a sample count that is not an integer from 10**4 to MAX_SAMPLES."""
-    if not _is_int(samples) or not 10_000 <= samples <= MAX_SAMPLES:
-        raise ValidationError(f"samples {samples!r} must be an integer from 10000 to {MAX_SAMPLES}", operation=operation)
 
 
 def _check_run(samples: int, batch_size: int, seed: int, operation: str) -> None:
     """Refuse, in this order and before any draw, a batch that is not an integer of at least 2 (an empty one never
     ends, a one-point piece rounds differently), a buffer of min(batch_size, samples) values past MAX_SECTOR_BYTES,
-    a bad sample count and a seed numpy rejects."""
-    if not _is_int(batch_size) or batch_size < 2:
-        raise ValidationError(f"batch_size {batch_size!r} must be an integer of at least 2", operation=operation)
+    a sample count that is not an integer from MIN_SAMPLES to MAX_SAMPLES and a seed numpy rejects."""
+    _check_int(batch_size, "batch_size", 2, operation)
     held = min(batch_size, samples) if _is_int(samples) else batch_size  # _monte_carlo's one value buffer
     if 8 * held > MAX_SECTOR_BYTES:
         raise ValidationError(f"a batch of {held} values needs {8 * held} bytes, over {MAX_SECTOR_BYTES}", operation=operation)
-    _check_samples(samples, operation)
-    if not _is_int(seed) or seed < 0:
-        raise ValidationError(f"seed {seed!r} must be a non-negative integer", operation=operation)
+    _check_int(samples, "samples", MIN_SAMPLES, operation, high=MAX_SAMPLES)
+    _check_int(seed, "seed", 0, operation)
 
 
 def _pieces(size: int) -> Iterator[tuple[int, int]]:
@@ -119,9 +111,10 @@ def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, flo
     Each batch adds its own float sum and sum of squares, so results depend
     on the batching only through summation grouping.  It consumes its batches:
     each is squared in place, so a caller passes arrays nothing else reads
-    until the next is pulled.  A value count other than ``samples``, or
-    below 2, is refused, as is an inf or NaN mean or variance.
+    until the next is pulled.  ``samples`` below 2 or not an int, checked before
+    any batch, a value count other than it, and an inf or NaN mean or variance are refused.
     """
+    _check_int(samples, "samples", 2, "reduction.mean_stderr")
     total = total_sq = 0.0
     count = 0
     for vals in batches:
@@ -129,9 +122,9 @@ def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, flo
         total += float(np.sum(vals))
         vals *= vals
         total_sq += float(np.sum(vals))
-    if count != samples or count < 2:
+    if count != samples:
         raise ValidationError(
-            f"{count} values arrived for samples={samples!r}; need equal counts of at least 2",
+            f"{count} values arrived for samples={samples!r}; need equal counts",
             operation="reduction.mean_stderr",
         )
     mean = total / samples
@@ -243,8 +236,7 @@ def c0_simplex_quad(symbol: InvariantSymbol, f: TestFunction, n: int, mesh: int 
     """
     if not isinstance(symbol, InvariantSymbol):
         raise ValidationError("simplex quadrature needs an invariant symbol", operation="reduction.c0_simplex_quad")
-    if mesh < 8:
-        raise ValidationError("mesh must be at least 8 subdivisions per edge", operation="reduction.c0_simplex_quad")
+    _check_int(mesh, "mesh", 8, "reduction.c0_simplex_quad")  # subdivisions per edge
     # mesh >= 8: a capped power decides; it comes first because no symbol matches an n past the limit
     if _is_int(n) and mesh ** min(n - 1, MAX_SIMPLEX_CELLS.bit_length()) > MAX_SIMPLEX_CELLS:
         raise ValidationError(f"mesh {mesh} at n = {n} needs {mesh}^{n - 1} cells, over the limit of {MAX_SIMPLEX_CELLS}",

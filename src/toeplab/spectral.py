@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .hardy_sphere import ToeplitzBlock
-from .multiindex import _is_int
+from .multiindex import _check_int, _is_int
 
 __all__ = [
     "TestFunction",
@@ -111,10 +111,8 @@ def measure_eigen(block: ToeplitzBlock, f: TestFunction) -> float:
 
 def scaled_measure(value: float, m: int, k: int) -> float:
     """(2 pi / k)^m * value, the normalization under which measures converge."""
-    if m < 0:
-        raise ValidationError("power m must be non-negative", operation="spectral.scaled_measure")
-    if k < 1:
-        raise ValidationError("k must be positive", operation="spectral.scaled_measure")
+    _check_int(m, "m", 0, "spectral.scaled_measure")
+    _check_int(k, "k", 1, "spectral.scaled_measure")
     return (2.0 * pi / k) ** m * float(value)
 
 
@@ -158,14 +156,13 @@ def _lstsq_powers(ks: np.ndarray, ys: np.ndarray, order: int) -> tuple[np.ndarra
 def fit_expansion(samples: Sequence[tuple[int, float]], order: int = 2) -> AsymptoticFit:
     """Fit value(k) ~ c_0 + c_1/k + ... + c_order/k^order.
 
-    Needs at least order+2 distinct k values, all >= 2*order, so the columns
+    Needs at least order+2 distinct integer k values, all >= max(1, 2*order), so the columns
     stay distinguishable; a condition number beyond 1e12 is rejected rather than
     silently returning garbage, as is an inf or NaN value.  The c0 uncertainty
     is estimated by refitting on the upper half of the window.
     """
-    if order < 0:
-        raise ValidationError("order must be non-negative", operation="spectral.fit_expansion")
-    pairs = sorted((int(k), float(v)) for k, v in samples)
+    _check_int(order, "order", 0, "spectral.fit_expansion")
+    pairs = sorted((_check_int(k, "k", 1, "spectral.fit_expansion"), float(v)) for k, v in samples)
     ks = np.array([k for k, _ in pairs], dtype=float)
     ys = np.array([v for _, v in pairs], dtype=float)
     if len(set(ks.tolist())) < order + 2:
@@ -205,8 +202,7 @@ def richardson_limit(ks: Sequence[int], values: Sequence, order: int):
     The values enter as given, so exact input (int or Fraction) gives a
     Fraction and float input a float.
     """
-    if order < 0:
-        raise ValidationError("order must be non-negative", operation="spectral.richardson_limit")
+    _check_int(order, "order", 0, "spectral.richardson_limit")
     if len(ks) != len(values):
         raise ValidationError("ks and values must have equal length", operation="spectral.richardson_limit")
     if len(ks) < order + 1:

@@ -34,6 +34,7 @@ from .hardy_sphere import InvariantSymbol, _invariant_numerators
 from .multiindex import (
     MultiIndex,
     SubtorusData,
+    _check_int,
     _is_int,
     diagonal_circle,
     enumerate_fiber,
@@ -87,11 +88,12 @@ class EquivariantSpectrum:
     eigenvalues = property(lambda self: (np.array(self.numerators, dtype=object) / self.denominator).astype(float))
 
     def eigenvalues_of(self, betas: Sequence[Sequence[int]]) -> list[Fraction]:
-        """Exact eigenvalues at fiber points, in one batch, each point checked against Bt beta = k alpha."""
-        keys = [tuple(int(b) for b in beta) for beta in betas]
+        """Exact eigenvalues at fiber points, in one batch, each point checked for int entries and Bt beta = k alpha."""
+        keys = [tuple(beta) for beta in betas]
         Bt, target = self.sub.weight_matrix, [self.k * a for a in self.sub.alpha]
         for key in keys:
-            if len(key) != self.sub.n or min(key) < 0 or [sum(map(mul, row, key)) for row in Bt] != target:
+            if (len(key) != self.sub.n or not all(map(_is_int, key)) or min(key) < 0
+                    or [sum(map(mul, row, key)) for row in Bt] != target):
                 raise ValidationError(f"beta {key} is not on the fiber", operation="toric.EquivariantSpectrum")
         nums, den = _invariant_numerators(self.symbol, keys)
         return [Fraction(num, den) for num in nums]
@@ -107,8 +109,9 @@ def equivariant_spectrum(symbol: InvariantSymbol, sub: SubtorusData, k: int) -> 
         raise ValidationError("equivariant spectra need an invariant symbol", operation="toric.equivariant_spectrum")
     if symbol.n != sub.n:
         raise ValidationError("symbol and subtorus dimensions differ", operation="toric.equivariant_spectrum")
-    if not _is_int(k) or k < 1 or not recession_pointed(sub):
-        enumerate_fiber(sub, k)  # raises its level or unbounded-fiber error before enumerating
+    _check_int(k, "k", 1, "toric.equivariant_spectrum")
+    if not recession_pointed(sub):
+        enumerate_fiber(sub, k)  # raises its unbounded-fiber error before enumerating
     return EquivariantSpectrum(symbol=symbol, sub=sub, k=k)
 
 

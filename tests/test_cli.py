@@ -413,6 +413,40 @@ def test_negative_seed_exits_2_before_writing(tmp_path, source):
     assert not (out / "fiber_measures.csv").exists()
 
 
+THEOREM2 = {"subtorus": {"example": "full_torus_12"}, "symbol": {"terms": [{"gamma": [1, 0], "coeff": 1}]},
+            "f": F_X, "k_list": [4, 6, 8]}
+INVERSE = {"n": 2, "symbol": A1_INV, "grid": [["1/2", "1/2"]], "k_max": 8}
+MODEL = {"states": [{"m": [1], "k_dim": 1}]}
+
+
+@pytest.mark.parametrize("experiment,manifest,path,low", [
+    ("theorem1", THEOREM1, ("n",), 1),
+    ("theorem1", THEOREM1, ("fit_order",), 0),
+    ("theorem2", THEOREM2, ("fit_order",), 0),
+    ("theorem2", THEOREM2, ("samples",), 10_000),
+    ("theorem2", THEOREM2, ("seed",), 0),
+    ("inverse", INVERSE, ("n",), 2),
+    ("inverse", INVERSE, ("k_max",), 1),
+    ("inverse", INVERSE, ("order",), 0),
+    ("model", MODEL, ("states", 0, "k_dim"), 0),
+    ("model", {**MODEL, "quad": {}}, ("quad", "hermite_points"), 2),
+    ("model", {**MODEL, "quad": {}}, ("quad", "fourier_points"), 2),
+    ("distinguish", DISTINGUISH, ("k_max",), 1),
+], ids=["theorem1_n", "theorem1_fit_order", "theorem2_fit_order", "theorem2_samples", "seed", "inverse_n",
+        "inverse_k_max", "inverse_order", "model_k_dim", "model_hermite_points", "model_fourier_points", "distinguish_k_max"])
+def test_integer_fields_refuse_floats_bools_and_out_of_range(tmp_path, capsys, experiment, manifest, path, low):
+    for value in (2.5, 2.0, True, float(low), low - 1):
+        bad = json.loads(json.dumps(manifest))
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        code, out = run_cli(tmp_path, experiment, bad)
+        assert code == 2 and not out.exists(), value
+        err = capsys.readouterr().err
+        assert f"{path[-1]} must be an integer " in err and f"got {value!r}" in err, err
+
+
 @pytest.mark.parametrize("states,quad,code", [
     ([{"m": [1], "k_dim": 1}], {"hermite_points": 100000}, 2),
     # 24^10 points; counted, never built

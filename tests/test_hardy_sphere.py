@@ -395,7 +395,7 @@ def test_block_refuses_oversized_basis_before_enumerating():
 @pytest.mark.parametrize("level", [2.5, 2.0, True])
 def test_block_refuses_non_integer_levels(level):
     # a float degree must not reach math.perm, nor True stand for degree 1
-    with pytest.raises(ValidationError, match="integers"):
+    with pytest.raises(ValidationError, match="k must be an integer >= 0"):
         assemble_block(InvariantSymbol.coordinate(0, 2).to_symbol_poly(), 2, level)
-    with pytest.raises(ValidationError, match="integers"):
+    with pytest.raises(ValidationError, match="n must be an integer >= 1"):
         assemble_block(InvariantSymbol.coordinate(0, 1).to_symbol_poly(), level, 2)

@@ -10,7 +10,9 @@ still exists, so a deletion that would crash a traced pass fails here.
 Every public function and class is read somewhere in src/ or bench/:
 code that only tests call is deleted, bar a named allow-list.  The same
 holds for every public method and property of a class.  Every dataclass
-field is read there as an attribute, or the field is deleted.
+field is read there as an attribute, or the field is deleted.  Every public
+argument or dataclass field named like an integer has a row in
+test_multiindex's tables, which check that it refuses floats and bools.
 """
 
 import ast
@@ -433,3 +435,71 @@ def test_unread_dataclass_field_detection():
     )
     using = "def use(n):\n    return n.kept.values()\n"
     assert unread_dataclass_fields([defining], [using]) == ["Nested.values", "Record.called", "Record.stored"]
+
+
+INTEGER_NAMES = {"n", "d", "k", "m", "i", "level", "order", "k_max", "mesh", "seed", "samples", "batch_size",
+                 "denominator", "k_dim", "hermite_points", "fourier_points"}
+
+# Integer-named arguments with no row in the tables: fields of the records that
+# only their builders make, from arguments those builders check (assemble_block,
+# equivariant_spectrum, spectral_distinguishability).
+UNTABLED_INTEGER_ARGUMENTS = {"ToeplitzBlock.n", "ToeplitzBlock.k", "EquivariantSpectrum.k", "DistinguishReport.k_max"}
+
+
+def integer_arguments(source: str) -> list[str]:
+    """``function.argument``, ``Class.method.argument`` and ``Class.field`` for
+    each parameter of a public function or method, and each field of a public
+    ``@dataclass``, whose name is in INTEGER_NAMES; nested functions are not read."""
+    found = []
+
+    def visit(body, owner):
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("_"):
+                args = stmt.args.posonlyargs + stmt.args.args + stmt.args.kwonlyargs
+                found.extend(f"{owner}{stmt.name}.{a.arg}" for a in args if a.arg in INTEGER_NAMES)
+            elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                decorators = [d.func if isinstance(d, ast.Call) else d for d in stmt.decorator_list]
+                if "dataclass" in {getattr(d, "id", getattr(d, "attr", None)) for d in decorators}:
+                    found.extend(f"{stmt.name}.{t.target.id}" for t in stmt.body
+                                 if isinstance(t, ast.AnnAssign) and getattr(t.target, "id", None) in INTEGER_NAMES)
+                visit(stmt.body, f"{stmt.name}.")
+
+    visit(ast.parse(source).body, "")
+    return sorted(found)
+
+
+def _table_keys() -> set[str]:
+    """The keys of test_multiindex's INTEGER_ARGUMENTS and MULTI_INDEX_ARGUMENTS, read from its source."""
+    keys = set()
+    for node in ast.parse((Path(__file__).parent / "test_multiindex.py").read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("INTEGER_ARGUMENTS", "MULTI_INDEX_ARGUMENTS"):
+            keys |= {k.value for k in node.value.keys}
+    return keys
+
+
+def test_every_integer_argument_has_a_table_row():
+    found = {name for p in SOURCES for name in integer_arguments(p.read_text())}
+    assert UNTABLED_INTEGER_ARGUMENTS <= found
+    assert sorted(found - _table_keys() - UNTABLED_INTEGER_ARGUMENTS) == []
+
+
+def test_integer_argument_detection():
+    source = (
+        "from dataclasses import dataclass\n"
+        "def count(n, k=1, /, x=0, *, seed=0, label=''):\n"
+        "    def inner(order): pass\n"
+        "def _hidden(n): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    mesh: int\n"
+        "    name: str\n"
+        "    def scaled(self, order, x): pass\n"
+        "    def _private(self, k): pass\n"
+        "class Plain:\n"
+        "    level: int\n"
+        "    def at(self, level): pass\n"
+        "class _Hidden:\n"
+        "    def at(self, level): pass\n"
+    )
+    assert integer_arguments(source) == [
+        "Plain.at.level", "Spec.mesh", "Spec.scaled.order", "count.k", "count.n", "count.seed"]

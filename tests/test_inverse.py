@@ -189,6 +189,16 @@ def test_distinguishability_same_operator_other_denominator():
         assert not rep.labeled_differ and not rep.multiset_differ
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12, True, "1e-12", Fraction(1, 10**12)],
+                         ids=["nan", "inf", "negative", "bool", "string", "fraction"])
+def test_distinguishability_refuses_a_tol_that_is_not_a_finite_number(tol):
+    # no gap exceeds NaN: a1 and a2 read as spectrally equal at every level
+    with pytest.raises(ValidationError, match="tol must be a finite int or float >= 0"):
+        spectral_distinguishability(circle_oracle(A1), circle_oracle(A2), 3, tol=tol)
+    assert spectral_distinguishability(circle_oracle(A1), circle_oracle(A2), 3, tol=1e-12).first_labeled_difference == 1
+    assert spectral_distinguishability(circle_oracle(A1), circle_oracle(A2), 3, tol=0).first_labeled_difference == 1
+
+
 def test_distinguishability_enumerates_each_fiber_once(monkeypatch):
     # both oracles read the same subtorus level, so one enumeration serves the pair
     levels = []

@@ -6,10 +6,14 @@ from itertools import product
 import numpy as np
 import pytest
 
+from toeplab.canonical_model import ModelIndex, QuadratureSpec
 from toeplab.cli import main
 from toeplab.errors import UnboundedFiberError, ValidationError
+from toeplab.hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block, invariant_eigenvalue, monomial_norm
+from toeplab.inverse import extrapolate_ray, ray_levels, reconstruct, spectral_distinguishability
 from toeplab.multiindex import (
     SubtorusData,
+    _check_int,
     diagonal_circle,
     dimension_of_degree_space,
     enumerate_degree,
@@ -19,7 +23,16 @@ from toeplab.multiindex import (
     grlex_key,
     recession_pointed,
 )
-from toeplab.toric import EXAMPLE_SUBTORI
+from toeplab.reduction import (
+    MAX_SAMPLES,
+    c0_simplex_quad,
+    c0_sphere_mc,
+    mean_stderr,
+    sample_sphere,
+    sphere_sigma_volume,
+)
+from toeplab.spectral import TestFunction, fit_expansion, richardson_limit, scaled_measure
+from toeplab.toric import EXAMPLE_SUBTORI, equivariant_spectrum, theorem2_leading
 
 
 def test_enumerate_degree_order_and_count():
@@ -209,9 +222,9 @@ def test_non_integer_levels_are_refused(level):
     # neither 2.5 nor True may stand for an integer level
     with pytest.raises(ValidationError, match="integer"):
         enumerate_fiber(diagonal_circle(3), level)
-    with pytest.raises(ValidationError, match="integers"):
+    with pytest.raises(ValidationError, match="k must be an integer >= 0"):
         enumerate_degree(3, level)
-    with pytest.raises(ValidationError, match="integers"):
+    with pytest.raises(ValidationError, match="n must be an integer >= 1"):
         enumerate_degree(level, 2)
 
 
@@ -256,3 +269,127 @@ def test_polytope_vertices_scale_with_level():
     level1 = set(fiber_polytope_vertices(sub, level=1))
     level3 = set(fiber_polytope_vertices(sub, level=3))
     assert level3 == {tuple(3 * c for c in v) for v in level1}
+
+
+def test_check_int_returns_the_int_and_names_what_it_refuses():
+    assert _check_int(3, "k", 1, "op") == 3
+    assert _check_int(2, "d", 1, "op", high=2) == 2
+    with pytest.raises(ValidationError, match=r"^d must be an integer from 1 to 2, got 3$") as info:
+        _check_int(3, "d", 1, "op", high=2)
+    assert info.value.operation == "op"
+    with pytest.raises(ValidationError, match=r"^k must be an integer >= 1, got True$"):
+        _check_int(True, "k", 1, "op")
+    with pytest.raises(ValidationError, match=r"^k must be an integer >= 1, got 2.5$"):
+        _check_int(2.5, "k", 1, "op")
+    # numpy integers stay refused, as _is_int refuses them
+    with pytest.raises(ValidationError, match=r"^k must be an integer >= 1, got "):
+        _check_int(np.int64(2), "k", 1, "op")
+
+
+A1 = InvariantSymbol.coordinate(0, 2)
+F_X = TestFunction.polynomial([0.0, 1.0])
+SPECTRUM_3 = equivariant_spectrum(A1, diagonal_circle(2), 3)
+HALF = [(Fraction(1, 2), Fraction(1, 2))]
+FIT_SAMPLES = [(k, 1.0 + 1.0 / k) for k in (8, 16, 32, 64)]
+
+
+def circle_spectrum(k):
+    return equivariant_spectrum(A1, diagonal_circle(2), k)
+
+
+# Every public integer argument, by "function.argument", "Class.method.argument"
+# or "Class.field": a call with the value, the name _check_int gives it, and its
+# bounds.  tests/test_hygiene.py fails on an integer argument of src/toeplab
+# that neither this table nor MULTI_INDEX_ARGUMENTS has a row for.
+INTEGER_ARGUMENTS = {
+    "enumerate_degree.n": (lambda v: enumerate_degree(v, 2), "n", 1, None),
+    "enumerate_degree.k": (lambda v: enumerate_degree(3, v), "k", 0, None),
+    "SubtorusData.n": (lambda v: SubtorusData(n=v, d=1, weight_matrix=((1, 1),), alpha=(1,)), "n", 1, None),
+    "SubtorusData.d": (lambda v: SubtorusData(n=2, d=v, weight_matrix=((1, 1),), alpha=(1,)), "d", 1, 2),
+    "diagonal_circle.n": (diagonal_circle, "n", 1, None),
+    "fiber_polytope_vertices.level": (lambda v: fiber_polytope_vertices(diagonal_circle(2), v), "level", 1, None),
+    "enumerate_fiber.k": (lambda v: enumerate_fiber(diagonal_circle(2), v), "k", 1, None),
+    "dimension_of_degree_space.n": (lambda v: dimension_of_degree_space(v, 3), "n", 1, None),
+    "dimension_of_degree_space.k": (lambda v: dimension_of_degree_space(2, v), "k", 0, None),
+    "monomial_norm.n": (lambda v: monomial_norm((1, 0), v), "n", 1, None),
+    "InvariantSymbol.n": (lambda v: InvariantSymbol(n=v, poly=(((1, 0), Fraction(1)),)), "n", 1, None),
+    "InvariantSymbol.from_poly.n": (lambda v: InvariantSymbol.from_poly([((1, 0), 1)], v), "n", 1, None),
+    "InvariantSymbol.coordinate.i": (lambda v: InvariantSymbol.coordinate(v, 2), "i", 0, 1),
+    "InvariantSymbol.coordinate.n": (lambda v: InvariantSymbol.coordinate(0, v), "n", 1, None),
+    "assemble_block.n": (lambda v: assemble_block(A1.to_symbol_poly(), v, 2), "n", 1, None),
+    "assemble_block.k": (lambda v: assemble_block(A1.to_symbol_poly(), 2, v), "k", 0, None),
+    "equivariant_spectrum.k": (lambda v: equivariant_spectrum(A1, diagonal_circle(2), v), "k", 1, None),
+    "theorem2_leading.samples": (lambda v: theorem2_leading(A1, F_X, diagonal_circle(2), samples=v),
+                                 "samples", 10_000, MAX_SAMPLES),
+    "theorem2_leading.seed": (lambda v: theorem2_leading(A1, F_X, diagonal_circle(2), samples=10_000, seed=v), "seed", 0, None),
+    "theorem2_leading.batch_size": (lambda v: theorem2_leading(A1, F_X, diagonal_circle(2), samples=10_000, batch_size=v),
+                                    "batch_size", 2, None),
+    "sphere_sigma_volume.n": (sphere_sigma_volume, "n", 1, None),
+    "sample_sphere.n": (lambda v: sample_sphere(v, 4, np.random.default_rng(0)), "n", 1, None),
+    "mean_stderr.samples": (lambda v: mean_stderr([np.ones(2)], v), "samples", 2, None),
+    "c0_sphere_mc.n": (lambda v: c0_sphere_mc(A1, F_X, v, samples=10_000), "n", 1, None),
+    "c0_sphere_mc.samples": (lambda v: c0_sphere_mc(A1, F_X, 2, samples=v), "samples", 10_000, MAX_SAMPLES),
+    "c0_sphere_mc.seed": (lambda v: c0_sphere_mc(A1, F_X, 2, samples=10_000, seed=v), "seed", 0, None),
+    "c0_sphere_mc.batch_size": (lambda v: c0_sphere_mc(A1, F_X, 2, samples=10_000, batch_size=v), "batch_size", 2, None),
+    "c0_simplex_quad.n": (lambda v: c0_simplex_quad(A1, F_X, v), "n", 1, None),
+    "c0_simplex_quad.mesh": (lambda v: c0_simplex_quad(A1, F_X, 2, mesh=v), "mesh", 8, None),
+    "scaled_measure.m": (lambda v: scaled_measure(3.0, v, 2), "m", 0, None),
+    "scaled_measure.k": (lambda v: scaled_measure(3.0, 1, v), "k", 1, None),
+    "fit_expansion.order": (lambda v: fit_expansion(FIT_SAMPLES, order=v), "order", 0, None),
+    # a sample's level k, here the first of four
+    "fit_expansion.samples": (lambda v: fit_expansion([(v, 1.0)] + FIT_SAMPLES[1:], order=0), "k", 1, None),
+    "richardson_limit.order": (lambda v: richardson_limit([4, 8, 16], [1.0, 2.0, 3.0], v), "order", 0, None),
+    "extrapolate_ray.order": (lambda v: extrapolate_ray([4, 8, 16], [1.0, 2.0, 3.0], v), "order", 0, None),
+    "ray_levels.denominator": (lambda v: ray_levels(v, 10), "denominator", 1, None),
+    "ray_levels.k_max": (lambda v: ray_levels(2, v), "k_max", 1, None),
+    "reconstruct.n": (lambda v: reconstruct(circle_spectrum, v, HALF, 8), "n", 1, None),
+    "reconstruct.k_max": (lambda v: reconstruct(circle_spectrum, 2, HALF, v), "k_max", 1, None),
+    "reconstruct.order": (lambda v: reconstruct(circle_spectrum, 2, HALF, 8, order=v), "order", 0, None),
+    "spectral_distinguishability.k_max": (lambda v: spectral_distinguishability(circle_spectrum, circle_spectrum, v),
+                                          "k_max", 1, None),
+    "ModelIndex.k_dim": (lambda v: ModelIndex(m=(1,), k_dim=v), "k_dim", 0, None),
+    "QuadratureSpec.hermite_points": (lambda v: QuadratureSpec(hermite_points=v), "hermite_points", 2, None),
+    "QuadratureSpec.fourier_points": (lambda v: QuadratureSpec(fourier_points=v), "fourier_points", 2, None),
+}
+
+# Every multi-index a caller passes, by the same keys: a call with one entry,
+# the name the error gives the multi-index, and an entry's bounds (none for a
+# level or frequency that may be any integer).
+MULTI_INDEX_ARGUMENTS = {
+    "full_torus.alpha": (lambda v: full_torus((v, 2)), "alpha", None, None),
+    "monomial_norm.mu": (lambda v: monomial_norm((v, 0), 2), "mu", 0, None),
+    "SymbolPoly.from_terms.terms": (lambda v: SymbolPoly.from_terms([((v, 0), (v, 0), 1.0)]), "exponents", 0, None),
+    "InvariantSymbol.from_poly.terms": (lambda v: InvariantSymbol.from_poly([((v, 0), 1)], 2), "exponents", 0, None),
+    "invariant_eigenvalue.alpha": (lambda v: invariant_eigenvalue(A1, (v, 1)), "alpha", 0, None),
+    # the second entry keeps the truncated point on the level-3 fiber
+    "EquivariantSpectrum.eigenvalues_of.betas": (lambda v: SPECTRUM_3.eigenvalues_of([(v, 3 - int(v))]), "beta", 0, None),
+    "ModelIndex.m": (lambda v: ModelIndex(m=(v,), k_dim=1), "m", None, None),
+}
+
+
+def _refused_values(low, high):
+    """2.5, 2.0, True, and where there are bounds the float at the lower bound,
+    a float just above it and the ints just outside them."""
+    values = [2.5, 2.0, True]
+    if low is not None:
+        values += [float(low), low + 0.5, low - 1]
+    if high is not None:
+        values.append(high + 1)
+    return values
+
+
+@pytest.mark.parametrize("key", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_floats_bools_and_out_of_range(key):
+    call, name, low, high = INTEGER_ARGUMENTS[key]
+    for value in _refused_values(low, high):
+        with pytest.raises(ValidationError) as info:
+            call(value)
+        assert f"{name} must be an integer" in str(info.value) and f"got {value!r}" in str(info.value), value
+
+
+@pytest.mark.parametrize("key", sorted(MULTI_INDEX_ARGUMENTS))
+def test_multi_index_entries_refuse_floats_bools_and_out_of_range(key):
+    call, name, low, high = MULTI_INDEX_ARGUMENTS[key]
+    for value in _refused_values(low, high):
+        with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+            call(value)

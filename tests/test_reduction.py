@@ -336,7 +336,7 @@ def test_quad_validation():
 def test_quad_refuses_a_symbol_of_another_size_before_any_cell(monkeypatch, symbol, n):
     # a1 on 3 coordinates at n = 2 gave pi, a3 an IndexError, a1 on 2 coordinates at n = 3 gave 6.5797
     monkeypatch.setattr(reduction, "_staircase_cells", lambda p, mesh: pytest.fail("walked the cells"))
-    with pytest.raises(ValidationError, match="coordinates|positive integer"):
+    with pytest.raises(ValidationError, match="coordinates|n must be an integer >= 1"):
         c0_simplex_quad(symbol, F_X, n)
 
 
@@ -348,7 +348,7 @@ def test_quad_refuses_a_symbol_of_another_size_before_any_cell(monkeypatch, symb
 def test_mc_refuses_a_symbol_of_another_size_before_drawing(monkeypatch, symbol, n):
     # a1 on 2 coordinates at n = 3 gave (6.5699, 0.0465), a3 at n = 2 an IndexError, n = 2.5 a TypeError
     monkeypatch.setattr(reduction, "sample_sphere", lambda n, size, rng: pytest.fail("drew points"))
-    with pytest.raises(ValidationError, match="coordinates|positive integer"):
+    with pytest.raises(ValidationError, match="coordinates|n must be an integer >= 1"):
         c0_sphere_mc(symbol, F_X, n, samples=10_000)
 
 
