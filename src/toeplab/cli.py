@@ -19,22 +19,18 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from math import floor, isfinite, lcm, prod
+from math import floor, isfinite, prod
 from pathlib import Path
 
 from ._exact import pivot_columns
 from .canonical_model import ModelIndex, QuadratureSpec, check_isometry
 from .errors import ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block
-from .inverse import loglog_slope, reconstruct, spectral_distinguishability
-from .multiindex import MAX_SECTOR_BYTES, SubtorusData, _check_int, _is_int, diagonal_circle, fiber_polytope_vertices
+from .inverse import _check_ray_reads, loglog_slope, reconstruct, spectral_distinguishability
+from .multiindex import SubtorusData, _check_int, _is_int, diagonal_circle, fiber_polytope_vertices
 from .reduction import MAX_SAMPLES, MIN_SAMPLES
 from .spectral import MAX_TRACE_DEGREE, TestFunction, fit_expansion, measure_eigen, measure_poly, scaled_measure
 from .toric import EXAMPLE_SUBTORI, equivariant_spectrum, fiber_measure_series, regular_free_check, theorem2_leading
-
-# Bytes one ray level holds in an inverse run: level, weight, eigenvalues, spectrum
-# and output text (680-840 measured on 64-bit CPython 3.11, n = 2..5, one ray a level).
-_RAY_LEVEL_BYTES = 1024
 
 # Most fiber points a distinguish run may visit, and what one level costs
 # beyond its points: about 5 us a point and 500 us a level on CPython 3.11.
@@ -68,12 +64,6 @@ def _record(obj, where: str, required, optional=None) -> dict:
     return {**optional, **obj}
 
 
-def _real(v, name: str, low: float = -sys.float_info.max) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not low <= v <= sys.float_info.max:
-        raise _validation_error(f"'{name}' must be a number in [{low:g}, {sys.float_info.max:g}]")
-    return float(v)
-
-
 def _positive_ints(v, name: str, at_least: int) -> list[int]:
     if not isinstance(v, list) or len(v) < at_least or not all(_is_int(k) and k >= 1 for k in v):
         raise _validation_error(f"field '{name}' must list at least {at_least} positive integers")
@@ -96,10 +86,9 @@ def _invariant_symbol(obj, n: int, name: str) -> InvariantSymbol:
     pairs = []
     for term in terms:
         t = _record(term, f"a term of '{name}'", ("gamma", "coeff"))
-        g = t["gamma"]
-        if not isinstance(g, list) or len(g) != n or not all(_is_int(e) and e >= 0 for e in g):
-            raise _validation_error(f"term exponents {g!r} must be {n} nonnegative integers")
-        pairs.append((tuple(g), _coefficient(t["coeff"])))
+        if not isinstance(t["gamma"], list):  # InvariantSymbol.from_poly checks its length and entries
+            raise _validation_error(f"term exponents {t['gamma']!r} must be a list")
+        pairs.append((t["gamma"], _coefficient(t["coeff"])))
     return InvariantSymbol.from_poly(pairs, n)
 
 
@@ -109,7 +98,7 @@ def _test_function(obj) -> TestFunction:
         raise _validation_error("'f.coeffs' must be a nonempty list")
     if not isinstance(f["label"], str):
         raise _validation_error("'f.label' must be a string")
-    return TestFunction.polynomial([_real(c, "f.coeffs") for c in f["coeffs"]], label=f["label"])
+    return TestFunction.polynomial(f["coeffs"], label=f["label"])
 
 
 def _subtorus(obj) -> SubtorusData:
@@ -128,9 +117,7 @@ def _subtorus(obj) -> SubtorusData:
 
 def _run_theorem1(fields: dict, seed: int) -> dict:
     n = _check_int(fields["n"], "n", 1, "cli.manifest")
-    symbol = SymbolPoly.from_json(fields["symbol"])
-    if symbol.n != n:
-        raise _validation_error("symbol index length disagrees with n")
+    symbol = SymbolPoly.from_json(fields["symbol"])  # assemble_block refuses a symbol on other than n coordinates
     f = _test_function(fields["f"])
     ks = _positive_ints(fields["k_list"], "k_list", 1)
     order = _check_int(fields["fit_order"], "fit_order", 0, "cli.manifest")
@@ -186,18 +173,6 @@ def _grid_points(v, n: int) -> list[tuple[Fraction, ...]]:
     return pts
 
 
-def _check_ray_reads(grid, k_maxes: list[int], spacing: str) -> None:
-    """Refuse an inverse run whose ray reads would pass MAX_SECTOR_BYTES:
-    each ray holds one level, weight and eigenvalue per level, and a ray of
-    denominator q has k_max // q levels, or its bit length when geometric."""
-    levels = 0
-    for q in (lcm(*(c.denominator for c in p)) for p in grid):
-        levels += sum(k_max // q if spacing == "all" else (k_max // q).bit_length() for k_max in k_maxes)
-    if levels * _RAY_LEVEL_BYTES > MAX_SECTOR_BYTES:
-        raise _validation_error(f"reading {levels} ray levels needs {levels * _RAY_LEVEL_BYTES} "
-                                f"bytes, over the {MAX_SECTOR_BYTES}-byte limit")
-
-
 def _check_distinguish_work(sub: SubtorusData, k_max: int) -> None:
     """Refuse a distinguish run whose levels up to k_max may cost more than
     _MAX_DISTINGUISH_POINTS, stopping at the first level past it.  Coordinate
@@ -226,11 +201,9 @@ def _run_inverse(fields: dict, seed: int) -> dict:
         k_maxes = _positive_ints(fields["k_max_list"], "k_max_list", 2)
         if len(set(k_maxes)) < len(k_maxes):
             raise _validation_error("field 'k_max_list' repeats a value")
-    order = _check_int(fields["order"], "order", 0, "cli.manifest")
-    spacing = fields["spacing"]
-    if spacing not in ("geometric", "all"):
-        raise _validation_error("field 'spacing' must be 'geometric' or 'all'")
-    _check_ray_reads(grid, k_maxes, spacing)
+    order, spacing = fields["order"], fields["spacing"]  # reconstruct refuses either before any read
+    # the levels column keeps every level of every run, so all runs are charged as one sum
+    _check_ray_reads(grid, k_maxes, spacing, "cli.manifest")
 
     sub = diagonal_circle(n)
     runs = []
@@ -288,13 +261,12 @@ def _run_distinguish(fields: dict, seed: int) -> dict:
     sym_a = _invariant_symbol(fields["symbol_a"], sub.n, "symbol_a")
     sym_b = _invariant_symbol(fields["symbol_b"], sub.n, "symbol_b")
     k_max = _check_int(fields["k_max"], "k_max", 1, "cli.manifest")
-    tol = _real(fields["tol"], "tol", 0)
     _check_distinguish_work(sub, k_max)
     report = spectral_distinguishability(
         lambda k: equivariant_spectrum(sym_a, sub, k),
         lambda k: equivariant_spectrum(sym_b, sub, k),
         k_max,
-        tol=tol,
+        tol=fields["tol"],
     )
     return {"distinguish.json": report.to_json()}
 

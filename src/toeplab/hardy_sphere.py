@@ -43,14 +43,15 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, isqrt, lcm, perm
+from math import factorial, isfinite, isqrt, lcm, perm
 from typing import Sequence
 
 import numpy as np
 
 from . import _exact
 from .errors import SymbolFormatError, ValidationError
-from .multiindex import MAX_SECTOR_BYTES, MultiIndex, _check_int, _is_int, dimension_of_degree_space, enumerate_degree
+from .multiindex import (MAX_SECTOR_BYTES, MultiIndex, _check_dimension, _check_int, _check_real, _is_int,
+                         dimension_of_degree_space, enumerate_degree)
 
 __all__ = [
     "monomial_norm",
@@ -104,6 +105,13 @@ def _check_degree(gammas, operation: str) -> None:
         raise SymbolFormatError(f"symbol degree {degree} is over the limit of {MAX_SYMBOL_DEGREE}", operation=operation)
 
 
+def _check_finite(c, operation: str):
+    """c, unless it is a float or complex that is not finite: an exact coefficient is finite."""
+    if isinstance(c, (float, complex)) and not (isfinite(c.real) and isfinite(c.imag)):
+        raise SymbolFormatError(f"coefficient {c!r} is not finite", operation=operation)
+    return c
+
+
 def _as_multiindex(mi) -> MultiIndex:
     t = tuple(mi)
     if not all(_is_int(e) and e >= 0 for e in t):
@@ -122,7 +130,7 @@ class SymbolPoly:
     CONJUGATE_ULPS units in the last place.  Coefficients may
     be int, float, Fraction or complex; they are kept as given so exact
     inputs stay exact.  A term of degree |gamma| above MAX_SYMBOL_DEGREE is
-    refused.
+    refused, as is a term whose summed coefficient is not finite.
     """
 
     terms: tuple[tuple[MultiIndex, MultiIndex, complex], ...]
@@ -143,6 +151,7 @@ class SymbolPoly:
             merged[(gamma, delta)] = merged.get((gamma, delta), 0) + c
         _check_degree((gamma for gamma, _ in merged), "hardy_sphere.SymbolPoly")
         for (gamma, delta), c in merged.items():
+            _check_finite(c, "hardy_sphere.SymbolPoly")
             cc = merged.get((delta, gamma))
             if cc is None or not _is_conjugate(c, cc):
                 raise SymbolFormatError(
@@ -195,6 +204,7 @@ class SymbolPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SymbolPoly":
+        """The symbol of a {'terms': [...]} record: _check_real takes re and im, from_terms the exponents."""
         if not isinstance(obj, dict) or set(obj) != {"terms"}:
             raise ValidationError("symbol record must be {'terms': [...]}", operation="hardy_sphere.SymbolPoly")
         if not isinstance(obj["terms"], list):
@@ -203,12 +213,10 @@ class SymbolPoly:
         for t in obj["terms"]:
             if not isinstance(t, dict) or set(t) != {"gamma", "delta", "re", "im"}:
                 raise ValidationError("symbol term must have fields gamma, delta, re, im", operation="hardy_sphere.SymbolPoly")
-            if not all(isinstance(t[e], list) and all(_is_int(i) for i in t[e]) for e in ("gamma", "delta")):
-                raise ValidationError("term exponents gamma, delta must be lists of integers", operation="hardy_sphere.SymbolPoly")
-            if not all((_is_int(t[x]) or isinstance(t[x], float)) and abs(t[x]) <= sys.float_info.max for x in ("re", "im")):
-                raise ValidationError("term coefficient parts re, im must be numbers in the float range", operation="hardy_sphere.SymbolPoly")
-            c = complex(float(t["re"]), float(t["im"]))
-            terms.append((_as_multiindex(t["gamma"]), _as_multiindex(t["delta"]), c if c.imag else c.real))
+            if not all(isinstance(t[e], list) for e in ("gamma", "delta")):
+                raise ValidationError("term exponents gamma, delta must be lists", operation="hardy_sphere.SymbolPoly")
+            c = complex(*(_check_real(t[x], x, "hardy_sphere.SymbolPoly") for x in ("re", "im")))
+            terms.append((t["gamma"], t["delta"], c if c.imag else c.real))
         return cls.from_terms(terms)
 
 
@@ -223,7 +231,7 @@ class InvariantSymbol:
     sum in modulus to at most the largest float has float eigenvalues and
     values; a larger one is refused, as is an n that _check_int refuses, a
     term of another length and a term of degree |gamma| above
-    MAX_SYMBOL_DEGREE.
+    MAX_SYMBOL_DEGREE.  ``from_poly`` refuses a float coefficient that is not finite.
     """
 
     n: int
@@ -240,7 +248,7 @@ class InvariantSymbol:
 
     @classmethod
     def from_poly(cls, terms, n: int) -> "InvariantSymbol":
-        poly = tuple(( _as_multiindex(g), Fraction(c)) for g, c in terms)
+        poly = tuple((_as_multiindex(g), Fraction(_check_finite(c, "hardy_sphere.InvariantSymbol"))) for g, c in terms)
         return cls(n=n, poly=poly)
 
     @classmethod
@@ -353,10 +361,8 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
     entries are exact: one Fraction per monomial from the integer
     numerators of the invariant terms, rounded once to float.
     """
-    _check_int(n, "n", 1, "hardy_sphere.assemble_block")
+    _check_dimension(symbol, n, "hardy_sphere.assemble_block")
     _check_int(k, "k", 0, "hardy_sphere.assemble_block")
-    if symbol.n != n:
-        raise SymbolFormatError("symbol coordinate count does not match n", operation="hardy_sphere.assemble_block")
     dim = dimension_of_degree_space(n, k)
     if 16 * dim > MAX_SECTOR_BYTES:  # sector storage 16 * sum(size^2) is at least 16 * dim
         raise ValidationError(

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm, log
+from math import lcm, log
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .multiindex import MultiIndex, _check_int
+from .multiindex import MAX_SECTOR_BYTES, MultiIndex, _check_int, _check_real
 from .spectral import richardson_limit
 from .toric import EquivariantSpectrum
 
@@ -38,6 +38,10 @@ __all__ = [
     "spectral_distinguishability",
     "loglog_slope",
 ]
+
+# Bytes one ray level holds in an inverse run: level, weight, eigenvalues, spectrum
+# and output text (680-840 measured on 64-bit CPython 3.11, n = 2..5, one ray a level).
+_RAY_LEVEL_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,18 @@ def ray_levels(denominator: int, k_max: int, spacing: str = "geometric") -> list
     raise ValidationError("spacing must be 'all' or 'geometric'", operation="inverse.ray_levels")
 
 
+def _check_ray_reads(points, k_maxes: list[int], spacing: str, operation: str) -> None:
+    """Refuse ray reads up to each of k_maxes, charged as one sum, that would pass
+    MAX_SECTOR_BYTES: each ray holds one level, weight and eigenvalue per level, and a ray
+    of denominator q has k_max // q levels, or its bit length when not "all"."""
+    levels = 0
+    for q in (lcm(*(c.denominator for c in p)) for p in points):
+        levels += sum(k_max // q if spacing == "all" else (k_max // q).bit_length() for k_max in k_maxes)
+    if levels * _RAY_LEVEL_BYTES > MAX_SECTOR_BYTES:
+        raise ValidationError(f"reading {levels} ray levels needs {levels * _RAY_LEVEL_BYTES} "
+                              f"bytes, over the {MAX_SECTOR_BYTES}-byte limit", operation=operation)
+
+
 @dataclass(frozen=True)
 class RayResult:
     point: tuple[Fraction, ...]
@@ -141,11 +157,14 @@ def reconstruct(
     fewer than max(2, order + 1) usable levels is reported missing rather
     than extrapolated.  Exact rational eigenvalues are extrapolated
     exactly, so "all" spacing with a high order reaches roundoff-limited
-    accuracy.  n and order pass _check_int first, k_max when the first ray is planned.
+    accuracy.  n, k_max and order pass _check_int first, and reads that would pass
+    MAX_SECTOR_BYTES are refused (_check_ray_reads) before any ray is planned.
     """
     _check_int(n, "n", 1, "inverse.reconstruct")
+    _check_int(k_max, "k_max", 1, "inverse.reconstruct")
     _check_int(order, "order", 0, "inverse.reconstruct")
     points = [_as_point(pt, n) for pt in grid]
+    _check_ray_reads(points, [k_max], spacing, "inverse.reconstruct")
     plans = [(point, ray_levels(lcm(*(c.denominator for c in point)), k_max, spacing)) for point in points]
     needed = max(2, order + 1)
     reads: dict[int, dict[MultiIndex, Fraction | None]] = {}
@@ -216,11 +235,10 @@ def spectral_distinguishability(
     Labeled comparison matches eigenvalues on equal weights beta;
     multiset comparison sorts each level's eigenvalues first, so
     coordinate-permuted symbols tie there while still separating in the
-    labeled sense.  A tol that is not a finite int or float >= 0 is refused: no gap exceeds NaN.
+    labeled sense.  tol must pass _check_real with low 0: no gap exceeds NaN.
     """
     _check_int(k_max, "k_max", 1, "inverse.spectral_distinguishability")
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < inf:
-        raise ValidationError(f"tol must be a finite int or float >= 0, got {tol!r}", operation="inverse.spectral_distinguishability")
+    tol = _check_real(tol, "tol", "inverse.spectral_distinguishability", low=0)
     first_labeled = None
     first_multiset = None
     for k in range(1, k_max + 1):
@@ -244,7 +262,10 @@ def spectral_distinguishability(
 
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of log y against log x; the observed decay rate."""
+    """Least-squares slope of log y against log x; the observed decay rate.
+    Every x and y must pass _check_real with low 0, and be nonzero."""
+    xs = [_check_real(x, "xs", "inverse.loglog_slope", low=0) for x in xs]
+    ys = [_check_real(y, "ys", "inverse.loglog_slope", low=0) for y in ys]
     if len(xs) != len(ys) or len(set(xs)) < 2:
         raise ValidationError("need points at two or more distinct x", operation="inverse.loglog_slope")
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):

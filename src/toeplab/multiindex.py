@@ -1,4 +1,4 @@
-"""Multi-index enumeration and integer torus-weight data.
+"""Multi-index enumeration, integer torus-weight data and the package's input checks.
 
 A multi-index is a tuple of non-negative integers.  A subtorus of the
 standard n-torus is described by its integer weight matrix acting on the
@@ -51,6 +51,7 @@ __all__ = [
     "recession_pointed",
     "diagonal_circle",
     "full_torus",
+    "dimension_of_degree_space",
 ]
 
 
@@ -65,6 +66,22 @@ def _check_int(value, name: str, low: int, operation: str, high: int | None = No
         bounds = f">= {low}" if high is None else f"from {low} to {high}"
         raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}", operation=operation)
     return value
+
+
+def _check_real(value, name: str, operation: str, low: float | None = None) -> float:
+    """float(value) if it is an int or float, not a bool, finite and >= low (no floor when None); else a ValidationError naming them."""
+    if (not (_is_int(value) or isinstance(value, float)) or not -sys.float_info.max <= value <= sys.float_info.max
+            or low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValidationError(f"{name} must be a finite int or float{bound}, got {value!r}", operation=operation)
+    return float(value)
+
+
+def _check_dimension(symbol, n: int, operation: str) -> None:
+    """Refuse an n that is not an integer >= 1, or a symbol on another number of coordinates."""
+    _check_int(n, "n", 1, operation)
+    if symbol.n != n:
+        raise ValidationError(f"the symbol has {symbol.n} coordinates, not n = {n}", operation=operation)
 
 
 def grlex_key(mi: Sequence[int]):

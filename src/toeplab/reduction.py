@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SamplerEfficiencyError, ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly
-from .multiindex import MAX_SECTOR_BYTES, _check_int, _is_int
+from .multiindex import MAX_SECTOR_BYTES, _check_dimension, _check_int, _is_int
 from .spectral import TestFunction
 
 __all__ = [
@@ -78,13 +78,6 @@ def sample_sphere(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
 
 def _symbol_values(symbol, z: np.ndarray) -> np.ndarray:
     return symbol.evaluate(z).real if isinstance(symbol, SymbolPoly) else symbol.eval_array(np.abs(z) ** 2)
-
-
-def _check_dimension(symbol, n: int, operation: str) -> None:
-    """Refuse an n that is not an integer >= 1, or a symbol on another number of coordinates."""
-    _check_int(n, "n", 1, operation)
-    if symbol.n != n:
-        raise ValidationError(f"the symbol has {symbol.n} coordinates, not n = {n}", operation=operation)
 
 
 def _check_run(samples: int, batch_size: int, seed: int, operation: str) -> None:

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .hardy_sphere import ToeplitzBlock
-from .multiindex import _check_int, _is_int
+from .multiindex import _check_int, _check_real, _is_int
 
 __all__ = [
     "TestFunction",
@@ -56,7 +56,8 @@ class TestFunction:
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[float], label: str = "") -> "TestFunction":
-        cs = tuple(float(c) for c in coeffs)
+        """f from its ascending coefficients, each of which must pass _check_real."""
+        cs = tuple(_check_real(c, "coefficient", "spectral.TestFunction") for c in coeffs)
         if not cs:
             raise ValidationError("polynomial needs at least one coefficient", operation="spectral.TestFunction")
         return cls(coeffs=cs, label=label or "poly" + str(list(cs)))

@@ -34,15 +34,16 @@ from .hardy_sphere import InvariantSymbol, _invariant_numerators
 from .multiindex import (
     MultiIndex,
     SubtorusData,
+    _check_dimension,
     _check_int,
+    _check_real,
     _is_int,
     diagonal_circle,
     enumerate_fiber,
     fiber_polytope_vertices,
     full_torus,
-    recession_pointed,
 )
-from .reduction import _check_dimension, _check_run, _monte_carlo
+from .reduction import _check_run, _monte_carlo
 from .spectral import TestFunction, scaled_measure
 
 __all__ = [
@@ -103,15 +104,13 @@ class EquivariantSpectrum:
 
 
 def equivariant_spectrum(symbol: InvariantSymbol, sub: SubtorusData, k: int) -> EquivariantSpectrum:
-    """Exact spectrum of the symbol on the level-k fiber, graded-lex order; the
-    fiber is checked finite here and enumerated only when the table is first read."""
+    """Exact spectrum of the symbol on the level-k fiber, graded-lex order; fiber_polytope_vertices
+    checks the fiber finite here, and it is enumerated only when the table is first read."""
     if not isinstance(symbol, InvariantSymbol):
         raise ValidationError("equivariant spectra need an invariant symbol", operation="toric.equivariant_spectrum")
-    if symbol.n != sub.n:
-        raise ValidationError("symbol and subtorus dimensions differ", operation="toric.equivariant_spectrum")
+    _check_dimension(symbol, sub.n, "toric.equivariant_spectrum")
     _check_int(k, "k", 1, "toric.equivariant_spectrum")
-    if not recession_pointed(sub):
-        enumerate_fiber(sub, k)  # raises its unbounded-fiber error before enumerating
+    fiber_polytope_vertices(sub)
     return EquivariantSpectrum(symbol=symbol, sub=sub, k=k)
 
 
@@ -240,7 +239,8 @@ def theorem2_leading(
     polytope; eigenvalues live near g(beta / |beta|), so polytope points
     are renormalized onto the simplex before evaluation (the degree
     |beta| need not be constant across one fiber).  V is the exact
-    fiber_volume unless supplied.  Sampling rejects from the bounding
+    fiber_volume unless supplied, and a supplied one must pass _check_real
+    with low 0, checked with the other arguments.  Sampling rejects from the bounding
     box of the polytope in primitive nullspace coordinates, where the
     uniform measure matches the count normalization; the mean itself is
     chart-independent.  For a fixed seed and batch size the result is bit-stable;
@@ -255,6 +255,8 @@ def theorem2_leading(
         raise ValidationError("the limit oracle needs an invariant symbol", operation="toric.theorem2_leading")
     _check_dimension(symbol, sub.n, "toric.theorem2_leading")
     _check_run(samples, batch_size, seed, "toric.theorem2_leading")
+    if volume is not None:
+        volume = _check_real(volume, "volume", "toric.theorem2_leading", low=0)
     report = regular_free_check(sub)
     if not report.ok:
         raise RegularityError(report.message, operation="toric.theorem2_leading")
@@ -293,7 +295,7 @@ def theorem2_leading(
             col /= norm
         return f(symbol.eval_array(pts))
 
-    vol = lambda: fiber_volume(sub) if volume is None else float(volume)
+    vol = lambda: fiber_volume(sub) if volume is None else volume
     return _monte_carlo(draw, vol, samples, seed, batch_size, "toric.theorem2_leading")
 
 

@@ -447,6 +447,29 @@ def test_integer_fields_refuse_floats_bools_and_out_of_range(tmp_path, capsys, e
         assert f"{path[-1]} must be an integer " in err and f"got {value!r}" in err, err
 
 
+# Manifests the CLI refused itself before the library checked the same values;
+# each is still refused, now by the library function that reads the value.
+@pytest.mark.parametrize("experiment,manifest", [
+    ("theorem1", {**THEOREM1, "f": {"coeffs": [0, "x"]}}),
+    ("theorem1", {**THEOREM1, "f": {"coeffs": [0, True]}}),
+    ("theorem1", {**THEOREM1, "f": {"coeffs": [0, 10**400]}}),
+    ("distinguish", {**DISTINGUISH, "tol": "@"}),
+    ("distinguish", {**DISTINGUISH, "tol": -1}),
+    ("theorem1", {**THEOREM1, "n": 3}),
+    ("inverse", {**INVERSE, "spacing": "foo"}),
+    ("inverse", {**INVERSE, "order": 1.5}),
+    ("inverse", {**INVERSE, "symbol": {"terms": [{"gamma": [1.5, 0], "coeff": 1}]}}),
+    ("inverse", {**INVERSE, "symbol": {"terms": [{"gamma": 1, "coeff": 1}]}}),
+    ("theorem1", {**THEOREM1, "symbol": {"terms": [{**A1_POLY["terms"][0], "gamma": [1.5, 0]}]}}),
+    ("inverse", {**INVERSE, "symbol": {"terms": [{"gamma": [1, 0, 0], "coeff": 1}]}}),
+], ids=["coeff_string", "coeff_bool", "coeff_int_overflow", "tol_string", "tol_negative", "symbol_on_two_of_three",
+        "spacing_unknown", "order_float", "invariant_exponent_float", "invariant_exponent_scalar",
+        "poly_exponent_float", "invariant_exponent_length"])
+def test_values_the_library_refuses_exit_2_before_writing(tmp_path, experiment, manifest):
+    code, out = run_cli(tmp_path, experiment, manifest)
+    assert code == 2 and not out.exists()
+
+
 @pytest.mark.parametrize("states,quad,code", [
     ([{"m": [1], "k_dim": 1}], {"hermite_points": 100000}, 2),
     # 24^10 points; counted, never built

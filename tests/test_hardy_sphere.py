@@ -76,6 +76,22 @@ def test_invariant_coefficients_stay_in_float_range():
             InvariantSymbol.from_poly(terms, 2)
 
 
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "minus_inf"])
+def test_symbols_refuse_coefficients_that_are_not_finite(c):
+    with pytest.raises(SymbolFormatError, match=r"coefficient \S+ is not finite") as info:
+        InvariantSymbol.from_poly([((1, 0), c)], 2)
+    assert info.value.operation == "hardy_sphere.InvariantSymbol"
+    for terms, hermitize in (([((1, 0), (1, 0), c)], False), ([((1, 0), (0, 1), complex(c, 0.5))], True),
+                             ([((1, 0), (0, 1), c), ((0, 1), (1, 0), c)], False)):
+        with pytest.raises(SymbolFormatError, match=r"coefficient \S+ is not finite"):
+            SymbolPoly.from_terms(terms, hermitize=hermitize)
+
+
+def test_symbol_refuses_a_coefficient_sum_past_the_float_range():
+    with pytest.raises(SymbolFormatError, match="coefficient inf is not finite"):
+        SymbolPoly.from_terms([((1, 0), (1, 0), 1e308), ((1, 0), (1, 0), 1e308)])
+
+
 def test_symbol_conjugate_partner_tolerance():
     e, f = (1, 0), (0, 1)
     # 0.1 + 0.2 rounds to 0.30000000000000004, one ulp away from 0.3

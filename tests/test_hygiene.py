@@ -12,7 +12,9 @@ code that only tests call is deleted, bar a named allow-list.  The same
 holds for every public method and property of a class.  Every dataclass
 field is read there as an attribute, or the field is deleted.  Every public
 argument or dataclass field named like an integer has a row in
-test_multiindex's tables, which check that it refuses floats and bools.
+test_multiindex's tables, which check that it refuses floats and bools,
+and every one named like a real has a row in its real table, which checks
+that it refuses NaN, infinities, bools and strings.
 """
 
 import ast
@@ -447,32 +449,36 @@ UNTABLED_INTEGER_ARGUMENTS = {"ToeplitzBlock.n", "ToeplitzBlock.k", "Equivariant
 
 
 def integer_arguments(source: str) -> list[str]:
+    return named_arguments(source, INTEGER_NAMES)
+
+
+def named_arguments(source: str, names: set[str]) -> list[str]:
     """``function.argument``, ``Class.method.argument`` and ``Class.field`` for
     each parameter of a public function or method, and each field of a public
-    ``@dataclass``, whose name is in INTEGER_NAMES; nested functions are not read."""
+    ``@dataclass``, whose name is in ``names``; nested functions are not read."""
     found = []
 
     def visit(body, owner):
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("_"):
                 args = stmt.args.posonlyargs + stmt.args.args + stmt.args.kwonlyargs
-                found.extend(f"{owner}{stmt.name}.{a.arg}" for a in args if a.arg in INTEGER_NAMES)
+                found.extend(f"{owner}{stmt.name}.{a.arg}" for a in args if a.arg in names)
             elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
                 decorators = [d.func if isinstance(d, ast.Call) else d for d in stmt.decorator_list]
                 if "dataclass" in {getattr(d, "id", getattr(d, "attr", None)) for d in decorators}:
                     found.extend(f"{stmt.name}.{t.target.id}" for t in stmt.body
-                                 if isinstance(t, ast.AnnAssign) and getattr(t.target, "id", None) in INTEGER_NAMES)
+                                 if isinstance(t, ast.AnnAssign) and getattr(t.target, "id", None) in names)
                 visit(stmt.body, f"{stmt.name}.")
 
     visit(ast.parse(source).body, "")
     return sorted(found)
 
 
-def _table_keys() -> set[str]:
-    """The keys of test_multiindex's INTEGER_ARGUMENTS and MULTI_INDEX_ARGUMENTS, read from its source."""
+def _table_keys(tables=("INTEGER_ARGUMENTS", "MULTI_INDEX_ARGUMENTS")) -> set[str]:
+    """The keys of test_multiindex's tables, by default INTEGER_ARGUMENTS and MULTI_INDEX_ARGUMENTS, read from its source."""
     keys = set()
     for node in ast.parse((Path(__file__).parent / "test_multiindex.py").read_text()).body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("INTEGER_ARGUMENTS", "MULTI_INDEX_ARGUMENTS"):
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in tables:
             keys |= {k.value for k in node.value.keys}
     return keys
 
@@ -503,3 +509,37 @@ def test_integer_argument_detection():
     )
     assert integer_arguments(source) == [
         "Plain.at.level", "Spec.mesh", "Spec.scaled.order", "count.k", "count.n", "count.seed"]
+
+
+REAL_NAMES = {"coeffs", "tol", "volume", "re", "im", "xs", "ys", "step"}
+
+# Real-named arguments with no row in test_multiindex's REAL_ARGUMENTS: fields of
+# the records only their checked builders make (TestFunction.polynomial,
+# spectral_distinguishability), the exact Fractions of _exact's Newton table,
+# and the finite-difference step of an oracle only the acceptance tests call.
+UNTABLED_REAL_ARGUMENTS = {"TestFunction.coeffs", "DistinguishReport.tol", "divided_differences.xs",
+                           "divided_differences.ys", "annihilation_residual.step"}
+
+
+def test_every_real_argument_has_a_table_row():
+    found = {name for p in SOURCES for name in named_arguments(p.read_text(), REAL_NAMES)}
+    assert UNTABLED_REAL_ARGUMENTS <= found
+    assert sorted(found - _table_keys(("REAL_ARGUMENTS",)) - UNTABLED_REAL_ARGUMENTS) == []
+
+
+def test_real_argument_detection():
+    source = (
+        "from dataclasses import dataclass\n"
+        "def slope(xs, ys, /, n=2, *, tol=0.0):\n"
+        "    def inner(step): pass\n"
+        "def _hidden(volume): pass\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    coeffs: tuple\n"
+        "    label: str\n"
+        "    def scaled(self, volume, k): pass\n"
+        "class _Hidden:\n"
+        "    def at(self, re, im): pass\n"
+    )
+    assert named_arguments(source, REAL_NAMES) == [
+        "Record.coeffs", "Record.scaled.volume", "slope.tol", "slope.xs", "slope.ys"]

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,23 @@ RAY_GRID = [
     (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)),
     (Fraction(1, 12), Fraction(5, 6), Fraction(1, 12)),
 ]
+
+
+def test_reconstruct_refuses_ray_reads_past_the_byte_limit_before_planning():
+    # 3.3e11 levels on the one ray; the oracle is never called and no level list is built
+    def no_oracle(k):
+        raise AssertionError("a level was read")
+
+    third = (Fraction(1, 3),) * 3
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError, match="bytes, over the 2147483648-byte limit") as info:
+        reconstruct(no_oracle, 3, [third], 10**12, spacing="all")
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.operation == "inverse.reconstruct"
+    # geometric spacing reads 39 levels of the same ray, well inside the limit
+    rec = reconstruct(lambda k: equivariant_spectrum(InvariantSymbol.coordinate(0, 3), diagonal_circle(3), k),
+                      3, [third], 10**12)
+    assert len(rec.rays[0].ks) == 39
 
 
 def test_reconstruct_reads_rays_without_fibers(monkeypatch):

@@ -10,10 +10,11 @@ from toeplab.canonical_model import ModelIndex, QuadratureSpec
 from toeplab.cli import main
 from toeplab.errors import UnboundedFiberError, ValidationError
 from toeplab.hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block, invariant_eigenvalue, monomial_norm
-from toeplab.inverse import extrapolate_ray, ray_levels, reconstruct, spectral_distinguishability
+from toeplab.inverse import extrapolate_ray, loglog_slope, ray_levels, reconstruct, spectral_distinguishability
 from toeplab.multiindex import (
     SubtorusData,
     _check_int,
+    _check_real,
     diagonal_circle,
     dimension_of_degree_space,
     enumerate_degree,
@@ -286,6 +287,19 @@ def test_check_int_returns_the_int_and_names_what_it_refuses():
         _check_int(np.int64(2), "k", 1, "op")
 
 
+def test_check_real_returns_a_float_and_names_what_it_refuses():
+    assert _check_real(3, "tol", "op", low=0) == 3.0 and isinstance(_check_real(3, "tol", "op"), float)
+    assert _check_real(-1e308, "re", "op") == -1e308
+    assert _check_real(np.float64(0.5), "re", "op") == 0.5  # a float subclass
+    with pytest.raises(ValidationError, match=r"^tol must be a finite int or float >= 0, got -1$") as info:
+        _check_real(-1, "tol", "op", low=0)
+    assert info.value.operation == "op"
+    with pytest.raises(ValidationError, match=r"^re must be a finite int or float, got nan$"):
+        _check_real(float("nan"), "re", "op")
+    with pytest.raises(ValidationError, match=r"^re must be a finite int or float, got "):
+        _check_real(np.int64(2), "re", "op")
+
+
 A1 = InvariantSymbol.coordinate(0, 2)
 F_X = TestFunction.polynomial([0.0, 1.0])
 SPECTRUM_3 = equivariant_spectrum(A1, diagonal_circle(2), 3)
@@ -365,6 +379,33 @@ MULTI_INDEX_ARGUMENTS = {
     "EquivariantSpectrum.eigenvalues_of.betas": (lambda v: SPECTRUM_3.eigenvalues_of([(v, 3 - int(v))]), "beta", 0, None),
     "ModelIndex.m": (lambda v: ModelIndex(m=(v,), k_dim=1), "m", None, None),
 }
+
+
+# Every public real argument, by the same keys: a call with the value, the name
+# _check_real gives it, and its floor (None when there is none).  tests/test_hygiene.py
+# fails on a real-named argument of src/toeplab that has no row here.
+REAL_ARGUMENTS = {
+    "TestFunction.polynomial.coeffs": (lambda v: TestFunction.polynomial([0.0, v]), "coefficient", None),
+    "spectral_distinguishability.tol": (lambda v: spectral_distinguishability(circle_spectrum, circle_spectrum, 2, tol=v),
+                                        "tol", 0),
+    "theorem2_leading.volume": (lambda v: theorem2_leading(A1, F_X, diagonal_circle(2), samples=10_000, volume=v),
+                                "volume", 0),
+    "SymbolPoly.from_json.re": (lambda v: SymbolPoly.from_json(
+        {"terms": [{"gamma": [1, 0], "delta": [1, 0], "re": v, "im": 0.0}]}), "re", None),
+    "SymbolPoly.from_json.im": (lambda v: SymbolPoly.from_json(
+        {"terms": [{"gamma": [1, 0], "delta": [0, 1], "re": 1.0, "im": v}]}), "im", None),
+    "loglog_slope.xs": (lambda v: loglog_slope([v, 2.0], [1.0, 2.0]), "xs", 0),
+    "loglog_slope.ys": (lambda v: loglog_slope([1.0, 2.0], [v, 2.0]), "ys", 0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REAL_ARGUMENTS))
+def test_real_arguments_refuse_non_finite_bools_strings_and_values_below_the_floor(key):
+    call, name, low = REAL_ARGUMENTS[key]
+    for value in [float("nan"), float("inf"), -float("inf"), True, "1.5", 10**400] + ([] if low is None else [low - 1]):
+        with pytest.raises(ValidationError) as info:
+            call(value)
+        assert f"{name} must be a finite int or float" in str(info.value) and f"got {value!r}" in str(info.value), value
 
 
 def _refused_values(low, high):
