@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .multiindex import _check_int, _is_int
+from .multiindex import _check_int, _check_ints, _check_real
 
 MAX_GRID_POINTS = 4096
 _TILE = 128  # check_isometry's square tiles: 256 KiB of complex entries each
@@ -49,15 +49,16 @@ __all__ = [
 class ModelIndex:
     """One model state: frequency vector m != 0 and transverse dimension.
 
-    Entries of m that are not ints or past the float range, a k_dim that _check_int
-    refuses, and states whose normalization overflows a float, are refused.
+    An m that _check_ints refuses or that is empty, zero or past the float range, a k_dim
+    that _check_int refuses, and states whose normalization overflows a float, are refused.
     """
 
     m: tuple[int, ...]
     k_dim: int
 
     def __post_init__(self):
-        if not self.m or not all(map(_is_int, self.m)):
+        object.__setattr__(self, "m", _check_ints(self.m, "m", None, "canonical_model.ModelIndex"))
+        if not self.m:
             raise ValidationError("m must be a nonempty integer tuple", operation="canonical_model.ModelIndex")
         if all(c == 0 for c in self.m):
             raise ValidationError("m = 0 has no normalizable state", operation="canonical_model.ModelIndex")
@@ -288,8 +289,12 @@ def annihilation_residual(idx: ModelIndex, y, theta, step: float = 1e-3) -> floa
     """Largest relative residual of (d/dy_j + y_j |m|) f_m at one point.
 
     Central differences in each transverse coordinate; O(step^2) for the
-    true state, order-one for a state with the wrong Gaussian width.
+    true state, order-one for a state with the wrong Gaussian width.  step
+    must pass _check_real with low 0, and be nonzero.
     """
+    step = _check_real(step, "step", "canonical_model.annihilation_residual", low=0)
+    if step == 0:
+        raise ValidationError(f"step must be > 0, got {step!r}", operation="canonical_model.annihilation_residual")
     if idx.k_dim == 0:
         raise ValidationError("no transverse directions to check", operation="canonical_model.annihilation_residual")
     y = np.asarray(y, dtype=float).reshape(idx.k_dim)

@@ -26,8 +26,8 @@ from ._exact import pivot_columns
 from .canonical_model import ModelIndex, QuadratureSpec, check_isometry
 from .errors import ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block
-from .inverse import _check_ray_reads, loglog_slope, reconstruct, spectral_distinguishability
-from .multiindex import SubtorusData, _check_int, _is_int, diagonal_circle, fiber_polytope_vertices
+from .inverse import _as_point, _check_ray_reads, loglog_slope, reconstruct, spectral_distinguishability
+from .multiindex import SubtorusData, _check_int, _check_ints, diagonal_circle, fiber_polytope_vertices
 from .reduction import MAX_SAMPLES, MIN_SAMPLES
 from .spectral import MAX_TRACE_DEGREE, TestFunction, fit_expansion, measure_eigen, measure_poly, scaled_measure
 from .toric import EXAMPLE_SUBTORI, equivariant_spectrum, fiber_measure_series, regular_free_check, theorem2_leading
@@ -64,32 +64,19 @@ def _record(obj, where: str, required, optional=None) -> dict:
     return {**optional, **obj}
 
 
-def _positive_ints(v, name: str, at_least: int) -> list[int]:
-    if not isinstance(v, list) or len(v) < at_least or not all(_is_int(k) and k >= 1 for k in v):
+def _positive_ints(v, name: str, at_least: int) -> tuple[int, ...]:
+    ks = _check_ints(v, name, 1, "cli.manifest")
+    if len(ks) < at_least:
         raise _validation_error(f"field '{name}' must list at least {at_least} positive integers")
-    return v
-
-
-def _coefficient(v) -> Fraction:
-    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-        raise _validation_error(f"coefficient {v!r} must be a number or a fraction string")
-    try:
-        return Fraction(v)
-    except (ValueError, ZeroDivisionError):
-        raise _validation_error(f"cannot parse coefficient {v!r}") from None
+    return ks
 
 
 def _invariant_symbol(obj, n: int, name: str) -> InvariantSymbol:
     terms = _record(obj, f"field '{name}'", ("terms",))["terms"]
     if not isinstance(terms, list) or not terms:
         raise _validation_error(f"'{name}.terms' must be a nonempty list")
-    pairs = []
-    for term in terms:
-        t = _record(term, f"a term of '{name}'", ("gamma", "coeff"))
-        if not isinstance(t["gamma"], list):  # InvariantSymbol.from_poly checks its length and entries
-            raise _validation_error(f"term exponents {t['gamma']!r} must be a list")
-        pairs.append((t["gamma"], _coefficient(t["coeff"])))
-    return InvariantSymbol.from_poly(pairs, n)
+    records = [_record(term, f"a term of '{name}'", ("gamma", "coeff")) for term in terms]
+    return InvariantSymbol.from_poly([(t["gamma"], t["coeff"]) for t in records], n)  # which checks each gamma and coeff
 
 
 def _test_function(obj) -> TestFunction:
@@ -108,11 +95,7 @@ def _subtorus(obj) -> SubtorusData:
             raise _validation_error(f"unknown example subtorus {name!r}; have {sorted(EXAMPLE_SUBTORI)}")
         return EXAMPLE_SUBTORI[name]
     s = _record(obj, "field 'subtorus'", ("n", "d", "Bt", "alpha"))
-    try:
-        weight_matrix, alpha = tuple(map(tuple, s["Bt"])), tuple(s["alpha"])
-    except TypeError as exc:
-        raise _validation_error(f"malformed subtorus record: {exc}") from None
-    return SubtorusData(n=s["n"], d=s["d"], weight_matrix=weight_matrix, alpha=alpha)
+    return SubtorusData(n=s["n"], d=s["d"], weight_matrix=s["Bt"], alpha=s["alpha"])
 
 
 def _run_theorem1(fields: dict, seed: int) -> dict:
@@ -165,12 +148,7 @@ def _run_theorem2(fields: dict, seed: int) -> dict:
 def _grid_points(v, n: int) -> list[tuple[Fraction, ...]]:
     if not isinstance(v, list) or not v:
         raise _validation_error("field 'grid' must be a nonempty list of points")
-    pts = []
-    for row in v:
-        if not isinstance(row, list) or len(row) != n:
-            raise _validation_error(f"grid point {row!r} must have {n} entries")
-        pts.append(tuple(_coefficient(c) for c in row))
-    return pts
+    return [_as_point(row, n) for row in v]
 
 
 def _check_distinguish_work(sub: SubtorusData, k_max: int) -> None:
@@ -248,9 +226,7 @@ def _run_model(fields: dict, seed: int) -> dict:
     states = []
     for obj in fields["states"]:
         s = _record(obj, "a state", ("m", "k_dim"))
-        if not isinstance(s["m"], list):
-            raise _validation_error(f"state frequency {s['m']!r} must be a list of integers")
-        states.append(ModelIndex(m=tuple(s["m"]), k_dim=s["k_dim"]))
+        states.append(ModelIndex(m=s["m"], k_dim=s["k_dim"]))
     quad = _record(fields["quad"], "field 'quad'", (), _EXPERIMENTS["model"][2]["quad"])
     report = check_isometry(states, QuadratureSpec(hermite_points=quad["hermite_points"], fourier_points=quad["fourier_points"]))
     return {"isometry.json": report.to_json()}

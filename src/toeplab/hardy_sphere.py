@@ -50,8 +50,8 @@ import numpy as np
 
 from . import _exact
 from .errors import SymbolFormatError, ValidationError
-from .multiindex import (MAX_SECTOR_BYTES, MultiIndex, _check_dimension, _check_int, _check_real, _is_int,
-                         dimension_of_degree_space, enumerate_degree)
+from .multiindex import (MAX_SECTOR_BYTES, MultiIndex, _check_dimension, _check_int, _check_ints, _check_rational,
+                         _check_real, dimension_of_degree_space, enumerate_degree)
 
 __all__ = [
     "monomial_norm",
@@ -77,12 +77,10 @@ def monomial_norm(mu: Sequence[int], n: int) -> Fraction:
     """Exact squared norm of z^mu on the unit sphere of C^n.
 
     Normalized so the constant monomial has norm one.  Example values:
-    h((1,0), 2) = 1/2 and h((1,1), 2) = 1/6.
+    h((1,0), 2) = 1/2 and h((1,1), 2) = 1/6.  mu must pass _check_ints: n entries >= 0.
     """
     _check_int(n, "n", 1, "hardy_sphere.monomial_norm")
-    mu = tuple(mu)
-    if len(mu) != n or not all(_is_int(e) and e >= 0 for e in mu):
-        raise ValidationError(f"multi-index mu {mu} must have n = {n} non-negative integer entries", operation="hardy_sphere.monomial_norm")
+    mu = _check_ints(mu, "mu", 0, "hardy_sphere.monomial_norm", length=n)
     num = factorial(n - 1)
     for e in mu:
         num *= factorial(e)
@@ -112,13 +110,6 @@ def _check_finite(c, operation: str):
     return c
 
 
-def _as_multiindex(mi) -> MultiIndex:
-    t = tuple(mi)
-    if not all(_is_int(e) and e >= 0 for e in t):
-        raise SymbolFormatError(f"term exponents {t} must be non-negative integers", operation="hardy_sphere.SymbolPoly")
-    return t
-
-
 @dataclass(frozen=True)
 class SymbolPoly:
     """Degree-zero polynomial symbol, stored term by term.
@@ -127,8 +118,8 @@ class SymbolPoly:
     term list must be closed under (gamma, delta, c) -> (delta, gamma,
     conj(c)), which makes the assembled block Hermitian; repeated terms
     are summed first, and float sums need only match their partner to
-    CONJUGATE_ULPS units in the last place.  Coefficients may
-    be int, float, Fraction or complex; they are kept as given so exact
+    CONJUGATE_ULPS units in the last place.  Coefficients must be an int
+    (not a bool), float, Fraction or complex, and are kept as given so exact
     inputs stay exact.  A term of degree |gamma| above MAX_SYMBOL_DEGREE is
     refused, as is a term whose summed coefficient is not finite.
     """
@@ -141,6 +132,9 @@ class SymbolPoly:
         n = len(self.terms[0][0])
         merged: dict[tuple[MultiIndex, MultiIndex], complex] = {}
         for gamma, delta, c in self.terms:
+            if isinstance(c, bool) or not isinstance(c, (int, float, Fraction, complex)):
+                raise SymbolFormatError(f"coefficient {c!r} is not an int, float, Fraction or complex",
+                                        operation="hardy_sphere.SymbolPoly")
             if len(gamma) != n or len(delta) != n:
                 raise SymbolFormatError("all terms must share the coordinate count", operation="hardy_sphere.SymbolPoly")
             if sum(gamma) != sum(delta):
@@ -163,10 +157,12 @@ class SymbolPoly:
     def from_terms(cls, terms, hermitize: bool = False) -> "SymbolPoly":
         """Build from (gamma, delta, coeff) triples.
 
+        Each gamma and delta must pass _check_ints, each entry at least 0.
         With hermitize=True each off-diagonal term gets its conjugate
         partner added automatically; diagonal terms must be real.
         """
-        norm = [( _as_multiindex(g), _as_multiindex(d), c) for g, d, c in terms]
+        op = "hardy_sphere.SymbolPoly"
+        norm = [(_check_ints(g, "exponents", 0, op), _check_ints(d, "exponents", 0, op), c) for g, d, c in terms]
         if hermitize:
             extra = []
             have = {(g, d) for g, d, _ in norm}
@@ -213,8 +209,6 @@ class SymbolPoly:
         for t in obj["terms"]:
             if not isinstance(t, dict) or set(t) != {"gamma", "delta", "re", "im"}:
                 raise ValidationError("symbol term must have fields gamma, delta, re, im", operation="hardy_sphere.SymbolPoly")
-            if not all(isinstance(t[e], list) for e in ("gamma", "delta")):
-                raise ValidationError("term exponents gamma, delta must be lists", operation="hardy_sphere.SymbolPoly")
             c = complex(*(_check_real(t[x], x, "hardy_sphere.SymbolPoly") for x in ("re", "im")))
             terms.append((t["gamma"], t["delta"], c if c.imag else c.real))
         return cls.from_terms(terms)
@@ -231,7 +225,8 @@ class InvariantSymbol:
     sum in modulus to at most the largest float has float eigenvalues and
     values; a larger one is refused, as is an n that _check_int refuses, a
     term of another length and a term of degree |gamma| above
-    MAX_SYMBOL_DEGREE.  ``from_poly`` refuses a float coefficient that is not finite.
+    MAX_SYMBOL_DEGREE.  ``from_poly`` reads exponents through _check_ints (entries
+    >= 0) and coefficients through _check_rational, once _check_finite passes them.
     """
 
     n: int
@@ -248,7 +243,9 @@ class InvariantSymbol:
 
     @classmethod
     def from_poly(cls, terms, n: int) -> "InvariantSymbol":
-        poly = tuple((_as_multiindex(g), Fraction(_check_finite(c, "hardy_sphere.InvariantSymbol"))) for g, c in terms)
+        op = "hardy_sphere.InvariantSymbol"
+        poly = tuple((_check_ints(g, "exponents", 0, op), _check_rational(_check_finite(c, op), "coefficient", op))
+                     for g, c in terms)
         return cls(n=n, poly=poly)
 
     @classmethod
@@ -409,7 +406,7 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
         flat[start[cols] + local[i] * width[cols] + local[cols]] += complex(c) * mag
 
     # gamma == delta terms touch only the diagonal; Hermitian closure forces c real
-    diagonal = InvariantSymbol.from_poly([(g, Fraction(c.real)) for g, d, c in symbol.terms if g == d], n)
+    diagonal = InvariantSymbol.from_poly([(g, c.real) for g, d, c in symbol.terms if g == d], n)
     numerators, den = _invariant_numerators(diagonal, basis)
     flat[start + local * (width + 1)] = [num / den for num in numerators]
     runs = np.flatnonzero(np.diff(sizes, prepend=0))  # first sector of each size
@@ -464,9 +461,8 @@ def invariant_eigenvalue(symbol: InvariantSymbol, alpha: Sequence[int]) -> Fract
     For F = a_1 on two coordinates this is (alpha_1 + 1) / (k + 2) with
     k = |alpha|; for F = a_1^2 it is
     (alpha_1 + 2)(alpha_1 + 1) / ((k + 3)(k + 2)).  This is the one-point
-    case of the batched fiber computation.
+    case of the batched fiber computation; alpha must pass _check_ints, entries >= 0.
     """
-    if not all(_is_int(e) and e >= 0 for e in alpha):
-        raise ValidationError(f"alpha {tuple(alpha)} must have non-negative integer entries", operation="hardy_sphere.invariant_eigenvalue")
-    (num,), den = _invariant_numerators(symbol, [tuple(alpha)])
+    alpha = _check_ints(alpha, "alpha", 0, "hardy_sphere.invariant_eigenvalue")
+    (num,), den = _invariant_numerators(symbol, [alpha])
     return Fraction(num, den)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .multiindex import MAX_SECTOR_BYTES, MultiIndex, _check_int, _check_real
+from .multiindex import MAX_SECTOR_BYTES, MultiIndex, _check_int, _check_rational, _check_real
 from .spectral import richardson_limit
 from .toric import EquivariantSpectrum
 
@@ -132,9 +132,10 @@ class Reconstruction:
 
 
 def _as_point(pt, n: int) -> tuple[Fraction, ...]:
-    point = tuple(Fraction(c) for c in pt)
-    if len(point) != n:
-        raise ValidationError("grid point length must equal n", operation="inverse.reconstruct")
+    """pt as Fractions if it is a list or tuple of n coordinates that pass _check_rational and lie on the unit simplex."""
+    if not isinstance(pt, (list, tuple)) or len(pt) != n:
+        raise ValidationError(f"grid point {pt!r} must be a list or tuple of {n} coordinates", operation="inverse.reconstruct")
+    point = tuple(_check_rational(c, "grid coordinate", "inverse.reconstruct") for c in pt)
     if any(c < 0 for c in point) or sum(point) != 1:
         raise ValidationError(f"grid point {pt} is not on the unit simplex", operation="inverse.reconstruct")
     return point
@@ -157,8 +158,9 @@ def reconstruct(
     fewer than max(2, order + 1) usable levels is reported missing rather
     than extrapolated.  Exact rational eigenvalues are extrapolated
     exactly, so "all" spacing with a high order reaches roundoff-limited
-    accuracy.  n, k_max and order pass _check_int first, and reads that would pass
-    MAX_SECTOR_BYTES are refused (_check_ray_reads) before any ray is planned.
+    accuracy.  n, k_max and order pass _check_int first, each grid point _as_point,
+    and reads that would pass MAX_SECTOR_BYTES are refused (_check_ray_reads)
+    before any ray is planned.
     """
     _check_int(n, "n", 1, "inverse.reconstruct")
     _check_int(k_max, "k_max", 1, "inverse.reconstruct")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, floor
+from math import comb, floor, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -60,12 +60,20 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_int(value, name: str, low: int, operation: str, high: int | None = None) -> int:
-    """value if it is an int, not a bool, from low to high (no top when None); else a ValidationError naming them."""
-    if not _is_int(value) or value < low or high is not None and value > high:
-        bounds = f">= {low}" if high is None else f"from {low} to {high}"
-        raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}", operation=operation)
+def _check_int(value, name: str, low: int | None, operation: str, high: int | None = None) -> int:
+    """value if it is an int, not a bool, from low to high (no floor or top when None); else a ValidationError naming them."""
+    if not _is_int(value) or low is not None and value < low or high is not None and value > high:
+        bounds = "" if low is None else f" >= {low}" if high is None else f" from {low} to {high}"
+        raise ValidationError(f"{name} must be an integer{bounds}, got {value!r}", operation=operation)
     return value
+
+
+def _check_ints(values, name: str, low: int | None, operation: str, length: int | None = None) -> tuple[int, ...]:
+    """values as a tuple if it is a list or tuple (of length entries when given) of ints _check_int takes; else a ValidationError."""
+    if not isinstance(values, (list, tuple)) or length is not None and len(values) != length:
+        size = "" if length is None else f" of length {length}"
+        raise ValidationError(f"{name} must be a list or tuple{size}, got {values!r}", operation=operation)
+    return tuple(_check_int(v, name, low, operation) for v in values)
 
 
 def _check_real(value, name: str, operation: str, low: float | None = None) -> float:
@@ -75,6 +83,16 @@ def _check_real(value, name: str, operation: str, low: float | None = None) -> f
         bound = "" if low is None else f" >= {low}"
         raise ValidationError(f"{name} must be a finite int or float{bound}, got {value!r}", operation=operation)
     return float(value)
+
+
+def _check_rational(value, name: str, operation: str) -> Fraction:
+    """Fraction(value) for a non-bool int, a finite float, a Fraction or a string Fraction parses ("1/3"); else a ValidationError."""
+    if _is_int(value) or isinstance(value, (Fraction, str)) or isinstance(value, float) and isfinite(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # "x", "nan", "1/0" or an int string past 4,300 digits
+            pass
+    raise ValidationError(f"{name} must be an int, finite float, Fraction or fraction string, got {value!r}", operation=operation)
 
 
 def _check_dimension(symbol, n: int, operation: str) -> None:
@@ -106,7 +124,8 @@ class SubtorusData:
 
     weight_matrix is the d x n integer matrix Bt whose row j gives the
     weights of the j-th circle factor on the n coordinates; alpha is the
-    integer level the moment map is held at.  Requires full row rank d <= n.
+    integer level the moment map is held at.  Requires full row rank d <= n;
+    the rows and alpha must pass _check_ints, and are kept as its tuples.
     """
 
     n: int
@@ -117,14 +136,11 @@ class SubtorusData:
     def __post_init__(self):
         _check_int(self.n, "n", 1, "multiindex.SubtorusData")
         _check_int(self.d, "d", 1, "multiindex.SubtorusData", high=self.n)
-        if len(self.weight_matrix) != self.d or any(len(r) != self.n for r in self.weight_matrix):
+        if not isinstance(self.weight_matrix, (list, tuple)) or len(self.weight_matrix) != self.d:
             raise ValidationError("weight matrix must be d x n", operation="multiindex.SubtorusData")
-        if len(self.alpha) != self.d:
-            raise ValidationError("alpha must have d entries", operation="multiindex.SubtorusData")
-        if not all(_is_int(x) for r in self.weight_matrix for x in r):
-            raise ValidationError("weights must be integers", operation="multiindex.SubtorusData")
-        if not all(map(_is_int, self.alpha)):
-            raise ValidationError("alpha must be integral", operation="multiindex.SubtorusData")
+        rows = tuple(_check_ints(row, "weights", None, "multiindex.SubtorusData", length=self.n) for row in self.weight_matrix)
+        object.__setattr__(self, "weight_matrix", rows)  # lists become the hashable tuples the caches key on
+        object.__setattr__(self, "alpha", _check_ints(self.alpha, "alpha", None, "multiindex.SubtorusData", length=self.d))
         if _exact.rank(self.weight_matrix) != self.d:
             raise ValidationError("weight matrix must have full row rank", operation="multiindex.SubtorusData")
 
@@ -136,10 +152,11 @@ def diagonal_circle(n: int) -> SubtorusData:
 
 
 def full_torus(alpha: Sequence[int]) -> SubtorusData:
-    """The full torus (d = n), pinned at level alpha; SubtorusData refuses an entry that is not an int."""
+    """The full torus (d = n), pinned at level alpha, a list or tuple that _check_ints takes."""
+    alpha = _check_ints(alpha, "alpha", None, "multiindex.full_torus")
     n = len(alpha)
     eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return SubtorusData(n=n, d=n, weight_matrix=eye, alpha=tuple(alpha))
+    return SubtorusData(n=n, d=n, weight_matrix=eye, alpha=alpha)
 
 
 def recession_pointed(sub: SubtorusData) -> bool:

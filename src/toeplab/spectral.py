@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .hardy_sphere import ToeplitzBlock
-from .multiindex import _check_int, _check_real, _is_int
+from .multiindex import _check_int, _check_ints, _check_real
 
 __all__ = [
     "TestFunction",
@@ -201,16 +201,15 @@ def richardson_limit(ks: Sequence[int], values: Sequence, order: int):
     Uses the last order+1 entries: the polynomial in x = 1/k through them,
     in Newton form over the exact nodes Fraction(1, k), evaluated at x = 0.
     The values enter as given, so exact input (int or Fraction) gives a
-    Fraction and float input a float.
+    Fraction and float input a float.  ks must pass _check_ints, each k >= 1.
     """
     _check_int(order, "order", 0, "spectral.richardson_limit")
+    ks = _check_ints(ks, "ks", 1, "spectral.richardson_limit")
     if len(ks) != len(values):
         raise ValidationError("ks and values must have equal length", operation="spectral.richardson_limit")
     if len(ks) < order + 1:
         raise ValidationError(f"need at least {order + 1} entries for order {order}", operation="spectral.richardson_limit")
-    if not all(_is_int(k) and k > 0 for k in ks):
-        raise ValidationError(f"levels k must be positive integers, got {list(ks)!r}", operation="spectral.richardson_limit")
-    xs = [Fraction(1, k) for k in list(ks)[-order - 1:]]
+    xs = [Fraction(1, k) for k in ks[-order - 1:]]
     if len(set(xs)) != len(xs):
         raise ValidationError("k values must be distinct", operation="spectral.richardson_limit")
     coeffs = divided_differences(xs, list(values)[-order - 1:])

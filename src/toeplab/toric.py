@@ -36,8 +36,8 @@ from .multiindex import (
     SubtorusData,
     _check_dimension,
     _check_int,
+    _check_ints,
     _check_real,
-    _is_int,
     diagonal_circle,
     enumerate_fiber,
     fiber_polytope_vertices,
@@ -89,12 +89,11 @@ class EquivariantSpectrum:
     eigenvalues = property(lambda self: (np.array(self.numerators, dtype=object) / self.denominator).astype(float))
 
     def eigenvalues_of(self, betas: Sequence[Sequence[int]]) -> list[Fraction]:
-        """Exact eigenvalues at fiber points, in one batch, each point checked for int entries and Bt beta = k alpha."""
-        keys = [tuple(beta) for beta in betas]
+        """Exact eigenvalues at fiber points, in one batch; each must pass _check_ints (n entries >= 0) and Bt beta = k alpha."""
+        keys = [_check_ints(beta, "beta", 0, "toric.EquivariantSpectrum", length=self.sub.n) for beta in betas]
         Bt, target = self.sub.weight_matrix, [self.k * a for a in self.sub.alpha]
         for key in keys:
-            if (len(key) != self.sub.n or not all(map(_is_int, key)) or min(key) < 0
-                    or [sum(map(mul, row, key)) for row in Bt] != target):
+            if [sum(map(mul, row, key)) for row in Bt] != target:
                 raise ValidationError(f"beta {key} is not on the fiber", operation="toric.EquivariantSpectrum")
         nums, den = _invariant_numerators(self.symbol, keys)
         return [Fraction(num, den) for num in nums]

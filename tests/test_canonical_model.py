@@ -295,3 +295,18 @@ def test_annihilation_detects_wrong_width():
 def test_annihilation_residual_validation():
     with pytest.raises(ValidationError):
         annihilation_residual(ModelIndex(m=(1,), k_dim=0), (), (0.0,))
+
+
+def test_annihilation_residual_refuses_a_zero_step_and_a_vanishing_state():
+    idx = ModelIndex(m=(1,), k_dim=1)
+    # a zero step makes each difference quotient 0/0 = NaN, which max() drops, so the residual read 0.0
+    for step in (0, 0.0, -0.0):
+        with pytest.raises(ValidationError, match=r"^step must be > 0, got "):
+            annihilation_residual(idx, (0.3,), (0.1,), step=step)
+    # exp(-y^2 / 2) underflows to 0 at y = 1e3
+    with pytest.raises(ValidationError, match="state vanishes at the base point"):
+        annihilation_residual(idx, (1e3,), (0.1,))
+
+
+def test_model_index_keeps_a_list_frequency_as_a_tuple():
+    assert ModelIndex(m=[1, -2], k_dim=0).m == (1, -2)

@@ -470,6 +470,31 @@ def test_values_the_library_refuses_exit_2_before_writing(tmp_path, experiment, 
     assert code == 2 and not out.exists()
 
 
+# Manifests the CLI refuses before any work, one row per refusal it makes itself
+# or made itself before the library's checks took the value over; the ids name them.
+@pytest.mark.parametrize("experiment,manifest", [
+    ("theorem1", {**THEOREM1, "f": 5}),
+    ("theorem1", {**THEOREM1, "k_list": []}),
+    ("inverse", {**INVERSE, "symbol": {"terms": [{"gamma": [1, 0], "coeff": True}]}}),
+    ("inverse", {**INVERSE, "symbol": {"terms": [{"gamma": [1, 0], "coeff": "1/x"}]}}),
+    ("distinguish", {**DISTINGUISH, "symbol_a": {"terms": []}}),
+    ("theorem1", {**THEOREM1, "f": {"coeffs": []}}),
+    ("theorem1", {**THEOREM1, "f": {"coeffs": [0, 1], "label": 5}}),
+    ("distinguish", {**DISTINGUISH, "subtorus": {"example": "no_such_subtorus"}}),
+    ("theorem1", {**THEOREM1, "measure": "dense"}),
+    ("inverse", {**INVERSE, "grid": []}),
+    ("inverse", {**INVERSE, "grid": [["1/2", "1/4", "1/4"]]}),
+    ("model", {"states": []}),
+    ("model", {"states": [{"m": 1, "k_dim": 1}]}),
+], ids=["record_not_object", "k_list_empty", "coeff_bool", "coeff_unparsed", "terms_empty", "f_coeffs_empty",
+        "f_label_not_string", "example_unknown", "measure_unknown", "grid_empty", "grid_row_length", "states_empty",
+        "state_m_scalar"])
+def test_manifests_refused_before_any_work_exit_2(tmp_path, capsys, experiment, manifest):
+    code, out = run_cli(tmp_path, experiment, manifest)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("invalid input (")
+
+
 @pytest.mark.parametrize("states,quad,code", [
     ([{"m": [1], "k_dim": 1}], {"hermite_points": 100000}, 2),
     # 24^10 points; counted, never built

@@ -108,6 +108,27 @@ def test_symbol_diagonal_term_must_be_real():
         SymbolPoly.from_terms([((1, 0), (1, 0), 1j)])
 
 
+def test_symbol_refuses_structural_faults_by_name():
+    with pytest.raises(SymbolFormatError, match="at least one term"):
+        SymbolPoly(terms=())
+    with pytest.raises(SymbolFormatError, match="share the coordinate count"):
+        SymbolPoly(terms=(((1, 0), (1, 0), 1.0), ((1, 0, 0), (1, 0, 0), 1.0)))
+    # hermitize adds partners to off-diagonal terms only, so it refuses a complex diagonal itself
+    with pytest.raises(SymbolFormatError, match="diagonal term coefficient must be real"):
+        SymbolPoly.from_terms([((1, 0), (1, 0), 1j)], hermitize=True)
+    for record in ([], {"terms": [], "extra": 1}, {"items": []}):
+        with pytest.raises(ValidationError, match=r"^symbol record must be \{'terms': \[\.\.\.\]\}$"):
+            SymbolPoly.from_json(record)
+
+
+# numpy's int64 is no Python int, as everywhere in the package
+@pytest.mark.parametrize("c", ["x", None, [1], True, np.int64(1)], ids=["string", "none", "list", "bool", "int64"])
+def test_symbol_refuses_coefficients_that_are_not_numbers(c):
+    with pytest.raises(SymbolFormatError, match=r"^coefficient .+ is not an int, float, Fraction or complex$") as info:
+        SymbolPoly.from_terms([((1, 0), (1, 0), c)])
+    assert info.value.operation == "hardy_sphere.SymbolPoly"
+
+
 def test_symbol_json_round_trip():
     sym = SymbolPoly.from_terms([((1, 0), (0, 1), 0.5 + 0.25j)], hermitize=True)
     record = {"terms": [

@@ -5,6 +5,8 @@ the standard library or numpy, the one runtime dependency, and all
 randomness comes from seeded generators, so reruns stay byte-identical.
 Only the shared Monte Carlo loop, ``reduction._monte_carlo``, makes a
 generator, walks batch pieces or raises the sampler efficiency error.
+Only multiindex's checks read ``_is_int`` and turn a caller's value into a
+Fraction, bar named internal uses.
 Every function the benchmark's tracer (bench/tracer.py) wraps by name
 still exists, so a deletion that would crash a traced pass fails here.
 Every public function and class is read somewhere in src/ or bench/:
@@ -265,6 +267,103 @@ def test_monte_carlo_leak_detection():
     assert monte_carlo_leaks(source)[:3] == ["4: default_rng", "6: _pieces", "7: SamplerEfficiencyError"]
 
 
+def _owned_nodes(source: str):
+    """(owner, node) for every node of a module: owner names the top-level function,
+    ``Class.method`` or class whose statement holds the node, or is '' at module level."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ClassDef):
+            tops = [(f"{stmt.name}.{n.name}" if isinstance(n, defs) else stmt.name, n) for n in stmt.body]
+        else:
+            tops = [(stmt.name if isinstance(stmt, defs) else "", stmt)]
+        for owner, top in tops:
+            yield from ((owner, n) for n in ast.walk(top))
+
+
+# Readers of _is_int outside multiindex: two reduction checks read it only to
+# order theirs (a buffer bound needs samples, a cell bound needs n, before the
+# integer checks that name them).
+IS_INT_READERS = {"reduction.py": {"_check_run", "c0_simplex_quad"}}
+
+
+def is_int_reads(source: str, allowed=frozenset()) -> list[str]:
+    """``line: owner`` for each read of ``_is_int``, as a name or an attribute, outside the owners allowed."""
+    found = []
+    for owner, node in _owned_nodes(source):
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name == "_is_int" and isinstance(node.ctx, ast.Load) and owner not in allowed:
+            found.append((node.lineno, owner))
+    return [f"{line}: {owner}" for line, owner in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in ALL_SOURCES if p.name != "multiindex.py"],
+                         ids=lambda p: p.name)
+def test_only_multiindex_reads_is_int(path):
+    assert is_int_reads(path.read_text(), IS_INT_READERS.get(path.name, set())) == []
+
+
+def test_is_int_read_detection():
+    source = (
+        "from .multiindex import _is_int\n"
+        "from . import multiindex\n"
+        "def _check_run(samples):\n"
+        "    return _is_int(samples)\n"
+        "def count(v):\n"
+        "    return all(map(_is_int, v)) or multiindex._is_int(v)\n"
+        "class Spec:\n"
+        "    ok = _is_int(3)\n"
+        "    def check(self, v):\n"
+        "        return _is_int(v)\n"
+        "_is_int = None\n"
+    )
+    assert is_int_reads(source, {"_check_run"}) == ["6: count", "6: count", "8: Spec", "10: Spec.check"]
+    assert is_int_reads(source)[0] == "4: _check_run"
+
+
+# One-argument Fraction calls outside _exact and multiindex._check_rational: the
+# conversions of integers the package computed itself (Ehrhart counts, nullspace entries).
+FRACTION_CONVERSIONS = {"multiindex.py": {"_check_rational"}, "toric.py": {"fiber_volume", "_vertex_y_coordinates"}}
+
+
+def fraction_conversions(source: str, allowed=frozenset()) -> list[str]:
+    """``line: owner`` for each call of Fraction with one argument that is not a
+    literal constant, such as Fraction(c), outside the owners allowed."""
+    found = []
+    for owner, node in _owned_nodes(source):
+        if not isinstance(node, ast.Call) or owner in allowed or len(node.args) != 1 or node.keywords:
+            continue
+        if (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)) != "Fraction":
+            continue
+        try:
+            ast.literal_eval(node.args[0])
+        except ValueError:  # not a literal
+            found.append((node.lineno, owner))
+    return [f"{line}: {owner}" for line, owner in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in ALL_SOURCES if p.name != "_exact.py"], ids=lambda p: p.name)
+def test_only_check_rational_makes_fractions_of_caller_values(path):
+    assert fraction_conversions(path.read_text(), FRACTION_CONVERSIONS.get(path.name, set())) == []
+
+
+def test_fraction_conversion_detection():
+    source = (
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "ZERO = Fraction(0)\n"
+        "def fiber_volume(counts):\n"
+        "    return [Fraction(c) for c in counts]\n"
+        "def point(pt, k):\n"
+        "    return [Fraction(c) for c in pt] + [Fraction(1, k), Fraction(-1), Fraction('1/3')]\n"
+        "class Symbol:\n"
+        "    half = fractions.Fraction(1, 2)\n"
+        "    def coefficient(self, c):\n"
+        "        return fractions.Fraction(c.real)\n"
+    )
+    assert fraction_conversions(source, {"fiber_volume"}) == ["7: point", "11: Symbol.coefficient"]
+    assert fraction_conversions(source)[0] == "5: fiber_volume"
+
+
 def _tracer_spans() -> list[tuple[str, str]]:
     """The (module, function) pairs bench/tracer.py wraps, read from its source."""
     tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "tracer.py").read_text())
@@ -515,10 +614,9 @@ REAL_NAMES = {"coeffs", "tol", "volume", "re", "im", "xs", "ys", "step"}
 
 # Real-named arguments with no row in test_multiindex's REAL_ARGUMENTS: fields of
 # the records only their checked builders make (TestFunction.polynomial,
-# spectral_distinguishability), the exact Fractions of _exact's Newton table,
-# and the finite-difference step of an oracle only the acceptance tests call.
+# spectral_distinguishability) and the exact Fractions of _exact's Newton table.
 UNTABLED_REAL_ARGUMENTS = {"TestFunction.coeffs", "DistinguishReport.tol", "divided_differences.xs",
-                           "divided_differences.ys", "annihilation_residual.step"}
+                           "divided_differences.ys"}
 
 
 def test_every_real_argument_has_a_table_row():

@@ -13,7 +13,7 @@ from toeplab.inverse import (
     reconstruct,
     spectral_distinguishability,
 )
-from toeplab.multiindex import diagonal_circle
+from toeplab.multiindex import diagonal_circle, full_torus
 from toeplab.toric import equivariant_spectrum
 
 A1 = InvariantSymbol.coordinate(0, 2)
@@ -109,6 +109,12 @@ def test_reconstruct_rejects_off_simplex_points():
         reconstruct(circle_oracle(A1), 2, [(Fraction(3, 2), Fraction(-1, 2))], 16)
     with pytest.raises(ValidationError):
         reconstruct(circle_oracle(A1), 2, [(1,)], 16)
+
+
+@pytest.mark.parametrize("point", [5, "12", {0: 1, 1: 0}, (1, 0, 0)], ids=["scalar", "string", "dict", "three"])
+def test_reconstruct_refuses_points_that_are_not_coordinate_lists(point):
+    with pytest.raises(ValidationError, match=r"must be a list or tuple of 2 coordinates$"):
+        reconstruct(circle_oracle(A1), 2, [point], 16)
 
 
 # The three-coordinate ray symbol 1/2 + 2/3 a_1^2 + 1/5 a_2 a_3 of the benchmark's inverse run.
@@ -238,3 +244,19 @@ def test_loglog_slope():
     # one distinct x has no slope
     with pytest.raises(ValidationError):
         loglog_slope([16, 16], [1e-3, 2e-3])
+
+
+def test_loglog_slope_refuses_a_zero_point():
+    # zero passes the floor of 0 but has no logarithm
+    for xs, ys in (([0.0, 1.0], [1.0, 2.0]), ([1.0, 2.0], [1.0, 0])):
+        with pytest.raises(ValidationError, match="needs positive data"):
+            loglog_slope(xs, ys)
+
+
+def test_distinguishability_spectra_of_different_sizes_differ_as_multisets():
+    # diagonal_circle(2) has k + 1 fiber points at level k, full_torus((1, 1)) one
+    def on_point(k):
+        return equivariant_spectrum(A1, full_torus((1, 1)), k)
+
+    rep = spectral_distinguishability(circle_oracle(A1), on_point, 3)
+    assert (rep.first_labeled_difference, rep.first_multiset_difference) == (1, 1)

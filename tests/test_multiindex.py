@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from toeplab.canonical_model import ModelIndex, QuadratureSpec
+from toeplab.canonical_model import ModelIndex, QuadratureSpec, annihilation_residual
 from toeplab.cli import main
 from toeplab.errors import UnboundedFiberError, ValidationError
 from toeplab.hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block, invariant_eigenvalue, monomial_norm
@@ -14,6 +14,8 @@ from toeplab.inverse import extrapolate_ray, loglog_slope, ray_levels, reconstru
 from toeplab.multiindex import (
     SubtorusData,
     _check_int,
+    _check_ints,
+    _check_rational,
     _check_real,
     diagonal_circle,
     dimension_of_degree_space,
@@ -213,6 +215,24 @@ def test_fiber_refuses_oversized_search_before_allocating():
     assert time.perf_counter() - start < 1.0
 
 
+def test_subtorus_refuses_an_alpha_of_the_wrong_length():
+    with pytest.raises(ValidationError, match=r"^alpha must be a list or tuple of length 1, got \(1, 2\)$"):
+        SubtorusData(n=2, d=1, weight_matrix=((1, 1),), alpha=(1, 2))
+
+
+def test_fiber_of_an_empty_level_polytope_is_empty():
+    # x + y = -k has no solution x, y >= 0
+    assert enumerate_fiber(SubtorusData(n=2, d=1, weight_matrix=((1, 1),), alpha=(-1,)), 3) == []
+
+
+def test_subtorus_keeps_list_input_as_hashable_tuples():
+    # the fiber and vertex caches key on the subtorus and its weight matrix
+    sub = SubtorusData(n=2, d=1, weight_matrix=[[1, 2]], alpha=[2])
+    assert (sub.weight_matrix, sub.alpha) == (((1, 2),), (2,))
+    assert sub == SubtorusData(n=2, d=1, weight_matrix=((1, 2),), alpha=(2,))
+    assert enumerate_fiber(sub, 1) == [(0, 1), (2, 0)]
+
+
 def test_fiber_rejects_bad_level():
     with pytest.raises(ValidationError):
         enumerate_fiber(diagonal_circle(2), 0)
@@ -285,6 +305,40 @@ def test_check_int_returns_the_int_and_names_what_it_refuses():
     # numpy integers stay refused, as _is_int refuses them
     with pytest.raises(ValidationError, match=r"^k must be an integer >= 1, got "):
         _check_int(np.int64(2), "k", 1, "op")
+
+
+def test_check_int_without_a_floor_names_no_bounds():
+    assert _check_int(-7, "m", None, "op") == -7
+    with pytest.raises(ValidationError, match=r"^m must be an integer, got 2.5$"):
+        _check_int(2.5, "m", None, "op")
+
+
+def test_check_ints_returns_a_tuple_and_names_what_it_refuses():
+    assert _check_ints([1, 2], "mu", 0, "op") == (1, 2)
+    assert _check_ints((), "mu", 0, "op") == ()
+    assert _check_ints((-1, 3), "alpha", None, "op", length=2) == (-1, 3)
+    with pytest.raises(ValidationError, match=r"^mu must be a list or tuple of length 2, got \[1\]$") as info:
+        _check_ints([1], "mu", 0, "op", length=2)
+    assert info.value.operation == "op"
+    # a string, a scalar, a range and an array are not read as integer lists
+    for values in ("12", 5, range(2), np.array([1, 2])):
+        with pytest.raises(ValidationError, match=r"^mu must be a list or tuple, got "):
+            _check_ints(values, "mu", 0, "op")
+    with pytest.raises(ValidationError, match=r"^mu must be an integer >= 0, got -1$"):
+        _check_ints([1, -1], "mu", 0, "op")
+
+
+def test_check_rational_returns_a_fraction_and_names_what_it_refuses():
+    assert _check_rational("1/3", "c", "op") == Fraction(1, 3)
+    assert _check_rational(" -2/4 ", "c", "op") == Fraction(-1, 2)
+    assert _check_rational(0.1, "c", "op") == Fraction(0.1)  # the float's exact value
+    assert _check_rational(np.float64(0.5), "c", "op") == Fraction(1, 2)  # a float subclass
+    assert _check_rational(Fraction(2, 6), "c", "op") == Fraction(1, 3)
+    assert _check_rational(10**400, "c", "op") == 10**400
+    for value in (True, np.int64(2), float("inf"), "7" * 5000, "inf", Fraction):
+        with pytest.raises(ValidationError, match=r"^c must be an int, finite float, Fraction or fraction string, got ") as info:
+            _check_rational(value, "c", "op")
+        assert info.value.operation == "op"
 
 
 def test_check_real_returns_a_float_and_names_what_it_refuses():
@@ -378,6 +432,33 @@ MULTI_INDEX_ARGUMENTS = {
     # the second entry keeps the truncated point on the level-3 fiber
     "EquivariantSpectrum.eigenvalues_of.betas": (lambda v: SPECTRUM_3.eigenvalues_of([(v, 3 - int(v))]), "beta", 0, None),
     "ModelIndex.m": (lambda v: ModelIndex(m=(v,), k_dim=1), "m", None, None),
+    "SubtorusData.weight_matrix": (lambda v: SubtorusData(n=2, d=1, weight_matrix=((v, 1),), alpha=(1,)), "weights", None, None),
+    "SubtorusData.alpha": (lambda v: SubtorusData(n=2, d=1, weight_matrix=((1, 1),), alpha=(v,)), "alpha", None, None),
+    "richardson_limit.ks": (lambda v: richardson_limit([v, 8], [1.0, 2.0], 1), "ks", 1, None),
+}
+
+# The same sequence arguments, keyed alike: a call with the whole sequence (one
+# weight row for a weight matrix, one point for a batch of points) and its name.
+SEQUENCE_ARGUMENTS = {
+    "full_torus.alpha": (full_torus, "alpha"),
+    "monomial_norm.mu": (lambda v: monomial_norm(v, 2), "mu"),
+    "SymbolPoly.from_terms.terms": (lambda v: SymbolPoly.from_terms([(v, (1, 0), 1.0)]), "exponents"),
+    "InvariantSymbol.from_poly.terms": (lambda v: InvariantSymbol.from_poly([(v, 1)], 2), "exponents"),
+    "invariant_eigenvalue.alpha": (lambda v: invariant_eigenvalue(A1, v), "alpha"),
+    "EquivariantSpectrum.eigenvalues_of.betas": (lambda v: SPECTRUM_3.eigenvalues_of([v]), "beta"),
+    "ModelIndex.m": (lambda v: ModelIndex(m=v, k_dim=1), "m"),
+    "SubtorusData.weight_matrix": (lambda v: SubtorusData(n=2, d=1, weight_matrix=(v,), alpha=(1,)), "weights"),
+    "SubtorusData.alpha": (lambda v: SubtorusData(n=2, d=1, weight_matrix=((1, 1),), alpha=v), "alpha"),
+    "richardson_limit.ks": (lambda v: richardson_limit(v, [1.0, 2.0], 1), "ks"),
+}
+
+# Every exact rational a caller passes, by the same keys: a call with the value,
+# the name _check_rational gives it, and values refused there besides the common ones.
+RATIONAL_ARGUMENTS = {
+    # a NaN or infinite coefficient is refused first, as not finite (test_hardy_sphere)
+    "InvariantSymbol.from_poly.terms": (lambda v: InvariantSymbol.from_poly([((1, 0), v)], 2), "coefficient", []),
+    "reconstruct.grid": (lambda v: reconstruct(circle_spectrum, 2, [(v, Fraction(1, 2))], 8), "grid coordinate",
+                         [float("nan"), float("inf"), -float("inf")]),
 }
 
 
@@ -396,6 +477,8 @@ REAL_ARGUMENTS = {
         {"terms": [{"gamma": [1, 0], "delta": [0, 1], "re": 1.0, "im": v}]}), "im", None),
     "loglog_slope.xs": (lambda v: loglog_slope([v, 2.0], [1.0, 2.0]), "xs", 0),
     "loglog_slope.ys": (lambda v: loglog_slope([1.0, 2.0], [v, 2.0]), "ys", 0),
+    "annihilation_residual.step": (lambda v: annihilation_residual(ModelIndex(m=(1,), k_dim=1), (0.3,), (0.1,), step=v),
+                                   "step", 0),
 }
 
 
@@ -406,6 +489,17 @@ def test_real_arguments_refuse_non_finite_bools_strings_and_values_below_the_flo
         with pytest.raises(ValidationError) as info:
             call(value)
         assert f"{name} must be a finite int or float" in str(info.value) and f"got {value!r}" in str(info.value), value
+
+
+@pytest.mark.parametrize("key", sorted(RATIONAL_ARGUMENTS))
+def test_rational_arguments_refuse_bools_complex_unparsed_strings_and_lists(key):
+    call, name, extra = RATIONAL_ARGUMENTS[key]
+    for value in [True, None, 1 + 2j, "x", "1/0", "nan", [1]] + extra:
+        with pytest.raises(ValidationError) as info:
+            call(value)
+        message = str(info.value)
+        assert f"{name} must be an int, finite float, Fraction or fraction string" in message, value
+        assert f"got {value!r}" in message, value
 
 
 def _refused_values(low, high):
@@ -432,5 +526,19 @@ def test_integer_arguments_refuse_floats_bools_and_out_of_range(key):
 def test_multi_index_entries_refuse_floats_bools_and_out_of_range(key):
     call, name, low, high = MULTI_INDEX_ARGUMENTS[key]
     for value in _refused_values(low, high):
-        with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+        with pytest.raises(ValidationError) as info:
             call(value)
+        assert f"{name} must be an integer" in str(info.value) and f"got {value!r}" in str(info.value), value
+
+
+def test_every_multi_index_argument_has_a_sequence_row():
+    assert sorted(SEQUENCE_ARGUMENTS) == sorted(MULTI_INDEX_ARGUMENTS)
+
+
+@pytest.mark.parametrize("key", sorted(SEQUENCE_ARGUMENTS))
+def test_sequence_arguments_refuse_scalars_and_strings(key):
+    call, name = SEQUENCE_ARGUMENTS[key]
+    for value in (5, "12"):
+        with pytest.raises(ValidationError) as info:
+            call(value)
+        assert f"{name} must be a list or tuple" in str(info.value) and f"got {value!r}" in str(info.value), value

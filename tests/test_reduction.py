@@ -328,6 +328,11 @@ def test_quad_validation():
         c0_simplex_quad(A1_2, F_X, 2, mesh=4)
 
 
+def test_quad_refuses_a_symbol_poly():
+    with pytest.raises(ValidationError, match="needs an invariant symbol"):
+        c0_simplex_quad(A1_2.to_symbol_poly(), F_X, 2)
+
+
 @pytest.mark.parametrize(
     "symbol,n",
     [(A1_3, 2), (InvariantSymbol.coordinate(2, 3), 2), (A1_2, 3), (A1_3, 1), (A1_2, 2.5), (A1_2, 0)],

@@ -324,6 +324,17 @@ def test_regular_free_degenerate_vertex():
     assert "degenerate" in rep.message
 
 
+def test_regular_free_check_refuses_an_empty_level_polytope():
+    # x + y = -1 has no solution x, y >= 0
+    with pytest.raises(ValidationError, match="level polytope is empty"):
+        regular_free_check(SubtorusData(n=2, d=1, weight_matrix=((1, 1),), alpha=(-1,)))
+
+
+def test_equivariant_spectrum_refuses_a_symbol_poly():
+    with pytest.raises(ValidationError, match="need an invariant symbol"):
+        equivariant_spectrum(A1_2.to_symbol_poly(), diagonal_circle(2), 3)
+
+
 def test_theorem2_point_fiber():
     est, se = theorem2_leading(A1_2, F_X, EXAMPLE_SUBTORI["full_torus_12"])
     # single point a = (1, 2) normalizes to (1/3, 2/3)
