@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _exact
 from .errors import SymbolFormatError, ValidationError
-from .multiindex import (MAX_SECTOR_BYTES, MultiIndex, _check_dimension, _check_int, _check_ints, _check_rational,
+from .multiindex import (MultiIndex, _check_bytes, _check_dimension, _check_int, _check_ints, _check_rational,
                          _check_real, dimension_of_degree_space, enumerate_degree)
 
 __all__ = [
@@ -118,20 +118,24 @@ class SymbolPoly:
     term list must be closed under (gamma, delta, c) -> (delta, gamma,
     conj(c)), which makes the assembled block Hermitian; repeated terms
     are summed first, and float sums need only match their partner to
-    CONJUGATE_ULPS units in the last place.  Coefficients must be an int
-    (not a bool), float, Fraction or complex, and are kept as given so exact
-    inputs stay exact.  A term of degree |gamma| above MAX_SYMBOL_DEGREE is
+    CONJUGATE_ULPS units in the last place.  Exponents must pass _check_ints
+    (entries >= 0) and are kept as its tuples; coefficients must be an int
+    (not a bool), float, Fraction or complex, kept as given so exact inputs
+    stay exact.  A term of degree |gamma| above MAX_SYMBOL_DEGREE is
     refused, as is a term whose summed coefficient is not finite.
     """
 
     terms: tuple[tuple[MultiIndex, MultiIndex, complex], ...]
 
     def __post_init__(self):
+        op = "hardy_sphere.SymbolPoly"
         if not self.terms:
             raise SymbolFormatError("symbol needs at least one term", operation="hardy_sphere.SymbolPoly")
-        n = len(self.terms[0][0])
+        terms = tuple((_check_ints(g, "exponents", 0, op), _check_ints(d, "exponents", 0, op), c) for g, d, c in self.terms)
+        object.__setattr__(self, "terms", terms)  # lists become the tuples the merge below keys on
+        n = len(terms[0][0])
         merged: dict[tuple[MultiIndex, MultiIndex], complex] = {}
-        for gamma, delta, c in self.terms:
+        for gamma, delta, c in terms:
             if isinstance(c, bool) or not isinstance(c, (int, float, Fraction, complex)):
                 raise SymbolFormatError(f"coefficient {c!r} is not an int, float, Fraction or complex",
                                         operation="hardy_sphere.SymbolPoly")
@@ -225,14 +229,18 @@ class InvariantSymbol:
     sum in modulus to at most the largest float has float eigenvalues and
     values; a larger one is refused, as is an n that _check_int refuses, a
     term of another length and a term of degree |gamma| above
-    MAX_SYMBOL_DEGREE.  ``from_poly`` reads exponents through _check_ints (entries
-    >= 0) and coefficients through _check_rational, once _check_finite passes them.
+    MAX_SYMBOL_DEGREE.  ``poly`` keeps exponents as _check_ints (entries >= 0)
+    and coefficients as _check_rational returns them, once _check_finite passes them.
     """
 
     n: int
     poly: tuple[tuple[MultiIndex, Fraction], ...]
 
     def __post_init__(self):
+        op = "hardy_sphere.InvariantSymbol"
+        poly = tuple((_check_ints(g, "exponents", 0, op), _check_rational(_check_finite(c, op), "coefficient", op))
+                     for g, c in self.poly)
+        object.__setattr__(self, "poly", poly)
         _check_int(self.n, "n", 1, "hardy_sphere.InvariantSymbol")
         if any(len(g) != self.n for g, _ in self.poly):
             raise SymbolFormatError("term length must equal n", operation="hardy_sphere.InvariantSymbol")
@@ -243,10 +251,7 @@ class InvariantSymbol:
 
     @classmethod
     def from_poly(cls, terms, n: int) -> "InvariantSymbol":
-        op = "hardy_sphere.InvariantSymbol"
-        poly = tuple((_check_ints(g, "exponents", 0, op), _check_rational(_check_finite(c, op), "coefficient", op))
-                     for g, c in terms)
-        return cls(n=n, poly=poly)
+        return cls(n=n, poly=tuple(terms))
 
     @classmethod
     def coordinate(cls, i: int, n: int) -> "InvariantSymbol":
@@ -345,9 +350,9 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
     delta, inside one charge sector: the j-th basis row with alpha + s >= 0
     meets the j-th with beta - s >= 0, as s keeps the basis order
     (enumerate_fiber's shift property).  So assembly is O(#terms * dim) and
-    storage is the sum of the squared sector sizes; a block whose sector
-    storage would exceed MAX_SECTOR_BYTES is refused before any of it is
-    allocated, and before the basis is enumerated when 16 * dim bytes
+    storage is the sum of the squared sector sizes; _check_bytes refuses a
+    block whose sector storage would exceed MAX_SECTOR_BYTES before any of
+    it is allocated, and before the basis is enumerated when 16 * dim bytes
     already would.  Every coupled alpha and beta has degree k, so with
     D = prod_{s=1..|gamma|} (n-1+k+s) an entry's radicand
     h(alpha+gamma)^2 / (h(alpha) h(beta)) is P / D^2 for the integer
@@ -361,25 +366,15 @@ def assemble_block(symbol: SymbolPoly, n: int, k: int) -> ToeplitzBlock:
     _check_dimension(symbol, n, "hardy_sphere.assemble_block")
     _check_int(k, "k", 0, "hardy_sphere.assemble_block")
     dim = dimension_of_degree_space(n, k)
-    if 16 * dim > MAX_SECTOR_BYTES:  # sector storage 16 * sum(size^2) is at least 16 * dim
-        raise ValidationError(
-            f"block of dim {dim} needs at least {16 * dim} bytes of sector storage, "
-            f"over the {MAX_SECTOR_BYTES}-byte limit",
-            operation="hardy_sphere.assemble_block",
-        )
+    # sector storage 16 * sum(size^2) is at least 16 * dim
+    _check_bytes(16 * dim, f"block of dim {dim}, at 16 bytes a monomial,", "hardy_sphere.assemble_block")
     basis = tuple(enumerate_degree(n, k))
     rows = np.array(basis, dtype=np.int64).reshape(dim, n)
     label = _charge_sectors(symbol, rows)
     sizes = np.bincount(label)
     areas = sizes * sizes
     entries = int(areas.sum())
-    nbytes = 16 * entries
-    if nbytes > MAX_SECTOR_BYTES:
-        raise ValidationError(
-            f"block of dim {dim} (largest sector {int(sizes.max())}) needs {nbytes} bytes "
-            f"of sector storage, over the {MAX_SECTOR_BYTES}-byte limit",
-            operation="hardy_sphere.assemble_block",
-        )
+    _check_bytes(16 * entries, f"block of dim {dim} (largest sector {int(sizes.max())})", "hardy_sphere.assemble_block")
     # Sector s is the row-major slice offsets[s]:offsets[s]+sizes[s]**2 of
     # one flat buffer; basis position j sits at local index local[j].
     order = np.argsort(label, kind="stable")

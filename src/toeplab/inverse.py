@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .multiindex import MAX_SECTOR_BYTES, MultiIndex, _check_int, _check_rational, _check_real
+from .multiindex import MultiIndex, _check_bytes, _check_int, _check_list, _check_rational, _check_real
 from .spectral import richardson_limit
 from .toric import EquivariantSpectrum
 
@@ -54,60 +54,46 @@ class ExtrapolationResult:
 def extrapolate_ray(ks: Sequence[int], values: Sequence, order: int) -> ExtrapolationResult:
     """Accelerated limit of a ray series with a self-reported error size.
 
-    ``order`` 0 takes the last value as-is.  Otherwise the reported error
-    is the gap between the order and order-1 accelerated limits, and the
-    result is flagged low confidence when that correction exceeds the
-    last raw increment of the series, the usual signature of the
-    extrapolation amplifying noise instead of cancelling terms.
+    The limit is richardson_limit's, which checks order, ks and their
+    lengths at every order; ``order`` 0 takes the last value as-is.  The
+    reported error is its gap to the order-1 limit, or to the next-to-last
+    value at order 0, and the result is flagged low confidence when that
+    correction exceeds the last raw increment of the series, the usual
+    signature of the extrapolation amplifying noise instead of cancelling terms.
     """
-    _check_int(order, "order", 0, "inverse.extrapolate_ray")
-    needed = max(2, order + 1)
-    if len(ks) != len(values) or len(ks) < needed:
-        raise ValidationError(
-            f"need at least {needed} ray samples for order {order}",
-            operation="inverse.extrapolate_ray",
-        )
-    if order == 0:
-        limit = values[-1]
-        return ExtrapolationResult(limit=float(limit), error=float(abs(values[-1] - values[-2])), low_confidence=False)
     limit = richardson_limit(ks, values, order)
-    prev = richardson_limit(ks, values, order - 1)
+    if len(ks) < 2:
+        raise ValidationError(f"need at least 2 ray samples for order {order}", operation="inverse.extrapolate_ray")
+    prev = values[-2] if order == 0 else richardson_limit(ks, values, order - 1)
     err = abs(limit - prev)
     raw = abs(values[-1] - values[-2])
     return ExtrapolationResult(limit=float(limit), error=float(err), low_confidence=bool(err > raw > 0))
 
 
-def ray_levels(denominator: int, k_max: int, spacing: str = "geometric") -> list[int]:
+def ray_levels(denominator: int, k_max: int, spacing: str = "geometric") -> range | list[int]:
     """Levels at which the ray through a point of given denominator is integral.
 
-    "all" returns every multiple of the denominator up to k_max;
-    "geometric" halves downward from the largest multiple, keeping the
-    series length logarithmic in k_max.
+    "all" returns every multiple of the denominator up to k_max, as a range
+    that takes no memory per level; "geometric" halves downward from the
+    largest multiple, keeping the series length logarithmic in k_max.
     """
     q = _check_int(denominator, "denominator", 1, "inverse.ray_levels")
-    _check_int(k_max, "k_max", 1, "inverse.ray_levels")
+    m = _check_int(k_max, "k_max", 1, "inverse.ray_levels") // q
     if spacing == "all":
-        return list(range(q, k_max + 1, q))
-    if spacing == "geometric":
-        ks = []
-        k = q * (k_max // q)
-        while k >= q:
-            ks.append(k)
-            k = q * (k // (2 * q))
-        return ks[::-1]
+        return range(q, k_max + 1, q)
+    if spacing == "geometric":  # q times m >> i for each bit i of m, ascending
+        return [q * (m >> i) for i in reversed(range(m.bit_length()))]
     raise ValidationError("spacing must be 'all' or 'geometric'", operation="inverse.ray_levels")
 
 
 def _check_ray_reads(points, k_maxes: list[int], spacing: str, operation: str) -> None:
-    """Refuse ray reads up to each of k_maxes, charged as one sum, that would pass
-    MAX_SECTOR_BYTES: each ray holds one level, weight and eigenvalue per level, and a ray
-    of denominator q has k_max // q levels, or its bit length when not "all"."""
+    """Refuse, through _check_bytes, ray reads up to each of k_maxes, charged as one sum:
+    each ray holds one level, weight and eigenvalue per level of its ray_levels, whose
+    own check refuses a bad spacing."""
     levels = 0
     for q in (lcm(*(c.denominator for c in p)) for p in points):
-        levels += sum(k_max // q if spacing == "all" else (k_max // q).bit_length() for k_max in k_maxes)
-    if levels * _RAY_LEVEL_BYTES > MAX_SECTOR_BYTES:
-        raise ValidationError(f"reading {levels} ray levels needs {levels * _RAY_LEVEL_BYTES} "
-                              f"bytes, over the {MAX_SECTOR_BYTES}-byte limit", operation=operation)
+        levels += sum(len(ray_levels(q, k_max, spacing)) for k_max in k_maxes)
+    _check_bytes(levels * _RAY_LEVEL_BYTES, f"reading {levels} ray levels", operation)
 
 
 @dataclass(frozen=True)
@@ -159,15 +145,14 @@ def reconstruct(
     than extrapolated.  Exact rational eigenvalues are extrapolated
     exactly, so "all" spacing with a high order reaches roundoff-limited
     accuracy.  n, k_max and order pass _check_int first, each grid point _as_point,
-    and reads that would pass MAX_SECTOR_BYTES are refused (_check_ray_reads)
-    before any ray is planned.
+    and reads _check_bytes refuses (_check_ray_reads) before any ray is planned.
     """
     _check_int(n, "n", 1, "inverse.reconstruct")
     _check_int(k_max, "k_max", 1, "inverse.reconstruct")
     _check_int(order, "order", 0, "inverse.reconstruct")
     points = [_as_point(pt, n) for pt in grid]
     _check_ray_reads(points, [k_max], spacing, "inverse.reconstruct")
-    plans = [(point, ray_levels(lcm(*(c.denominator for c in point)), k_max, spacing)) for point in points]
+    plans = [(point, tuple(ray_levels(lcm(*(c.denominator for c in point)), k_max, spacing))) for point in points]
     needed = max(2, order + 1)
     reads: dict[int, dict[MultiIndex, Fraction | None]] = {}
     for point, ks in plans:
@@ -179,11 +164,11 @@ def reconstruct(
     rays = []
     for point, ks in plans:
         if len(ks) < needed:
-            rays.append(RayResult(point=point, ks=tuple(ks), estimate=None, error=None, low_confidence=False, missing=True))
+            rays.append(RayResult(point=point, ks=ks, estimate=None, error=None, low_confidence=False, missing=True))
             continue
         lams = [reads[k][tuple(int(c * k) for c in point)] for k in ks]
         res = extrapolate_ray(ks, lams, order)
-        rays.append(RayResult(point=point, ks=tuple(ks), estimate=res.limit, error=res.error,
+        rays.append(RayResult(point=point, ks=ks, estimate=res.limit, error=res.error,
                               low_confidence=res.low_confidence, missing=False))
     return Reconstruction(rays=tuple(rays))
 
@@ -265,9 +250,9 @@ def spectral_distinguishability(
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of log y against log x; the observed decay rate.
-    Every x and y must pass _check_real with low 0, and be nonzero."""
-    xs = [_check_real(x, "xs", "inverse.loglog_slope", low=0) for x in xs]
-    ys = [_check_real(y, "ys", "inverse.loglog_slope", low=0) for y in ys]
+    xs and ys must pass _check_list, and every x and y _check_real with low 0, and be nonzero."""
+    xs = [_check_real(x, "xs", "inverse.loglog_slope", low=0) for x in _check_list(xs, "xs", "inverse.loglog_slope")]
+    ys = [_check_real(y, "ys", "inverse.loglog_slope", low=0) for y in _check_list(ys, "ys", "inverse.loglog_slope")]
     if len(xs) != len(ys) or len(set(xs)) < 2:
         raise ValidationError("need points at two or more distinct x", operation="inverse.loglog_slope")
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):

@@ -36,9 +36,9 @@ MultiIndex = tuple[int, ...]
 # residual updates.
 _INT64_SAFE = 2**62
 
-# Largest allocation, in bytes, that the fiber search and the sector
-# storage of hardy_sphere.assemble_block (16 bytes per complex entry,
-# summed over the squared sector sizes) accept.
+# Largest allocation, in bytes, that a fiber search, a block's sector storage,
+# a Monte Carlo value buffer or an inverse run's ray reads may take; only
+# _check_bytes reads it.
 MAX_SECTOR_BYTES = 2 * 1024**3
 
 __all__ = [
@@ -68,12 +68,17 @@ def _check_int(value, name: str, low: int | None, operation: str, high: int | No
     return value
 
 
-def _check_ints(values, name: str, low: int | None, operation: str, length: int | None = None) -> tuple[int, ...]:
-    """values as a tuple if it is a list or tuple (of length entries when given) of ints _check_int takes; else a ValidationError."""
+def _check_list(values, name: str, operation: str, length: int | None = None):
+    """values if it is a list or tuple (of length entries when given); else a ValidationError naming it."""
     if not isinstance(values, (list, tuple)) or length is not None and len(values) != length:
         size = "" if length is None else f" of length {length}"
         raise ValidationError(f"{name} must be a list or tuple{size}, got {values!r}", operation=operation)
-    return tuple(_check_int(v, name, low, operation) for v in values)
+    return values
+
+
+def _check_ints(values, name: str, low: int | None, operation: str, length: int | None = None) -> tuple[int, ...]:
+    """values as a tuple if it is a list or tuple _check_list takes, of ints _check_int takes; else a ValidationError."""
+    return tuple(_check_int(v, name, low, operation) for v in _check_list(values, name, operation, length))
 
 
 def _check_real(value, name: str, operation: str, low: float | None = None) -> float:
@@ -93,6 +98,12 @@ def _check_rational(value, name: str, operation: str) -> Fraction:
         except (ValueError, ZeroDivisionError):  # "x", "nan", "1/0" or an int string past 4,300 digits
             pass
     raise ValidationError(f"{name} must be an int, finite float, Fraction or fraction string, got {value!r}", operation=operation)
+
+
+def _check_bytes(nbytes: int, what: str, operation: str) -> None:
+    """Refuse, with a ValidationError, an allocation of nbytes past MAX_SECTOR_BYTES; what names it."""
+    if nbytes > MAX_SECTOR_BYTES:
+        raise ValidationError(f"{what} needs {nbytes} bytes, over the {MAX_SECTOR_BYTES}-byte limit", operation=operation)
 
 
 def _check_dimension(symbol, n: int, operation: str) -> None:
@@ -125,7 +136,7 @@ class SubtorusData:
     weight_matrix is the d x n integer matrix Bt whose row j gives the
     weights of the j-th circle factor on the n coordinates; alpha is the
     integer level the moment map is held at.  Requires full row rank d <= n;
-    the rows and alpha must pass _check_ints, and are kept as its tuples.
+    the d rows (_check_list) and alpha must pass _check_ints, kept as its tuples.
     """
 
     n: int
@@ -136,9 +147,8 @@ class SubtorusData:
     def __post_init__(self):
         _check_int(self.n, "n", 1, "multiindex.SubtorusData")
         _check_int(self.d, "d", 1, "multiindex.SubtorusData", high=self.n)
-        if not isinstance(self.weight_matrix, (list, tuple)) or len(self.weight_matrix) != self.d:
-            raise ValidationError("weight matrix must be d x n", operation="multiindex.SubtorusData")
-        rows = tuple(_check_ints(row, "weights", None, "multiindex.SubtorusData", length=self.n) for row in self.weight_matrix)
+        rows = tuple(_check_ints(row, "weights", None, "multiindex.SubtorusData", length=self.n)
+                     for row in _check_list(self.weight_matrix, "weight matrix", "multiindex.SubtorusData", length=self.d))
         object.__setattr__(self, "weight_matrix", rows)  # lists become the hashable tuples the caches key on
         object.__setattr__(self, "alpha", _check_ints(self.alpha, "alpha", None, "multiindex.SubtorusData", length=self.d))
         if _exact.rank(self.weight_matrix) != self.d:
@@ -211,7 +221,7 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
     ValidationError when the level or the bounding box is too large for
     int64 arithmetic, or when the live prefixes at some coordinate, each
     charged the int64 rows and returned tuple of a finished point, would
-    pass MAX_SECTOR_BYTES; that is checked before they are allocated.
+    pass MAX_SECTOR_BYTES; _check_bytes refuses them before they are allocated.
     """
     _check_int(k, "k", 1, "multiindex.enumerate_fiber")
     vertices = fiber_polytope_vertices(sub)
@@ -264,12 +274,8 @@ def enumerate_fiber(sub: SubtorusData, k: int) -> list[MultiIndex]:
                 hi_val[(below > 0) | (above < 0)] = -1
         counts = np.maximum(hi_val - lo_val + 1, 0)
         total = int(counts.sum())
-        if total * row_bytes > MAX_SECTOR_BYTES:
-            raise ValidationError(
-                f"level {k} fiber has {total} live prefixes at coordinate {j}, needing "
-                f"{total * row_bytes} bytes, over the {MAX_SECTOR_BYTES}-byte limit",
-                operation="multiindex.enumerate_fiber",
-            )
+        _check_bytes(total * row_bytes, f"level {k} fiber, with {total} live prefixes at coordinate {j},",
+                     "multiindex.enumerate_fiber")
         starts = np.cumsum(counts) - counts
         vals = np.repeat(lo_val, counts) + (np.arange(total, dtype=np.int64) - np.repeat(starts, counts))
         points = np.column_stack([np.repeat(points, counts, axis=0), vals])

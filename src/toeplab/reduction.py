@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SamplerEfficiencyError, ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly
-from .multiindex import MAX_SECTOR_BYTES, _check_dimension, _check_int, _is_int
+from .multiindex import _check_bytes, _check_dimension, _check_int, _is_int
 from .spectral import TestFunction
 
 __all__ = [
@@ -82,12 +82,11 @@ def _symbol_values(symbol, z: np.ndarray) -> np.ndarray:
 
 def _check_run(samples: int, batch_size: int, seed: int, operation: str) -> None:
     """Refuse, in this order and before any draw, a batch that is not an integer of at least 2 (an empty one never
-    ends, a one-point piece rounds differently), a buffer of min(batch_size, samples) values past MAX_SECTOR_BYTES,
+    ends, a one-point piece rounds differently), a buffer of min(batch_size, samples) values _check_bytes refuses,
     a sample count that is not an integer from MIN_SAMPLES to MAX_SAMPLES and a seed numpy rejects."""
     _check_int(batch_size, "batch_size", 2, operation)
     held = min(batch_size, samples) if _is_int(samples) else batch_size  # _monte_carlo's one value buffer
-    if 8 * held > MAX_SECTOR_BYTES:
-        raise ValidationError(f"a batch of {held} values needs {8 * held} bytes, over {MAX_SECTOR_BYTES}", operation=operation)
+    _check_bytes(8 * held, f"a batch of {held} values", operation)
     _check_int(samples, "samples", MIN_SAMPLES, operation, high=MAX_SAMPLES)
     _check_int(seed, "seed", 0, operation)
 

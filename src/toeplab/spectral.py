@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .hardy_sphere import ToeplitzBlock
-from .multiindex import _check_int, _check_ints, _check_real
+from .multiindex import _check_int, _check_ints, _check_list, _check_real
 
 __all__ = [
     "TestFunction",
@@ -47,20 +47,24 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Real polynomial test function, ascending coefficients, applied to a spectrum."""
+    """Real polynomial test function, ascending coefficients (one or more, kept as _check_real's floats)."""
 
     __test__ = False  # keep pytest from collecting this as a test case
 
     coeffs: tuple[float, ...]
     label: str = ""
 
-    @classmethod
-    def polynomial(cls, coeffs: Sequence[float], label: str = "") -> "TestFunction":
-        """f from its ascending coefficients, each of which must pass _check_real."""
-        cs = tuple(_check_real(c, "coefficient", "spectral.TestFunction") for c in coeffs)
+    def __post_init__(self):
+        cs = tuple(_check_real(c, "coefficient", "spectral.TestFunction") for c in self.coeffs)
         if not cs:
             raise ValidationError("polynomial needs at least one coefficient", operation="spectral.TestFunction")
-        return cls(coeffs=cs, label=label or "poly" + str(list(cs)))
+        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "label", self.label or "poly" + str(list(cs)))
+
+    @classmethod
+    def polynomial(cls, coeffs: Sequence[float], label: str = "") -> "TestFunction":
+        """f from its ascending coefficients, which __post_init__ checks."""
+        return cls(coeffs=tuple(coeffs), label=label)
 
     @property
     def degree(self) -> int:
@@ -157,27 +161,34 @@ def _lstsq_powers(ks: np.ndarray, ys: np.ndarray, order: int) -> tuple[np.ndarra
 def fit_expansion(samples: Sequence[tuple[int, float]], order: int = 2) -> AsymptoticFit:
     """Fit value(k) ~ c_0 + c_1/k + ... + c_order/k^order.
 
+    samples and its (k, value) pairs pass _check_list, each k _check_int and each non-float value _check_real.
     Needs at least order+2 distinct integer k values, all >= max(1, 2*order), so the columns
     stay distinguishable; a condition number beyond 1e12 is rejected rather than
     silently returning garbage, as is an inf or NaN value.  The c0 uncertainty
     is estimated by refitting on the upper half of the window.
     """
-    _check_int(order, "order", 0, "spectral.fit_expansion")
-    pairs = sorted((_check_int(k, "k", 1, "spectral.fit_expansion"), float(v)) for k, v in samples)
+    op = "spectral.fit_expansion"
+    _check_int(order, "order", 0, op)
+    pairs = []
+    for sample in _check_list(samples, "samples", op):
+        k, v = _check_list(sample, "sample", op, length=2)
+        # a float that is not finite is an overflowed measure, refused below as a numerical failure
+        pairs.append((_check_int(k, "k", 1, op), float(v) if isinstance(v, float) else _check_real(v, "sample value", op)))
+    pairs.sort()
     ks = np.array([k for k, _ in pairs], dtype=float)
     ys = np.array([v for _, v in pairs], dtype=float)
     if len(set(ks.tolist())) < order + 2:
         raise ValidationError(
             f"need at least {order + 2} distinct k values for order {order}",
-            operation="spectral.fit_expansion",
+            operation=op,
         )
     if ks.min() < 2 * order:
         raise ValidationError(
             f"k values must be at least {2 * order} for order {order}",
-            operation="spectral.fit_expansion",
+            operation=op,
         )
     if not np.isfinite(ys).all():  # an overflowed measure
-        raise ToeplabError(f"fit values {ys.tolist()} are not all finite", operation="spectral.fit_expansion")
+        raise ToeplabError(f"fit values {ys.tolist()} are not all finite", operation=op)
     coef, residual, cond = _lstsq_powers(ks, ys, order)
 
     half = len(ks) // 2

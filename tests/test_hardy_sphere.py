@@ -121,6 +121,18 @@ def test_symbol_refuses_structural_faults_by_name():
             SymbolPoly.from_json(record)
 
 
+def test_symbols_built_directly_keep_their_checked_terms():
+    sym = SymbolPoly(terms=[([1, 0], [1, 0], 1.0)])
+    assert sym.terms == (((1, 0), (1, 0), 1.0),) and sym == SymbolPoly.from_terms([([1, 0], [1, 0], 1.0)])
+    inv = InvariantSymbol(n=2, poly=[([1, 0], "1/3"), ((0, 1), 0.5)])
+    assert inv.poly == (((1, 0), Fraction(1, 3)), ((0, 1), Fraction(1, 2)))
+    assert inv == InvariantSymbol.from_poly([([1, 0], "1/3"), ((0, 1), 0.5)], 2)
+    with pytest.raises(ValidationError, match=r"^exponents must be an integer >= 0, got -1$"):
+        SymbolPoly(terms=(((-1, 1), (-1, 1), 1.0),))
+    with pytest.raises(SymbolFormatError, match=r"^coefficient nan is not finite$"):
+        InvariantSymbol(n=2, poly=(((1, 0), float("nan")),))
+
+
 # numpy's int64 is no Python int, as everywhere in the package
 @pytest.mark.parametrize("c", ["x", None, [1], True, np.int64(1)], ids=["string", "none", "list", "bool", "int64"])
 def test_symbol_refuses_coefficients_that_are_not_numbers(c):
@@ -424,7 +436,7 @@ def test_block_refuses_oversized_basis_before_enumerating():
     # C(205, 5) = 2.9e9 monomials: 16 bytes each already pass the limit
     sym = InvariantSymbol.coordinate(0, 6).to_symbol_poly()
     t0 = time.perf_counter()
-    with pytest.raises(ValidationError, match=r"dim 2872408791 needs at least 45958540656 bytes"):
+    with pytest.raises(ValidationError, match=r"dim 2872408791, at 16 bytes a monomial, needs 45958540656 bytes"):
         assemble_block(sym, 6, 200)
     assert time.perf_counter() - t0 < 1.0
 

@@ -6,7 +6,8 @@ randomness comes from seeded generators, so reruns stay byte-identical.
 Only the shared Monte Carlo loop, ``reduction._monte_carlo``, makes a
 generator, walks batch pieces or raises the sampler efficiency error.
 Only multiindex's checks read ``_is_int`` and turn a caller's value into a
-Fraction, bar named internal uses.
+Fraction, bar named internal uses, and only ``multiindex._check_bytes`` reads
+the memory budget ``MAX_SECTOR_BYTES``.
 Every function the benchmark's tracer (bench/tracer.py) wraps by name
 still exists, so a deletion that would crash a traced pass fails here.
 Every public function and class is read somewhere in src/ or bench/:
@@ -320,6 +321,41 @@ def test_is_int_read_detection():
     assert is_int_reads(source)[0] == "4: _check_run"
 
 
+def max_sector_bytes_reads(source: str, allowed=frozenset()) -> list[str]:
+    """``line: owner`` for each read of ``MAX_SECTOR_BYTES``, as a name or an attribute, outside the owners allowed."""
+    found = []
+    for owner, node in _owned_nodes(source):
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name == "MAX_SECTOR_BYTES" and isinstance(node.ctx, ast.Load) and owner not in allowed:
+            found.append((node.lineno, owner))
+    return [f"{line}: {owner}" for line, owner in sorted(found)]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_only_check_bytes_reads_the_memory_budget(path):
+    allowed = {"_check_bytes"} if path.name == "multiindex.py" else set()
+    assert max_sector_bytes_reads(path.read_text(), allowed) == []
+
+
+def test_max_sector_bytes_read_detection():
+    source = (
+        "from .multiindex import MAX_SECTOR_BYTES\n"
+        "from . import multiindex\n"
+        "MAX_SECTOR_BYTES = 2 * 1024**3\n"
+        "def _check_bytes(nbytes):\n"
+        "    return nbytes > MAX_SECTOR_BYTES\n"
+        "def assemble_block(dim):\n"
+        "    return 16 * dim > multiindex.MAX_SECTOR_BYTES or min(dim, MAX_SECTOR_BYTES)\n"
+        "class Run:\n"
+        "    cap = MAX_SECTOR_BYTES // 8\n"
+        "    def held(self, n):\n"
+        "        return 8 * n <= MAX_SECTOR_BYTES\n"
+    )
+    assert max_sector_bytes_reads(source, {"_check_bytes"}) == ["7: assemble_block", "7: assemble_block", "9: Run",
+                                                                 "11: Run.held"]
+    assert max_sector_bytes_reads(source)[0] == "5: _check_bytes"
+
+
 # One-argument Fraction calls outside _exact and multiindex._check_rational: the
 # conversions of integers the package computed itself (Ehrhart counts, nullspace entries).
 FRACTION_CONVERSIONS = {"multiindex.py": {"_check_rational"}, "toric.py": {"fiber_volume", "_vertex_y_coordinates"}}
@@ -612,11 +648,10 @@ def test_integer_argument_detection():
 
 REAL_NAMES = {"coeffs", "tol", "volume", "re", "im", "xs", "ys", "step"}
 
-# Real-named arguments with no row in test_multiindex's REAL_ARGUMENTS: fields of
-# the records only their checked builders make (TestFunction.polynomial,
-# spectral_distinguishability) and the exact Fractions of _exact's Newton table.
-UNTABLED_REAL_ARGUMENTS = {"TestFunction.coeffs", "DistinguishReport.tol", "divided_differences.xs",
-                           "divided_differences.ys"}
+# Real-named arguments with no row in test_multiindex's REAL_ARGUMENTS: a field of
+# the record only its checked builder makes (spectral_distinguishability) and the
+# exact Fractions of _exact's Newton table.
+UNTABLED_REAL_ARGUMENTS = {"DistinguishReport.tol", "divided_differences.xs", "divided_differences.ys"}
 
 
 def test_every_real_argument_has_a_table_row():

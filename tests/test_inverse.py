@@ -28,7 +28,7 @@ def test_ray_levels():
     assert ray_levels(8, 64) == [8, 16, 32, 64]
     assert ray_levels(3, 64) == [3, 6, 15, 30, 63]
     assert ray_levels(16, 10) == []
-    assert ray_levels(4, 20, spacing="all") == [4, 8, 12, 16, 20]
+    assert list(ray_levels(4, 20, spacing="all")) == [4, 8, 12, 16, 20]
     with pytest.raises(ValidationError):
         ray_levels(0, 10)
     with pytest.raises(ValidationError):
@@ -65,6 +65,18 @@ def test_extrapolate_sample_requirements():
         extrapolate_ray([8, 16], [1.0, 2.0], 2)
     with pytest.raises(ValidationError):
         extrapolate_ray([8, 16], [1.0], 1)
+
+
+def test_extrapolate_checks_its_levels_at_order_zero():
+    for ks, message in (([1.5, 2.5], r"^ks must be an integer >= 1, got 1.5$"), (5, r"^ks must be a list or tuple, got 5$")):
+        with pytest.raises(ValidationError, match=message) as info:
+            extrapolate_ray(ks, [1.0, 2.0], 0)
+        assert info.value.operation == "spectral.richardson_limit"
+    # order 0 still returns the last value exactly, float or Fraction
+    res = extrapolate_ray([8, 16], [Fraction(1, 3), Fraction(2, 7)], 0)
+    assert (res.limit, res.error, res.low_confidence) == (2 / 7, float(Fraction(1, 21)), False)
+    res = extrapolate_ray([8, 16], [0.1, 0.7], 0)
+    assert (res.limit, res.error, res.low_confidence) == (0.7, abs(0.7 - 0.1), False)
 
 
 def test_reconstruct_on_coordinate_symbol():
@@ -244,6 +256,12 @@ def test_loglog_slope():
     # one distinct x has no slope
     with pytest.raises(ValidationError):
         loglog_slope([16, 16], [1e-3, 2e-3])
+
+
+def test_loglog_slope_refuses_points_that_are_not_lists():
+    for xs, ys, name, value in ((5, [1.0], "xs", "5"), ([1.0, 2.0], "12", "ys", "'12'")):
+        with pytest.raises(ValidationError, match=rf"^{name} must be a list or tuple, got {value}$"):
+            loglog_slope(xs, ys)
 
 
 def test_loglog_slope_refuses_a_zero_point():

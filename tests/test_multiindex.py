@@ -13,6 +13,7 @@ from toeplab.hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block, in
 from toeplab.inverse import extrapolate_ray, loglog_slope, ray_levels, reconstruct, spectral_distinguishability
 from toeplab.multiindex import (
     SubtorusData,
+    _check_bytes,
     _check_int,
     _check_ints,
     _check_rational,
@@ -210,7 +211,7 @@ def test_fiber_refuses_oversized_search_before_allocating():
     # C(305, 5) ~ 2.1e10 points; the prefix count at coordinate 3 already
     # passes the limit, so the search stops before repeating those rows
     start = time.perf_counter()
-    with pytest.raises(ValidationError, match="level 300 fiber has 348881876 live prefixes at coordinate 3"):
+    with pytest.raises(ValidationError, match="level 300 fiber, with 348881876 live prefixes at coordinate 3, needs"):
         enumerate_fiber(diagonal_circle(6), 300)
     assert time.perf_counter() - start < 1.0
 
@@ -354,6 +355,13 @@ def test_check_real_returns_a_float_and_names_what_it_refuses():
         _check_real(np.int64(2), "re", "op")
 
 
+def test_check_bytes_takes_the_limit_and_refuses_one_byte_more():
+    assert _check_bytes(2**31, "a buffer", "op") is None
+    with pytest.raises(ValidationError, match=r"^a buffer needs 2147483649 bytes, over the 2147483648-byte limit$") as info:
+        _check_bytes(2**31 + 1, "a buffer", "op")
+    assert info.value.operation == "op"
+
+
 A1 = InvariantSymbol.coordinate(0, 2)
 F_X = TestFunction.polynomial([0.0, 1.0])
 SPECTRUM_3 = equivariant_spectrum(A1, diagonal_circle(2), 3)
@@ -435,6 +443,11 @@ MULTI_INDEX_ARGUMENTS = {
     "SubtorusData.weight_matrix": (lambda v: SubtorusData(n=2, d=1, weight_matrix=((v, 1),), alpha=(1,)), "weights", None, None),
     "SubtorusData.alpha": (lambda v: SubtorusData(n=2, d=1, weight_matrix=((1, 1),), alpha=(v,)), "alpha", None, None),
     "richardson_limit.ks": (lambda v: richardson_limit([v, 8], [1.0, 2.0], 1), "ks", 1, None),
+    # order 0 reads the last value alone, yet its levels are checked as at every order
+    "extrapolate_ray.ks": (lambda v: extrapolate_ray([v, 8], [1.0, 2.0], 0), "ks", 1, None),
+    # records built directly, not through their builders
+    "SymbolPoly.terms": (lambda v: SymbolPoly(terms=(((v, 0), (v, 0), 1.0),)), "exponents", 0, None),
+    "InvariantSymbol.poly": (lambda v: InvariantSymbol(n=2, poly=(((v, 0), 1),)), "exponents", 0, None),
 }
 
 # The same sequence arguments, keyed alike: a call with the whole sequence (one
@@ -450,6 +463,9 @@ SEQUENCE_ARGUMENTS = {
     "SubtorusData.weight_matrix": (lambda v: SubtorusData(n=2, d=1, weight_matrix=(v,), alpha=(1,)), "weights"),
     "SubtorusData.alpha": (lambda v: SubtorusData(n=2, d=1, weight_matrix=((1, 1),), alpha=v), "alpha"),
     "richardson_limit.ks": (lambda v: richardson_limit(v, [1.0, 2.0], 1), "ks"),
+    "extrapolate_ray.ks": (lambda v: extrapolate_ray(v, [1.0, 2.0], 0), "ks"),
+    "SymbolPoly.terms": (lambda v: SymbolPoly(terms=((v, (1, 0), 1.0),)), "exponents"),
+    "InvariantSymbol.poly": (lambda v: InvariantSymbol(n=2, poly=((v, 1),)), "exponents"),
 }
 
 # Every exact rational a caller passes, by the same keys: a call with the value,
@@ -457,6 +473,7 @@ SEQUENCE_ARGUMENTS = {
 RATIONAL_ARGUMENTS = {
     # a NaN or infinite coefficient is refused first, as not finite (test_hardy_sphere)
     "InvariantSymbol.from_poly.terms": (lambda v: InvariantSymbol.from_poly([((1, 0), v)], 2), "coefficient", []),
+    "InvariantSymbol.poly": (lambda v: InvariantSymbol(n=2, poly=(((1, 0), v),)), "coefficient", []),
     "reconstruct.grid": (lambda v: reconstruct(circle_spectrum, 2, [(v, Fraction(1, 2))], 8), "grid coordinate",
                          [float("nan"), float("inf"), -float("inf")]),
 }
@@ -467,6 +484,7 @@ RATIONAL_ARGUMENTS = {
 # fails on a real-named argument of src/toeplab that has no row here.
 REAL_ARGUMENTS = {
     "TestFunction.polynomial.coeffs": (lambda v: TestFunction.polynomial([0.0, v]), "coefficient", None),
+    "TestFunction.coeffs": (lambda v: TestFunction(coeffs=(0.0, v)), "coefficient", None),
     "spectral_distinguishability.tol": (lambda v: spectral_distinguishability(circle_spectrum, circle_spectrum, 2, tol=v),
                                         "tol", 0),
     "theorem2_leading.volume": (lambda v: theorem2_leading(A1, F_X, diagonal_circle(2), samples=10_000, volume=v),
@@ -542,3 +560,30 @@ def test_sequence_arguments_refuse_scalars_and_strings(key):
         with pytest.raises(ValidationError) as info:
             call(value)
         assert f"{name} must be a list or tuple" in str(info.value) and f"got {value!r}" in str(info.value), value
+
+
+def _no_oracle(k):
+    raise AssertionError("a level was read")
+
+
+# Each guard of the 2 GiB budget, one row apiece: a call it refuses and its
+# operation; all of them word the refusal through _check_bytes.
+BYTE_GUARDS = {
+    "fiber prefixes": (lambda: enumerate_fiber(diagonal_circle(6), 300), "multiindex.enumerate_fiber"),
+    "block basis": (lambda: assemble_block(InvariantSymbol.coordinate(0, 6).to_symbol_poly(), 6, 200),
+                    "hardy_sphere.assemble_block"),
+    # shifts e_1 - e_2 and e_2 - e_3 leave one sector of all 80,601 monomials
+    "block sectors": (lambda: assemble_block(SymbolPoly.from_terms(
+        [((1, 0, 0), (0, 1, 0), 0.25), ((0, 1, 0), (0, 0, 1), -0.5j), ((0, 0, 1), (0, 0, 1), 0.75)], hermitize=True), 3, 400),
+                      "hardy_sphere.assemble_block"),
+    "value buffer": (lambda: c0_sphere_mc(A1, F_X, 2, samples=2**40, batch_size=2**40), "reduction.c0_sphere_mc"),
+    "ray reads": (lambda: reconstruct(_no_oracle, 3, [(Fraction(1, 3),) * 3], 10**12, spacing="all"), "inverse.reconstruct"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BYTE_GUARDS))
+def test_byte_guards_refuse_with_one_wording(key):
+    call, operation = BYTE_GUARDS[key]
+    with pytest.raises(ValidationError, match=r"needs \d+ bytes, over the 2147483648-byte limit$") as info:
+        call()
+    assert info.value.operation == operation

@@ -82,6 +82,16 @@ def test_test_function_needs_a_coefficient():
         TestFunction.polynomial([])
 
 
+def test_test_function_built_directly_is_checked_like_polynomial():
+    f = TestFunction(coeffs=[1, 2])
+    assert (f.coeffs, f.label) == ((1.0, 2.0), "poly[1.0, 2.0]")
+    assert f == TestFunction.polynomial([1, 2])
+    with pytest.raises(ValidationError, match="at least one coefficient"):
+        TestFunction(coeffs=())
+    with pytest.raises(ValidationError, match=r"^coefficient must be a finite int or float, got nan$"):
+        TestFunction(coeffs=(math.nan,))
+
+
 def test_scaled_measure():
     assert scaled_measure(3.0, 1, 6) == pytest.approx(math.pi)
     assert scaled_measure(5.0, 0, 17) == 5.0
@@ -128,6 +138,27 @@ def test_fit_expansion_refuses_non_finite_values(bad):
         fit_expansion(samples, order=2)
     assert not isinstance(info.value, ValidationError)
     assert info.value.operation == "spectral.fit_expansion"
+
+
+@pytest.mark.parametrize("samples, message", [
+    (5, r"^samples must be a list or tuple, got 5$"),
+    ("12", r"^samples must be a list or tuple, got '12'$"),
+    ([5], r"^sample must be a list or tuple of length 2, got 5$"),
+    ([(8, 1.0, 2.0)], r"^sample must be a list or tuple of length 2, got \(8, 1.0, 2.0\)$"),
+    ([(8, "1")], r"^sample value must be a finite int or float, got '1'$"),
+    ([(8, None)], r"^sample value must be a finite int or float, got None$"),
+    ([(8, True)], r"^sample value must be a finite int or float, got True$"),
+    ([(8, 10**400)], r"^sample value must be a finite int or float, got 1000"),
+])
+def test_fit_expansion_refuses_samples_by_name(samples, message):
+    with pytest.raises(ValidationError, match=message) as info:
+        fit_expansion(samples, order=0)
+    assert info.value.operation == "spectral.fit_expansion"
+
+
+def test_fit_expansion_reads_int_values_as_floats():
+    samples = [(k, 1.0 + 1.0 / k) for k in (8, 16, 32)]
+    assert fit_expansion([(8, 2)] + samples[1:], order=1) == fit_expansion([(8, 2.0)] + samples[1:], order=1)
 
 
 # value(k) = (k/4 + 1)/(k + 2) = 1/4 + 1/(2(k+2)); limit 1/4
