@@ -2,8 +2,9 @@
 
 Everything here operates on nested sequences of ints or Fractions and
 returns Fractions.  Matrices are small (a handful of rows), so one plain
-Gauss-Jordan elimination over Fractions serves the rank, the solves, the
-nullspace and the integer determinant.  One Newton table of divided
+Gauss-Jordan elimination over Fractions serves the rank, the solves and
+the nullspace; the integer determinant, which a triangulation takes once
+a simplex, runs fraction-free on ints.  One Newton table of divided
 differences serves every polynomial read off exact samples.
 """
 
@@ -13,15 +14,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Reduced row echelon form; returns (matrix, pivot column indices,
-    scale), where scale is the product of the pivots, negated once per row
-    swap: the determinant when the matrix is square and nonsingular."""
+def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (matrix, pivot column indices)."""
     m = [list(r) for r in rows]
     nrow = len(m)
     ncol = len(m[0]) if nrow else 0
     pivots: list[int] = []
-    scale = Fraction(1)
     r = 0
     for c in range(ncol):
         pivot = next((i for i in range(r, nrow) if m[i][c] != 0), None)
@@ -29,7 +27,6 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = m[r][c]
-        scale *= inv if pivot == r else -inv
         m[r] = [x / inv for x in m[r]]
         for i in range(nrow):
             if i != r and m[i][c] != 0:
@@ -39,7 +36,7 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
         r += 1
         if r == nrow:
             break
-    return m, pivots, scale
+    return m, pivots
 
 
 def _as_fractions(rows) -> list[list[Fraction]]:
@@ -47,12 +44,25 @@ def _as_fractions(rows) -> list[list[Fraction]]:
 
 
 def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, read off the elimination."""
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so it runs on ints alone."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    _, pivots, scale = _echelon(_as_fractions(rows))
-    return int(scale) if len(pivots) == n else 0
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        p, top = m[k][k], m[k][k + 1:]
+        for i in range(k + 1, n):
+            m[i][k + 1:] = [(p * x - m[i][k] * y) // prev for x, y in zip(m[i][k + 1:], top)]
+        prev = p
+    return sign * prev
 
 
 def pivot_columns(rows) -> list[int]:
@@ -71,7 +81,7 @@ def solve_rectangular(rows, rhs) -> list[Fraction] | None:
     nrow = len(rows)
     ncol = len(rows[0]) if nrow else 0
     aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    m, pivots, _ = _echelon(aug)
+    m, pivots = _echelon(aug)
     if ncol in pivots:
         return None  # pivot in the augmented column: inconsistent
     x = [Fraction(0)] * ncol
@@ -84,7 +94,7 @@ def nullspace(rows) -> list[list[Fraction]]:
     """Basis of the right nullspace of a matrix (rational entries)."""
     nrow = len(rows)
     ncol = len(rows[0]) if nrow else 0
-    m, pivots, _ = _echelon(_as_fractions(rows))
+    m, pivots = _echelon(_as_fractions(rows))
     free = [c for c in range(ncol) if c not in pivots]
     basis = []
     for fc in free:

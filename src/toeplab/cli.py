@@ -27,7 +27,7 @@ from .canonical_model import ModelIndex, QuadratureSpec, check_isometry
 from .errors import ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly, assemble_block
 from .inverse import _as_point, _check_ray_reads, loglog_slope, reconstruct, spectral_distinguishability
-from .multiindex import SubtorusData, _check_int, _check_ints, diagonal_circle, fiber_polytope_vertices
+from .multiindex import SubtorusData, _check_int, _check_ints, _check_list, diagonal_circle, fiber_polytope_vertices
 from .reduction import MAX_SAMPLES, MIN_SAMPLES
 from .spectral import MAX_TRACE_DEGREE, TestFunction, fit_expansion, measure_eigen, measure_poly, scaled_measure
 from .toric import EXAMPLE_SUBTORI, equivariant_spectrum, fiber_measure_series, regular_free_check, theorem2_leading
@@ -81,11 +81,9 @@ def _invariant_symbol(obj, n: int, name: str) -> InvariantSymbol:
 
 def _test_function(obj) -> TestFunction:
     f = _record(obj, "field 'f'", ("coeffs",), {"label": "poly"})
-    if not isinstance(f["coeffs"], list) or not f["coeffs"]:
-        raise _validation_error("'f.coeffs' must be a nonempty list")
     if not isinstance(f["label"], str):
         raise _validation_error("'f.label' must be a string")
-    return TestFunction.polynomial(f["coeffs"], label=f["label"])
+    return TestFunction.polynomial(_check_list(f["coeffs"], "f.coeffs", "cli.manifest"), label=f["label"])  # refuses []
 
 
 def _subtorus(obj) -> SubtorusData:

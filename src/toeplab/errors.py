@@ -41,9 +41,5 @@ class IllConditionedFitError(ToeplabError):
     """Least-squares design matrix condition number exceeds the safe bound."""
 
 
-class SamplerEfficiencyError(ToeplabError):
-    """Rejection sampler acceptance rate fell below the usable threshold."""
-
-
 class RegularityError(ToeplabError):
     """Torus level set fails the regular-and-free criterion."""

@@ -118,10 +118,9 @@ class Reconstruction:
 
 
 def _as_point(pt, n: int) -> tuple[Fraction, ...]:
-    """pt as Fractions if it is a list or tuple of n coordinates that pass _check_rational and lie on the unit simplex."""
-    if not isinstance(pt, (list, tuple)) or len(pt) != n:
-        raise ValidationError(f"grid point {pt!r} must be a list or tuple of {n} coordinates", operation="inverse.reconstruct")
-    point = tuple(_check_rational(c, "grid coordinate", "inverse.reconstruct") for c in pt)
+    """pt as Fractions if it passes _check_list with n coordinates that pass _check_rational and lie on the unit simplex."""
+    coords = _check_list(pt, "grid point", "inverse.reconstruct", length=n)
+    point = tuple(_check_rational(c, "grid coordinate", "inverse.reconstruct") for c in coords)
     if any(c < 0 for c in point) or sum(point) != 1:
         raise ValidationError(f"grid point {pt} is not on the unit simplex", operation="inverse.reconstruct")
     return point

@@ -100,6 +100,13 @@ def _check_rational(value, name: str, operation: str) -> Fraction:
     raise ValidationError(f"{name} must be an int, finite float, Fraction or fraction string, got {value!r}", operation=operation)
 
 
+def _check_number(value, name: str, operation: str):
+    """value as it is if a non-bool int or a Fraction, which stay exact, or a finite float; else a ValidationError naming it."""
+    if _is_int(value) or isinstance(value, Fraction) or isinstance(value, float) and isfinite(value):
+        return value
+    raise ValidationError(f"{name} must be an int, Fraction or finite float, got {value!r}", operation=operation)
+
+
 def _check_bytes(nbytes: int, what: str, operation: str) -> None:
     """Refuse, with a ValidationError, an allocation of nbytes past MAX_SECTOR_BYTES; what names it."""
     if nbytes > MAX_SECTOR_BYTES:

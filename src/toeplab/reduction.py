@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import SamplerEfficiencyError, ToeplabError, ValidationError
+from .errors import ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly
 from .multiindex import _check_bytes, _check_dimension, _check_int, _is_int
 from .spectral import TestFunction
@@ -42,10 +42,10 @@ __all__ = [
 
 _CHUNK = 16_384  # points a Monte Carlo oracle handles per pass, few enough to stay in cache
 
-# Fewest and most samples a Monte Carlo oracle may take.  A sample costs about 0.15 us on the
-# sphere (n = 3), 0.06 us on product_of_lines' polytope and 0.22 us on diagonal_circle(4)'s,
-# which keeps one draw in six (2-vCPU Xeon, numpy 2.4), so 10**8 samples run 6 to 22 s,
-# more where the polytope sampler rejects more.
+# Fewest and most samples a Monte Carlo oracle may take.  A sample costs about 0.11 us on the
+# sphere (n = 3), 0.03 us on product_of_lines' and diagonal_circle(4)'s polytopes, 0.15 us on
+# diagonal_circle(11)'s and 0.56 us on the 7-cube's 5,040 simplices (2-vCPU Xeon, numpy 2.4),
+# so 10**8 samples run 3 to 15 s, longer on a polytope of thousands of simplices (toric.MAX_SIMPLICES).
 MIN_SAMPLES = 10**4
 MAX_SAMPLES = 10**8
 
@@ -126,41 +126,29 @@ def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, flo
     return mean, (max(0.0, var) / samples) ** 0.5
 
 
-def _monte_carlo(draw, volume, samples: int, seed: int, batch_size: int, operation: str) -> tuple[float, float]:
+def _monte_carlo(draw, volume, samples: int, seed: int, batch_size: int) -> tuple[float, float]:
     """``volume()`` times the mean and stderr of ``samples`` values in batches of up to ``batch_size``, for both oracles.
 
-    ``draw(rng, rows)`` draws ``rows`` rows from ``default_rng(seed)`` and returns the values of
-    those it keeps.  A batch walks its ``_pieces``, each drawn whole and never of one row (numpy's
-    in-place complex product rounds differently on one element), so each value has one pass's bits
-    and the pieces' draws are the batch's stream.  A piece's values, up to what the batch still
-    needs, go into one buffer of min(batch_size, samples) for the whole call and are released
-    before the next draw; a full batch stops drawing, and mean_stderr reads it as a view of the
-    buffer.  After every piece, a draw that has kept fewer than 1 in 10**4 rows after 50,000 is
-    refused, so no batch draws on unbounded, and never pays for ``volume``, called once the mean is
-    known.  Each oracle passes its arguments through _check_run first.
+    ``draw(rng, rows)`` draws ``rows`` rows from ``default_rng(seed)`` and returns one value for each.
+    A batch of ``need`` values walks the ``_pieces`` of ``need`` rows, so it draws exactly the rows it
+    keeps, never a piece of one row (numpy's in-place complex product rounds differently on one
+    element): a last batch of one value draws two rows and keeps the first.  Each value has one pass's
+    bits and the pieces' draws are the batch's stream.  A piece's values go into one buffer of
+    min(batch_size, samples) for the whole call and are released before the next draw; mean_stderr
+    reads each batch as a view of the buffer.  ``volume`` is called once the mean is known.  Each
+    oracle passes its arguments through _check_run first.
     """
     rng = np.random.default_rng(seed)
     vals = np.empty(min(batch_size, samples))
 
     def batches():
-        accepted = drawn = 0
-        while accepted < samples:
-            need = min(batch_size, samples - accepted)
-            filled = 0
-            for start, stop in _pieces(batch_size):
-                got = draw(rng, stop - start)[: need - filled]
-                drawn += stop - start
-                vals[filled:filled + len(got)] = got
-                filled += len(got)
-                del got  # before the next piece is drawn
-                rate = (accepted + filled) / drawn
-                if drawn >= 50_000 and rate < 1e-4:
-                    raise SamplerEfficiencyError(f"acceptance rate {rate:.2e} below 1e-4", operation=operation)
-                if filled == need:
-                    break
-            accepted += filled
-            if filled:
-                yield vals[:filled]
+        left = samples
+        while left:
+            need = min(batch_size, left)
+            for start, stop in _pieces(max(need, 2)):
+                vals[start:min(stop, need)] = draw(rng, stop - start)[: need - start]
+            left -= need
+            yield vals[:need]
 
     mean, stderr = mean_stderr(batches(), samples)
     vol = volume()
@@ -185,7 +173,7 @@ def c0_sphere_mc(
     _check_dimension(symbol, n, "reduction.c0_sphere_mc")
     _check_run(samples, batch_size, seed, "reduction.c0_sphere_mc")
     draw = lambda rng, rows: f(_symbol_values(symbol, sample_sphere(n, rows, rng)))
-    return _monte_carlo(draw, lambda: sphere_sigma_volume(n), samples, seed, batch_size, "reduction.c0_sphere_mc")
+    return _monte_carlo(draw, lambda: sphere_sigma_volume(n), samples, seed, batch_size)
 
 
 def _staircase_cells(p: int, mesh: int) -> np.ndarray:

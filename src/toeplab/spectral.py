@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .hardy_sphere import ToeplitzBlock
-from .multiindex import _check_int, _check_ints, _check_list, _check_real
+from .multiindex import _check_int, _check_ints, _check_list, _check_number, _check_real
 
 __all__ = [
     "TestFunction",
@@ -212,18 +212,21 @@ def richardson_limit(ks: Sequence[int], values: Sequence, order: int):
     Uses the last order+1 entries: the polynomial in x = 1/k through them,
     in Newton form over the exact nodes Fraction(1, k), evaluated at x = 0.
     The values enter as given, so exact input (int or Fraction) gives a
-    Fraction and float input a float.  ks must pass _check_ints, each k >= 1.
+    Fraction and float input a float.  ks must pass _check_ints, each k >= 1,
+    and values _check_list, each value _check_number.
     """
-    _check_int(order, "order", 0, "spectral.richardson_limit")
-    ks = _check_ints(ks, "ks", 1, "spectral.richardson_limit")
+    op = "spectral.richardson_limit"
+    _check_int(order, "order", 0, op)
+    ks = _check_ints(ks, "ks", 1, op)
+    values = [_check_number(v, "values", op) for v in _check_list(values, "values", op)]
     if len(ks) != len(values):
-        raise ValidationError("ks and values must have equal length", operation="spectral.richardson_limit")
+        raise ValidationError("ks and values must have equal length", operation=op)
     if len(ks) < order + 1:
-        raise ValidationError(f"need at least {order + 1} entries for order {order}", operation="spectral.richardson_limit")
+        raise ValidationError(f"need at least {order + 1} entries for order {order}", operation=op)
     xs = [Fraction(1, k) for k in ks[-order - 1:]]
     if len(set(xs)) != len(xs):
-        raise ValidationError("k values must be distinct", operation="spectral.richardson_limit")
-    coeffs = divided_differences(xs, list(values)[-order - 1:])
+        raise ValidationError("k values must be distinct", operation=op)
+    coeffs = divided_differences(xs, values[-order - 1:])
     limit = 0
     for c, x in zip(reversed(coeffs), reversed(xs)):
         limit = c - x * limit  # Horner at x = 0

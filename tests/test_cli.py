@@ -495,6 +495,18 @@ def test_manifests_refused_before_any_work_exit_2(tmp_path, capsys, experiment, 
     assert capsys.readouterr().err.startswith("invalid input (")
 
 
+@pytest.mark.parametrize("coeffs,message", [
+    ("01", "f.coeffs must be a list or tuple, got '01'"),
+    ({"0": 1}, "f.coeffs must be a list or tuple, got {'0': 1}"),
+    ([], "polynomial needs at least one coefficient"),
+], ids=["string", "object", "empty"])
+def test_test_function_coefficients_are_checked_by_the_library(tmp_path, capsys, coeffs, message):
+    # a string of digits was refused by the CLI's own list test; now multiindex._check_list names it
+    code, out = run_cli(tmp_path, "theorem1", {**THEOREM1, "f": {"coeffs": coeffs}})
+    assert code == 2 and not out.exists()
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("states,quad,code", [
     ([{"m": [1], "k_dim": 1}], {"hermite_points": 100000}, 2),
     # 24^10 points; counted, never built

@@ -4,7 +4,7 @@ Every import is used and sits at module level, every absolute import is
 the standard library or numpy, the one runtime dependency, and all
 randomness comes from seeded generators, so reruns stay byte-identical.
 Only the shared Monte Carlo loop, ``reduction._monte_carlo``, makes a
-generator, walks batch pieces or raises the sampler efficiency error.
+generator or walks batch pieces.
 Only multiindex's checks read ``_is_int`` and turn a caller's value into a
 Fraction, bar named internal uses, and only ``multiindex._check_bytes`` reads
 the memory budget ``MAX_SECTOR_BYTES``.
@@ -216,8 +216,7 @@ LOOP_CALLS = {"default_rng", "_pieces"}
 
 
 def monte_carlo_leaks(source: str, owner: str | None = None) -> list[str]:
-    """``line: name`` for each call of a LOOP_CALLS name and each raise of
-    SamplerEfficiencyError outside the top-level function ``owner``."""
+    """``line: name`` for each call of a LOOP_CALLS name outside the top-level function ``owner``."""
     found = []
     for stmt in ast.parse(source).body:
         if isinstance(stmt, ast.FunctionDef) and stmt.name == owner:
@@ -227,10 +226,6 @@ def monte_carlo_leaks(source: str, owner: str | None = None) -> list[str]:
                 name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
                 if name in LOOP_CALLS:
                     found.append((node.lineno, name))
-            elif isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if getattr(exc, "id", getattr(exc, "attr", None)) == "SamplerEfficiencyError":
-                    found.append((node.lineno, "SamplerEfficiencyError"))
     return [f"{line}: {name}" for line, name in sorted(found)]
 
 
@@ -243,29 +238,21 @@ def test_only_the_monte_carlo_loop_draws(path):
 def test_monte_carlo_leak_detection():
     source = (
         "import numpy as np\n"
-        "from .errors import SamplerEfficiencyError, errors\n"
+        "from . import reduction\n"
         "def _monte_carlo(seed):\n"
         "    rng = np.random.default_rng(seed)\n"
         "    def batches():\n"
         "        for piece in _pieces(9):\n"
-        "            raise SamplerEfficiencyError('low')\n"
+        "            yield piece\n"
         "def oracle(seed):\n"
         "    rng = default_rng(seed)\n"
         "    pieces = list(reduction._pieces(9))\n"
-        "    raise errors.SamplerEfficiencyError\n"
         "class Sampler:\n"
-        "    def run(self):\n"
-        "        raise SamplerEfficiencyError('low')\n"
-        "    def check(self, exc):\n"
-        "        return isinstance(exc, SamplerEfficiencyError)\n"
+        "    def run(self, seed):\n"
+        "        return np.random.default_rng(seed)\n"
     )
-    assert monte_carlo_leaks(source, "_monte_carlo") == [
-        "9: default_rng",
-        "10: _pieces",
-        "11: SamplerEfficiencyError",
-        "14: SamplerEfficiencyError",
-    ]
-    assert monte_carlo_leaks(source)[:3] == ["4: default_rng", "6: _pieces", "7: SamplerEfficiencyError"]
+    assert monte_carlo_leaks(source, "_monte_carlo") == ["9: default_rng", "10: _pieces", "13: default_rng"]
+    assert monte_carlo_leaks(source)[:2] == ["4: default_rng", "6: _pieces"]
 
 
 def _owned_nodes(source: str):
@@ -357,8 +344,8 @@ def test_max_sector_bytes_read_detection():
 
 
 # One-argument Fraction calls outside _exact and multiindex._check_rational: the
-# conversions of integers the package computed itself (Ehrhart counts, nullspace entries).
-FRACTION_CONVERSIONS = {"multiindex.py": {"_check_rational"}, "toric.py": {"fiber_volume", "_vertex_y_coordinates"}}
+# conversions of integers the package computed itself (Ehrhart counts).
+FRACTION_CONVERSIONS = {"multiindex.py": {"_check_rational"}, "toric.py": {"fiber_volume"}}
 
 
 def fraction_conversions(source: str, allowed=frozenset()) -> list[str]:

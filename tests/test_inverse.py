@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -72,6 +73,12 @@ def test_extrapolate_checks_its_levels_at_order_zero():
         with pytest.raises(ValidationError, match=message) as info:
             extrapolate_ray(ks, [1.0, 2.0], 0)
         assert info.value.operation == "spectral.richardson_limit"
+    # a scalar or a non-number among the values is refused by name at every order
+    for values, message in ((5, r"^values must be a list or tuple, got 5$"),
+                            (["a", "b"], r"^values must be an int, Fraction or finite float, got 'a'$")):
+        for order in (0, 1):
+            with pytest.raises(ValidationError, match=message):
+                extrapolate_ray([8, 16], values, order)
     # order 0 still returns the last value exactly, float or Fraction
     res = extrapolate_ray([8, 16], [Fraction(1, 3), Fraction(2, 7)], 0)
     assert (res.limit, res.error, res.low_confidence) == (2 / 7, float(Fraction(1, 21)), False)
@@ -125,7 +132,7 @@ def test_reconstruct_rejects_off_simplex_points():
 
 @pytest.mark.parametrize("point", [5, "12", {0: 1, 1: 0}, (1, 0, 0)], ids=["scalar", "string", "dict", "three"])
 def test_reconstruct_refuses_points_that_are_not_coordinate_lists(point):
-    with pytest.raises(ValidationError, match=r"must be a list or tuple of 2 coordinates$"):
+    with pytest.raises(ValidationError, match=rf"^grid point must be a list or tuple of length 2, got {re.escape(repr(point))}$"):
         reconstruct(circle_oracle(A1), 2, [point], 16)
 
 

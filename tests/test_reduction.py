@@ -218,7 +218,7 @@ def _batches_before_the_shared_loop(symbol, f, n, samples, seed, batch_size):
 @pytest.mark.parametrize("samples,batch_size", [(10_001, 10_000), (36_385, 20_000), (25_000, 10_000), (10_000, 2**40)])
 @pytest.mark.parametrize("complex_symbol", [False, True], ids=["invariant", "complex"])
 def test_mc_shared_loop_keeps_the_values_of_each_batch(monkeypatch, samples, batch_size, complex_symbol):
-    # last batches of 1 and 16,385 values now draw a whole piece and keep a prefix
+    # a last batch of 1 value keeps the first of two rows; one of 16,385 is one piece
     sym = (SymbolPoly.from_terms([((1, 0, 0), (1, 0, 0), 0.5), ((1, 0, 0), (0, 1, 0), 0.3 - 0.2j)], hermitize=True)
            if complex_symbol else InvariantSymbol.from_poly([((2, 0, 0), 1), ((0, 1, 1), Fraction(1, 2))], 3))
     f = TestFunction.polynomial([0.25, -1.0, 2.0])
@@ -232,6 +232,20 @@ def test_mc_shared_loop_keeps_the_values_of_each_batch(monkeypatch, samples, bat
     c0_sphere_mc(sym, f, 3, samples=samples, seed=9, batch_size=batch_size)
     want = _batches_before_the_shared_loop(sym, f, 3, samples, 9, batch_size)
     assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("samples,batch_size,drawn", [
+    (10_001, 10_000, [10_000, 2]),
+    (36_385, 20_000, [16_384, 3_616, 16_385]),
+    (10_000, 2**40, [10_000]),
+])
+def test_mc_draws_only_the_rows_it_keeps(monkeypatch, samples, batch_size, drawn):
+    # a last batch drew whole pieces and kept a prefix: 10,001 samples drew 20,000 points
+    sizes = []
+    sample = reduction.sample_sphere
+    monkeypatch.setattr(reduction, "sample_sphere", lambda n, size, rng: sizes.append(size) or sample(n, size, rng))
+    c0_sphere_mc(A1_3, F_X, 3, samples=samples, seed=7, batch_size=batch_size)
+    assert sizes == drawn
 
 
 def test_mc_batches_share_one_value_buffer(monkeypatch):

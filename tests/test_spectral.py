@@ -226,6 +226,28 @@ def test_richardson_refuses_levels_that_are_not_positive_integers(ks):
         richardson_limit(ks, [Fraction(1), Fraction(2)], 1)
 
 
+@pytest.mark.parametrize("values,message", [
+    (5, r"^values must be a list or tuple, got 5$"),
+    ("ab", r"^values must be a list or tuple, got 'ab'$"),
+    (["a", "b"], r"^values must be an int, Fraction or finite float, got 'a'$"),
+    ([1.0, float("nan")], r"^values must be an int, Fraction or finite float, got nan$"),
+    ([True, 2], r"^values must be an int, Fraction or finite float, got True$"),
+], ids=["scalar", "string", "strings", "nan", "bool"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_richardson_refuses_values_that_are_not_numbers(values, message, order):
+    # each raised a bare TypeError from len(values) or the Newton table, or passed through at order 0
+    with pytest.raises(ValidationError, match=message) as info:
+        richardson_limit([8, 16], values, order)
+    assert info.value.operation == "spectral.richardson_limit"
+
+
+def test_richardson_keeps_exact_values_exact():
+    assert richardson_limit([8, 16], [1, 2], 1) == 3 and isinstance(richardson_limit([8, 16], [1, 2], 1), Fraction)
+    assert richardson_limit([8, 16], (Fraction(1, 3), Fraction(2, 7)), 1) == Fraction(5, 21)
+    assert richardson_limit([8, 16], [1, 2], 0) == Fraction(2) and isinstance(richardson_limit([8, 16], [1, 2], 0), Fraction)
+    assert richardson_limit([8, 16], [0.5, np.float64(0.75)], 1) == 1.0
+
+
 def test_write_measure_csv(tmp_path):
     from toeplab.cli import _write
 
