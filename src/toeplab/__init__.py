@@ -4,8 +4,8 @@ The package assembles the compressed multiplication operators acting on
 homogeneous polynomial spaces, computes their trace measures and the
 asymptotics of those measures in the inverse degree, and checks the
 results against operator-free predictions: reduced-space integrals,
-lattice-fiber counts, ray extrapolation of point values, and a local
-Gaussian model.
+lattice volumes of level polytopes, ray extrapolation of point values,
+and a local Gaussian model.
 """
 
 from .canonical_model import *

@@ -16,7 +16,7 @@ Two independent evaluations of the leading coefficient are provided:
   the simplex, deterministic, O(mesh^-2), invariant symbols only.
 
 toric.fiber_volume(diagonal_circle(n)) recovers sigma_vol(n) exactly from
-dimension counts alone, which pins the constant without any integral.
+one simplex of determinant 1, which pins the constant without any integral.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ the measures converge to an integral over the level polytope
 P = {a >= 0 : Bt a = alpha}, provided P is compact with simple vertices
 whose column minors are unimodular.  This module computes the spectra,
 runs that regularity check exactly, and estimates the limit integral as
-the exact Ehrhart volume of P times a mean sampled exactly from the
-simplices of a pulling triangulation of P, giving an oracle that never
-sees the operator side.
+the exact Ehrhart volume of P, read off a pulling triangulation of P with
+no fiber listed, times a mean sampled exactly from its simplices: an
+oracle that never sees the operator side.
 
 A spectrum evaluates lookups at given weights in one batch per
 ``eigenvalues_of`` call.  On first use it keeps its fiber points and their
@@ -23,14 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm, pi
+from itertools import combinations
+from math import factorial, gcd, lcm, pi
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from ._exact import det_int, divided_differences, pivot_columns, rank
-from .errors import RegularityError, ToeplabError, ValidationError
+from ._exact import det_int, pivot_columns, rank
+from .errors import RegularityError, ValidationError
 from .hardy_sphere import InvariantSymbol, _invariant_numerators
 from .multiindex import (
     MultiIndex,
@@ -140,29 +141,26 @@ def fiber_measure_series(
 
 
 def fiber_volume(sub: SubtorusData) -> float:
-    """Exact limit of (2 pi / k)^m * #fiber(k), m = n - d, along k in qN.
+    """Exact limit of (2 pi / k)^m * #fiber(k), m = n - d, along k in qN, from no fiber.
 
-    q is the lcm of the vertex denominators of the level polytope P, so qP
-    is a lattice polytope and #fiber(q t) is its Ehrhart polynomial in t,
-    of degree at most m (Beck & Robins, ch. 3).  One Newton table of the
-    counts at k = q, 2q, ..., (m+2)q, in Fractions, reads that polynomial
-    in k: its coefficient c[m+1] must vanish, which certifies the degree,
-    else no volume is returned, and c[m] is the leading coefficient; the
-    volume is (2 pi)^m times it.  Off qN a fiber may be smaller or empty
-    (Bt = (2, 2) has none at odd k), so the limit is only taken along qN.
-    The sphere is the diagonal_circle(n) case, (2 pi)^(n-1) / (n-1)!.
+    q is the lcm of the vertex denominators of the level polytope P, so #fiber(q t) is the Ehrhart
+    polynomial of the lattice polytope qP, of degree m (Beck & Robins, ch. 3): its leading coefficient is
+    P's volume over the fiber lattice's covolume.  _pulling_triangulation's weights sum to m! q^m times
+    P's volume in the chart of Bt's free (non-pivot) columns, onto which the fiber lattice projects with
+    index |det B_piv| / g, B_piv being Bt's minor on its pivot columns and g the gcd of its d x d minors.
+    So the volume is (2 pi)^m g sum|det| / (m! q^m |det B_piv|), and 0 on an empty or lower-dimensional
+    P.  Off qN a fiber may be smaller or empty (Bt = (2, 2) has none at odd k).  The sphere is the
+    diagonal_circle(n) case, (2 pi)^(n-1) / (n-1)!.
     """
-    m = sub.n - sub.d
-    q = lcm(*(c.denominator for v in fiber_polytope_vertices(sub) for c in v))
-    ks = [q * t for t in range(1, m + 3)]
-    counts = [len(enumerate_fiber(sub, k)) for k in ks]
-    coeffs = divided_differences(ks, [Fraction(c) for c in counts])
-    if coeffs[m + 1]:
-        raise ToeplabError(
-            f"fiber counts {counts} at k = {ks} are not a polynomial of degree {m} in k",
-            operation="toric.fiber_volume",
-        )
-    return (2.0 * pi) ** m * coeffs[m].numerator / coeffs[m].denominator
+    verts = fiber_polytope_vertices(sub)
+    if not verts:
+        return 0.0
+    total = sum(_pulling_triangulation(sub, verts, "toric.fiber_volume")[1])  # refused before any minor is taken
+    q, m = lcm(*(c.denominator for v in verts for c in v)), sub.n - sub.d
+    minor = lambda cols: det_int([[row[c] for c in cols] for row in sub.weight_matrix])
+    vol = Fraction(gcd(*map(minor, combinations(range(sub.n), sub.d))) * total,
+                   factorial(m) * q**m * abs(minor(pivot_columns(sub.weight_matrix))))
+    return (2.0 * pi) ** m * vol.numerator / vol.denominator
 
 
 @dataclass(frozen=True)
@@ -223,7 +221,7 @@ def regular_free_check(sub: SubtorusData) -> RegularFreeReport:
     return RegularFreeReport(ok=ok, vertices=tuple(reports), message=message)
 
 
-def _pulling_triangulation(sub: SubtorusData, verts: list[tuple[Fraction, ...]]
+def _pulling_triangulation(sub: SubtorusData, verts: list[tuple[Fraction, ...]], operation: str
                            ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Simplices of a pulling triangulation of the level polytope, as indices into verts, and their weights.
 
@@ -232,8 +230,8 @@ def _pulling_triangulation(sub: SubtorusData, verts: list[tuple[Fraction, ...]]
     P = {a >= 0 : Bt a = alpha} is a vertex set sharing some zero coordinates, so its facets share one
     more zero and have one dimension less, which _exact.rank reads in the integer chart a -> q a on the
     non-pivot columns of Bt (q the lcm of the vertex denominators).  A simplex weighs the |det| of its
-    edge vectors there, m! q^m times its volume.  Past MAX_SIMPLICES in any face it is refused at once:
-    each simplex of a face the recursion reaches is coned into its own simplex of P.
+    edge vectors there, m! q^m times its chart volume.  Past MAX_SIMPLICES in any face it is refused at
+    once under operation: each simplex of a face the recursion reaches is coned into its own simplex of P.
     """
     free = sorted(set(range(sub.n)) - set(pivot_columns(sub.weight_matrix)))
     q = lcm(*(c.denominator for v in verts for c in v))
@@ -254,7 +252,7 @@ def _pulling_triangulation(sub: SubtorusData, verts: list[tuple[Fraction, ...]]
                 out += ((apex,) + s for s in pull(facet, dim - 1))
                 if len(out) > MAX_SIMPLICES:
                     raise ValidationError(f"the level polytope's pulling triangulation has over {MAX_SIMPLICES} "
-                                          "simplices", operation="toric.theorem2_leading")
+                                          "simplices", operation=operation)
         return tuple(out)
 
     simplices = list(pull(tuple(range(len(verts))), sub.n - sub.d))
@@ -275,10 +273,10 @@ def theorem2_leading(
     The limit is V * E[f(g(a / |a|_1))] with a uniform on the level
     polytope; eigenvalues live near g(beta / |beta|), so polytope points
     are renormalized onto the simplex before evaluation (the degree
-    |beta| need not be constant across one fiber).  V is the exact
-    fiber_volume unless supplied, and a supplied one must pass _check_real
-    with low 0, checked with the other arguments.  The polytope is cut once
-    into the simplices of _pulling_triangulation and every draw is kept: a
+    |beta| need not be constant across one fiber).  V is fiber_volume, read
+    off a second triangulation, unless supplied; a supplied one must pass
+    _check_real with low 0, checked with the other arguments.  The polytope
+    is cut once into the simplices of _pulling_triangulation and every draw is kept: a
     piece of r rows splits them by rng.multinomial over the simplices' volume
     shares, and a simplex given c rows takes rng.standard_exponential((c, m + 1)),
     Dirichlet(1, ..., 1) weights E on its vertices V (Devroye, Non-Uniform Random
@@ -306,7 +304,7 @@ def theorem2_leading(
     if m == 0:
         a = np.array([float(c) for c in verts[0]])
         return f(symbol.evaluate(a / a.sum())), 0.0
-    simplices, weights = _pulling_triangulation(sub, verts)
+    simplices, weights = _pulling_triangulation(sub, verts, "toric.theorem2_leading")
     if not simplices:
         raise ValidationError("level polytope is lower-dimensional", operation="toric.theorem2_leading")
     total = sum(weights)

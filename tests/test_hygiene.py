@@ -343,9 +343,9 @@ def test_max_sector_bytes_read_detection():
     assert max_sector_bytes_reads(source)[0] == "5: _check_bytes"
 
 
-# One-argument Fraction calls outside _exact and multiindex._check_rational: the
-# conversions of integers the package computed itself (Ehrhart counts).
-FRACTION_CONVERSIONS = {"multiindex.py": {"_check_rational"}, "toric.py": {"fiber_volume"}}
+# The one owner outside _exact allowed a one-argument Fraction call: every exact
+# rational a caller passes is converted by multiindex._check_rational.
+FRACTION_CONVERSIONS = {"multiindex.py": {"_check_rational"}}
 
 
 def fraction_conversions(source: str, allowed=frozenset()) -> list[str]:

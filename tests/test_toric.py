@@ -7,14 +7,21 @@ import numpy as np
 import pytest
 
 from toeplab import reduction, toric
+from toeplab._exact import divided_differences
 from toeplab.errors import (
     RegularityError,
-    ToeplabError,
     UnboundedFiberError,
     ValidationError,
 )
 from toeplab.hardy_sphere import InvariantSymbol, _invariant_numerators, monomial_norm
-from toeplab.multiindex import SubtorusData, diagonal_circle, enumerate_fiber, full_torus, recession_pointed
+from toeplab.multiindex import (
+    SubtorusData,
+    diagonal_circle,
+    enumerate_fiber,
+    fiber_polytope_vertices,
+    full_torus,
+    recession_pointed,
+)
 from toeplab.reduction import _pieces, sphere_sigma_volume
 from toeplab.spectral import TestFunction
 from toeplab.toric import (
@@ -230,7 +237,7 @@ def test_fiber_volume_examples(name, target):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_fiber_volume_default_window_high_codimension(n):
-    # m = n - d = 3, 4: the exact volume takes m + 2 fiber counts at k = 1..m+2
+    # m = n - d = 3, 4: the level polytope is one unimodular simplex of dimension m
     m = n - 1
     assert fiber_volume(diagonal_circle(n)) == pytest.approx((2 * pi) ** m / factorial(m), rel=1e-9)
 
@@ -280,11 +287,32 @@ def test_fiber_volume_point_fiber_is_one():
     assert fiber_volume(EXAMPLE_SUBTORI["full_torus_12"]) == 1.0
 
 
-def test_fiber_volume_certificate_refuses_non_polynomial_counts(monkeypatch):
-    # counts k^2 at k = 1, 2, 3 cannot come from a degree-1 Ehrhart polynomial
-    monkeypatch.setattr(toric, "enumerate_fiber", lambda sub, k: [(0, 0)] * (k * k))
-    with pytest.raises(ToeplabError, match="not a polynomial of degree 1"):
-        fiber_volume(diagonal_circle(2))
+def test_fiber_volume_lists_no_fiber(monkeypatch):
+    # one simplex gives the volume; the level-12 fiber alone holds C(22, 10) = 646,646 points
+    monkeypatch.setattr(toric, "enumerate_fiber", lambda sub, k: pytest.fail("listed a fiber"))
+    assert repr(fiber_volume(diagonal_circle(11))) == "26.426256783374388"
+
+
+@pytest.mark.parametrize(
+    "weights,alpha",
+    [
+        (((1, 1),), (-1,)),  # x + y = -1 has no solution x, y >= 0
+        (((1, 1, 1), (1, 0, 0)), (1, 1)),  # m = 1, but P is the single point (1, 0, 0)
+    ],
+    ids=["empty", "lower_dimensional"],
+)
+def test_fiber_volume_of_a_degenerate_polytope_is_zero(weights, alpha):
+    sub = SubtorusData(n=len(weights[0]), d=len(weights), weight_matrix=weights, alpha=alpha)
+    assert repr(fiber_volume(sub)) == "0.0"
+
+
+def test_fiber_volume_refuses_a_large_triangulation_as_itself(monkeypatch):
+    # the 4-cube's 24 simplices pass a limit of 23 before any simplex or minor of Bt is weighed
+    monkeypatch.setattr(toric, "MAX_SIMPLICES", 23)
+    monkeypatch.setattr(toric, "det_int", lambda rows: pytest.fail("took a determinant"))
+    with pytest.raises(ValidationError, match="over 23 simplices") as info:
+        fiber_volume(_lines(4))
+    assert info.value.operation == "toric.fiber_volume"
 
 
 def test_fiber_volume_validation():
@@ -361,21 +389,38 @@ def _lines(m):
 
 
 def _triangulation(sub):
-    return toric._pulling_triangulation(sub, [r.vertex for r in regular_free_check(sub).vertices])
+    return toric._pulling_triangulation(sub, [r.vertex for r in regular_free_check(sub).vertices], "test")
 
 
 # x + y <= 3 over 0 <= x <= 2: a trapezoid, cut into triangles of areas 3 and 1
 TRAPEZOID = SubtorusData(n=4, d=2, weight_matrix=((1, 0, 1, 0), (1, 1, 0, 1)), alpha=(2, 3))
 
 
-@pytest.mark.parametrize("name", ["diagonal_circle_2", "diagonal_circle_3", "diagonal_circle_4", "diagonal_circle_5",
-                                  "diagonal_circle_6", "product_of_lines"])
+# Beside the examples, level polytopes with rational vertices (q > 1) or a pivot minor of Bt past 1: pivot_minor_2
+# has lattice index 2 (minor gcd 1, volume 78.95683520871486), and pivot_minor_3's minor gcd 3 cancels its pivot minor 3.
+COUNTED_VOLUMES = {
+    "weighted_line": EXAMPLE_SUBTORI["weighted_line"],
+    "segment_2_3": SubtorusData(n=2, d=1, weight_matrix=((2, 3),), alpha=(1,)),
+    "segment_2_2": SubtorusData(n=2, d=1, weight_matrix=((2, 2),), alpha=(1,)),
+    "pivot_minor_2": SubtorusData(n=4, d=2, weight_matrix=((1, 1, 3, -1), (1, 1, 1, 0)), alpha=(1, 2)),
+    "pivot_minor_3": SubtorusData(n=3, d=2, weight_matrix=((3, 0, 3), (0, 1, 3)), alpha=(1, 3)),
+    **{name: EXAMPLE_SUBTORI.get(name) or diagonal_circle(int(name[-1])) for name in (
+        "diagonal_circle_2", "diagonal_circle_3", "diagonal_circle_4", "diagonal_circle_5", "diagonal_circle_6",
+        "product_of_lines")},
+}
+
+
+@pytest.mark.parametrize("name", COUNTED_VOLUMES)
 def test_triangulation_volume_is_the_fiber_volume(name):
-    # sum |det| / m! on the free columns is the Ehrhart leading coefficient, so the bits agree
-    sub = EXAMPLE_SUBTORI.get(name) or diagonal_circle(int(name[-1]))
+    # an independent oracle: #fiber(k) along k = q t is the Ehrhart polynomial of degree m in k, and the
+    # Newton table of its counts at k = q, ..., (m + 2) q reads the leading coefficient exactly
+    sub = COUNTED_VOLUMES[name]
     m = sub.n - sub.d
-    total = Fraction(sum(_triangulation(sub)[1]), factorial(m))
-    assert repr((2.0 * pi) ** m * total.numerator / total.denominator) == repr(fiber_volume(sub))
+    q = lcm(*(c.denominator for v in fiber_polytope_vertices(sub) for c in v))
+    ks = [q * t for t in range(1, m + 3)]
+    coeffs = divided_differences(ks, [Fraction(len(enumerate_fiber(sub, k))) for k in ks])
+    assert coeffs[m + 1] == 0 and coeffs[m] > 0
+    assert repr((2.0 * pi) ** m * coeffs[m].numerator / coeffs[m].denominator) == repr(fiber_volume(sub))
 
 
 def test_triangulation_of_cubes_and_trapezoid():
