@@ -1,120 +1,95 @@
-"""Small exact linear algebra helpers over the rationals.
-
-Everything here operates on nested sequences of ints or Fractions and
-returns Fractions.  Matrices are small (a handful of rows), so one plain
-Gauss-Jordan elimination over Fractions serves the rank, the solves and
-the nullspace; the integer determinant, which a triangulation takes once
-a simplex, runs fraction-free on ints.  One Newton table of divided
-differences serves every polynomial read off exact samples.
-"""
+"""Small exact linear algebra on integer matrices: Bt, its column blocks, a polytope's integer chart and a
+symbol's shifts are all small int matrices, so one fraction-free elimination serves the determinant, rank,
+pivot columns, square solve and nullspace, and only a solution comes out as Fractions.  One Newton table
+of divided differences serves every polynomial read off exact samples."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+def _eliminate(rows) -> tuple[list[list[int]], list[int]]:
+    """Echelon rows and pivot columns of an integer matrix by fraction-free elimination (Bareiss, Math.
+    Comp. 22, 1968).  Each entry is a minor, so every division by the previous pivot is exact.  A swap
+    negates the row it moves down, so for a square matrix of full rank the last pivot is the determinant."""
     m = [list(r) for r in rows]
-    nrow = len(m)
-    ncol = len(m[0]) if nrow else 0
+    ncol = len(m[0]) if m else 0
     pivots: list[int] = []
-    r = 0
+    prev = 1
     for c in range(ncol):
-        pivot = next((i for i in range(r, nrow) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrow):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrow:
+        r = len(pivots)
+        if r == len(m):
             break
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], [-x for x in m[r]]
+        p, top = m[r][c], m[r][c:]
+        for row in m[r + 1:]:
+            f = row[c]
+            if f or p != prev:  # otherwise the update is the identity: most bases of a cube are singular
+                row[c:] = [(p * x - f * y) // prev for x, y in zip(row[c:], top)]
+        prev = p
+        pivots.append(c)
     return m, pivots
 
 
-def _as_fractions(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in r] for r in rows]
-
-
 def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact, so it runs on ints alone."""
+    """Determinant of a square integer matrix: the last pivot, or 0 when a column has none."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    m = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        p, top = m[k][k], m[k][k + 1:]
-        for i in range(k + 1, n):
-            m[i][k + 1:] = [(p * x - m[i][k] * y) // prev for x, y in zip(m[i][k + 1:], top)]
-        prev = p
-    return sign * prev
+    m, pivots = _eliminate(rows)
+    if len(pivots) < n:
+        return 0
+    return m[n - 1][n - 1] if n else 1
 
 
 def pivot_columns(rows) -> list[int]:
-    """The leftmost linearly independent columns, as many as the rank."""
-    return _echelon(_as_fractions(rows))[1]
+    """The leftmost linearly independent columns of an integer matrix, as many as the rank."""
+    return _eliminate(rows)[1]
 
 
 def rank(rows) -> int:
-    """Exact rank of a matrix with integer or rational entries."""
+    """Exact rank of an integer matrix."""
     return len(pivot_columns(rows))
 
 
-def solve_rectangular(rows, rhs) -> list[Fraction] | None:
-    """One exact solution of a consistent system ``A x = b``; None when
-    inconsistent.  Free variables are set to zero."""
-    nrow = len(rows)
-    ncol = len(rows[0]) if nrow else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    m, pivots = _echelon(aug)
-    if ncol in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * ncol
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncol]
-    return x
-
-
-def nullspace(rows) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a matrix (rational entries)."""
-    nrow = len(rows)
-    ncol = len(rows[0]) if nrow else 0
-    m, pivots = _echelon(_as_fractions(rows))
-    free = [c for c in range(ncol) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncol
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
+def solve_square(rows, rhs) -> list[Fraction] | None:
+    """The unique solution of A x = b, A square and A, b integer, as Fractions; None when A is singular.
+    det(A) x is integral (Cramer's rule), so back substitution runs on ints with exact divisions."""
+    d = len(rows)
+    if any(len(r) != d for r in rows):
+        raise ValueError("matrix is not square")
+    m, pivots = _eliminate([[*row, b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(d)):
+        return None
+    det = m[d - 1][d - 1] if d else 1
+    y = [0] * d
+    for r in reversed(range(d)):
+        y[r] = (det * m[r][d] - sum(m[r][j] * y[j] for j in range(r + 1, d))) // m[r][r]
+    return [Fraction(v, det) for v in y]
 
 
 def integer_nullspace(rows) -> list[list[int]]:
-    """Nullspace basis scaled to primitive integer vectors."""
-    result = []
-    for v in nullspace(rows):
-        mult = lcm(*(x.denominator for x in v))
-        w = [int(x * mult) for x in v]
-        g = gcd(*w)
-        result.append([x // g for x in w])
-    return result
+    """Right nullspace basis of an integer matrix: per non-pivot column c, the primitive integer vector
+    positive at c and zero at the other non-pivot columns.  t = |last pivot| times its rational form is
+    integral (Cramer's rule), so back substitution runs on ints with exact divisions."""
+    ncol = len(rows[0]) if rows else 0
+    m, pivots = _eliminate(rows)
+    t = abs(m[len(pivots) - 1][pivots[-1]]) if pivots else 1
+    basis = []
+    for free in (c for c in range(ncol) if c not in pivots):
+        v = [0] * ncol
+        v[free] = t
+        for r in reversed(range(len(pivots))):
+            c = pivots[r]
+            v[c] = -sum(m[r][j] * v[j] for j in range(c + 1, ncol)) // m[r][c]
+        g = gcd(*v)
+        basis.append([x // g for x in v])
+    return basis
 
 
 def divided_differences(xs, ys) -> list:

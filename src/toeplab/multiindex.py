@@ -189,15 +189,13 @@ def recession_pointed(sub: SubtorusData) -> bool:
 @lru_cache(maxsize=None)
 def _vertices_cached(Bt: tuple[tuple[int, ...], ...], target: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
     """Vertices of {x >= 0 : Bt x = target}, exactly, sorted.  Each solves a
-    square subsystem on d invertible columns, so enumerating column bases
-    finds them all; duplicates from degenerate vertices are merged."""
+    square subsystem on d invertible columns, one elimination a column basis,
+    so enumerating the bases finds them all; duplicates from degenerate vertices are merged."""
     seen: dict[tuple[Fraction, ...], None] = {}
     for support in combinations(range(len(Bt[0])), len(Bt)):
         block = [[row[i] for i in support] for row in Bt]
-        if _exact.det_int(block) == 0:
-            continue
-        x = _exact.solve_rectangular(block, target)  # the unique solution: det != 0
-        if any(v < 0 for v in x):
+        x = _exact.solve_square(block, target)  # None when the block is singular
+        if x is None or any(v < 0 for v in x):
             continue
         vertex = [Fraction(0)] * len(Bt[0])
         for i, v in zip(support, x):

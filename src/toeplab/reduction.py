@@ -126,8 +126,8 @@ def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, flo
     return mean, (max(0.0, var) / samples) ** 0.5
 
 
-def _monte_carlo(draw, volume, samples: int, seed: int, batch_size: int) -> tuple[float, float]:
-    """``volume()`` times the mean and stderr of ``samples`` values in batches of up to ``batch_size``, for both oracles.
+def _monte_carlo(draw, volume: float, samples: int, seed: int, batch_size: int) -> tuple[float, float]:
+    """``volume`` times the mean and stderr of ``samples`` values in batches of up to ``batch_size``, for both oracles.
 
     ``draw(rng, rows)`` draws ``rows`` rows from ``default_rng(seed)`` and returns one value for each.
     A batch of ``need`` values walks the ``_pieces`` of ``need`` rows, so it draws exactly the rows it
@@ -135,8 +135,7 @@ def _monte_carlo(draw, volume, samples: int, seed: int, batch_size: int) -> tupl
     element): a last batch of one value draws two rows and keeps the first.  Each value has one pass's
     bits and the pieces' draws are the batch's stream.  A piece's values go into one buffer of
     min(batch_size, samples) for the whole call and are released before the next draw; mean_stderr
-    reads each batch as a view of the buffer.  ``volume`` is called once the mean is known.  Each
-    oracle passes its arguments through _check_run first.
+    reads each batch as a view of the buffer.  Each oracle passes its arguments through _check_run first.
     """
     rng = np.random.default_rng(seed)
     vals = np.empty(min(batch_size, samples))
@@ -151,8 +150,7 @@ def _monte_carlo(draw, volume, samples: int, seed: int, batch_size: int) -> tupl
             yield vals[:need]
 
     mean, stderr = mean_stderr(batches(), samples)
-    vol = volume()
-    return vol * mean, vol * stderr
+    return volume * mean, volume * stderr
 
 
 def c0_sphere_mc(
@@ -173,7 +171,7 @@ def c0_sphere_mc(
     _check_dimension(symbol, n, "reduction.c0_sphere_mc")
     _check_run(samples, batch_size, seed, "reduction.c0_sphere_mc")
     draw = lambda rng, rows: f(_symbol_values(symbol, sample_sphere(n, rows, rng)))
-    return _monte_carlo(draw, lambda: sphere_sigma_volume(n), samples, seed, batch_size)
+    return _monte_carlo(draw, sphere_sigma_volume(n), samples, seed, batch_size)
 
 
 def _staircase_cells(p: int, mesh: int) -> np.ndarray:

@@ -62,9 +62,9 @@ __all__ = [
 ]
 
 
-# Most simplices theorem2_leading's triangulation may hold.  A simplex costs about 100 us to find and
-# weigh at m = 7 (the 7-cube's 5,040 take 0.5 s) and about 2.2 us in each 16,384-row piece of draws
-# that gives it rows (2-vCPU Xeon, CPython 3.11, numpy 2.4), so 10**4 simplices take about 1 s before
+# Most simplices theorem2_leading's triangulation may hold.  A simplex costs about 40 us to find and
+# weigh at m = 7 (the 7-cube's 5,040 take 0.2 s) and about 2.2 us in each 16,384-row piece of draws
+# that gives it rows (2-vCPU Xeon, CPython 3.11, numpy 2.4), so 10**4 simplices take about 0.4 s before
 # the first draw and 17 ms a piece: 0.2 s more for 200,000 samples, about 100 s for 10**8.
 MAX_SIMPLICES = 10**4
 
@@ -327,8 +327,7 @@ def theorem2_leading(
             col /= norm
         return f(symbol.eval_array(pts[:, :n]))
 
-    vol = lambda: fiber_volume(sub) if volume is None else volume
-    return _monte_carlo(draw, vol, samples, seed, batch_size)
+    return _monte_carlo(draw, fiber_volume(sub) if volume is None else volume, samples, seed, batch_size)
 
 
 EXAMPLE_SUBTORI: dict[str, SubtorusData] = {

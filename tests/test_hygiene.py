@@ -343,8 +343,9 @@ def test_max_sector_bytes_read_detection():
     assert max_sector_bytes_reads(source)[0] == "5: _check_bytes"
 
 
-# The one owner outside _exact allowed a one-argument Fraction call: every exact
-# rational a caller passes is converted by multiindex._check_rational.
+# The one owner allowed a one-argument Fraction call: every exact rational a caller
+# passes is converted by multiindex._check_rational, and _exact makes Fractions only
+# of two ints.
 FRACTION_CONVERSIONS = {"multiindex.py": {"_check_rational"}}
 
 
@@ -364,7 +365,7 @@ def fraction_conversions(source: str, allowed=frozenset()) -> list[str]:
     return [f"{line}: {owner}" for line, owner in sorted(found)]
 
 
-@pytest.mark.parametrize("path", [p for p in ALL_SOURCES if p.name != "_exact.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
 def test_only_check_rational_makes_fractions_of_caller_values(path):
     assert fraction_conversions(path.read_text(), FRACTION_CONVERSIONS.get(path.name, set())) == []
 
