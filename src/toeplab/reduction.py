@@ -15,6 +15,9 @@ Two independent evaluations of the leading coefficient are provided:
 * c0_simplex_quad: midpoint rule on a uniform simplicial refinement of
   the simplex, deterministic, O(mesh^-2), invariant symbols only.
 
+c0_sphere_mc and toric.theorem2_leading run one loop, _monte_carlo, and one
+check of its inputs, _check_run; neither takes a number it can compute.
+
 toric.fiber_volume(diagonal_circle(n)) recovers sigma_vol(n) exactly from
 one simplex of determinant 1, which pins the constant without any integral.
 """
@@ -29,13 +32,12 @@ import numpy as np
 
 from .errors import ToeplabError, ValidationError
 from .hardy_sphere import InvariantSymbol, SymbolPoly
-from .multiindex import _check_bytes, _check_dimension, _check_int, _is_int
+from .multiindex import _check_dimension, _check_int, _is_int
 from .spectral import TestFunction
 
 __all__ = [
     "sphere_sigma_volume",
     "sample_sphere",
-    "mean_stderr",
     "c0_sphere_mc",
     "c0_simplex_quad",
 ]
@@ -82,11 +84,10 @@ def _symbol_values(symbol, z: np.ndarray) -> np.ndarray:
 
 def _check_run(samples: int, batch_size: int, seed: int, operation: str) -> None:
     """Refuse, in this order and before any draw, a batch that is not an integer of at least 2 (an empty one never
-    ends, a one-point piece rounds differently), a buffer of min(batch_size, samples) values _check_bytes refuses,
-    a sample count that is not an integer from MIN_SAMPLES to MAX_SAMPLES and a seed numpy rejects."""
+    ends, a one-point piece rounds differently), a sample count that is not an integer from MIN_SAMPLES to
+    MAX_SAMPLES and a seed numpy rejects.  _monte_carlo's one buffer of min(batch_size, samples) values is then
+    at most 8 * MAX_SAMPLES bytes, 800 MB, within multiindex.MAX_SECTOR_BYTES."""
     _check_int(batch_size, "batch_size", 2, operation)
-    held = min(batch_size, samples) if _is_int(samples) else batch_size  # _monte_carlo's one value buffer
-    _check_bytes(8 * held, f"a batch of {held} values", operation)
     _check_int(samples, "samples", MIN_SAMPLES, operation, high=MAX_SAMPLES)
     _check_int(seed, "seed", 0, operation)
 
@@ -97,32 +98,23 @@ def _pieces(size: int) -> Iterator[tuple[int, int]]:
     return zip(chain((0,), inner), chain(inner, (size,)))
 
 
-def mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, float]:
-    """Mean and standard error of ``samples`` values arriving in batches.
+def _mean_stderr(batches: Iterable[np.ndarray], samples: int) -> tuple[float, float]:
+    """Mean and standard error of the ``samples`` values that arrive in batches, as _monte_carlo hands them over.
 
     Each batch adds its own float sum and sum of squares, so results depend
     on the batching only through summation grouping.  It consumes its batches:
     each is squared in place, so a caller passes arrays nothing else reads
-    until the next is pulled.  ``samples`` below 2 or not an int, checked before
-    any batch, a value count other than it, and an inf or NaN mean or variance are refused.
+    until the next is pulled.  An inf or NaN mean or variance is refused.
     """
-    _check_int(samples, "samples", 2, "reduction.mean_stderr")
     total = total_sq = 0.0
-    count = 0
     for vals in batches:
-        count += vals.size
         total += float(np.sum(vals))
         vals *= vals
         total_sq += float(np.sum(vals))
-    if count != samples:
-        raise ValidationError(
-            f"{count} values arrived for samples={samples!r}; need equal counts",
-            operation="reduction.mean_stderr",
-        )
     mean = total / samples
     var = (total_sq - samples * mean * mean) / (samples - 1)
     if not (isfinite(mean) and isfinite(var)):
-        raise ToeplabError(f"sample mean {mean} or variance {var} is not finite", operation="reduction.mean_stderr")
+        raise ToeplabError(f"sample mean {mean} or variance {var} is not finite", operation="reduction._mean_stderr")
     return mean, (max(0.0, var) / samples) ** 0.5
 
 
@@ -134,7 +126,7 @@ def _monte_carlo(draw, volume: float, samples: int, seed: int, batch_size: int) 
     keeps, never a piece of one row (numpy's in-place complex product rounds differently on one
     element): a last batch of one value draws two rows and keeps the first.  Each value has one pass's
     bits and the pieces' draws are the batch's stream.  A piece's values go into one buffer of
-    min(batch_size, samples) for the whole call and are released before the next draw; mean_stderr
+    min(batch_size, samples) for the whole call and are released before the next draw; _mean_stderr
     reads each batch as a view of the buffer.  Each oracle passes its arguments through _check_run first.
     """
     rng = np.random.default_rng(seed)
@@ -149,7 +141,7 @@ def _monte_carlo(draw, volume: float, samples: int, seed: int, batch_size: int) 
             left -= need
             yield vals[:need]
 
-    mean, stderr = mean_stderr(batches(), samples)
+    mean, stderr = _mean_stderr(batches(), samples)
     return volume * mean, volume * stderr
 
 

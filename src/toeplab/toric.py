@@ -10,7 +10,7 @@ whose column minors are unimodular.  This module computes the spectra,
 runs that regularity check exactly, and estimates the limit integral as
 the exact Ehrhart volume of P, read off a pulling triangulation of P with
 no fiber listed, times a mean sampled exactly from its simplices: an
-oracle that never sees the operator side.
+oracle that never sees the operator side, and takes no volume from its caller.
 
 A spectrum evaluates lookups at given weights in one batch per
 ``eigenvalues_of`` call.  On first use it keeps its fiber points and their
@@ -39,7 +39,6 @@ from .multiindex import (
     _check_dimension,
     _check_int,
     _check_ints,
-    _check_real,
     diagonal_circle,
     enumerate_fiber,
     fiber_polytope_vertices,
@@ -62,10 +61,12 @@ __all__ = [
 ]
 
 
-# Most simplices theorem2_leading's triangulation may hold.  A simplex costs about 40 us to find and
-# weigh at m = 7 (the 7-cube's 5,040 take 0.2 s) and about 2.2 us in each 16,384-row piece of draws
-# that gives it rows (2-vCPU Xeon, CPython 3.11, numpy 2.4), so 10**4 simplices take about 0.4 s before
-# the first draw and 17 ms a piece: 0.2 s more for 200,000 samples, about 100 s for 10**8.
+# Most simplices theorem2_leading's triangulation may hold.  A simplex costs about 50 us to find and
+# weigh at m = 7 (the 7-cube's 5,040 take 0.25 s) and about 2.2 us in each 16,384-row piece of draws
+# that gives it rows (2-vCPU Xeon, CPython 3.11, numpy 2.4).  theorem2_leading cuts P twice before its
+# first draw, once itself and once in fiber_volume, which also takes C(n, d) minors (0.3 s on the
+# 7-cube): 0.56-0.62 s in all there, so 10**4 simplices take about 1.2 s before the first draw and
+# 17 ms a piece: 0.2 s more for 200,000 samples, about 100 s for 10**8.
 MAX_SIMPLICES = 10**4
 
 
@@ -266,21 +267,20 @@ def theorem2_leading(
     samples: int = 200_000,
     seed: int = 0,
     batch_size: int = 100_000,
-    volume: float | None = None,
 ) -> tuple[float, float]:
     """Operator-free prediction of the scaled-measure limit, with stderr.
 
     The limit is V * E[f(g(a / |a|_1))] with a uniform on the level
     polytope; eigenvalues live near g(beta / |beta|), so polytope points
     are renormalized onto the simplex before evaluation (the degree
-    |beta| need not be constant across one fiber).  V is fiber_volume, read
-    off a second triangulation, unless supplied; a supplied one must pass
-    _check_real with low 0, checked with the other arguments.  The polytope
-    is cut once into the simplices of _pulling_triangulation and every draw is kept: a
-    piece of r rows splits them by rng.multinomial over the simplices' volume
-    shares, and a simplex given c rows takes rng.standard_exponential((c, m + 1)),
-    Dirichlet(1, ..., 1) weights E on its vertices V (Devroye, Non-Uniform Random
-    Variate Generation, 1986, ch. V).  E @ [V | |v|_1] gives each point and its
+    |beta| need not be constant across one fiber).  V is always
+    fiber_volume(sub), read off a second triangulation, and multiplies the
+    sampled mean and stderr once.  The polytope is cut into the simplices of
+    _pulling_triangulation and every draw is kept: a piece of r rows splits
+    them by rng.multinomial over the simplices' volume shares, and a simplex
+    given c rows takes rng.standard_exponential((c, m + 1)), Dirichlet(1, ..., 1)
+    weights E on its vertex rows C (Devroye, Non-Uniform Random Variate
+    Generation, 1986, ch. V).  E @ [C | |c|_1] gives each point and its
     |a|_1, so the rows are divided to a / |a|_1 and evaluated while in cache.
     For a fixed seed and batch size the result is bit-stable; samples, batch and
     seed pass reduction._check_run before any vertex is computed, and a batch
@@ -292,8 +292,6 @@ def theorem2_leading(
         raise ValidationError("the limit oracle needs an invariant symbol", operation="toric.theorem2_leading")
     _check_dimension(symbol, sub.n, "toric.theorem2_leading")
     _check_run(samples, batch_size, seed, "toric.theorem2_leading")
-    if volume is not None:
-        volume = _check_real(volume, "volume", "toric.theorem2_leading", low=0)
     report = regular_free_check(sub)
     if not report.ok:
         raise RegularityError(report.message, operation="toric.theorem2_leading")
@@ -327,7 +325,7 @@ def theorem2_leading(
             col /= norm
         return f(symbol.eval_array(pts[:, :n]))
 
-    return _monte_carlo(draw, fiber_volume(sub) if volume is None else volume, samples, seed, batch_size)
+    return _monte_carlo(draw, fiber_volume(sub), samples, seed, batch_size)
 
 
 EXAMPLE_SUBTORI: dict[str, SubtorusData] = {

@@ -268,10 +268,9 @@ def _owned_nodes(source: str):
             yield from ((owner, n) for n in ast.walk(top))
 
 
-# Readers of _is_int outside multiindex: two reduction checks read it only to
-# order theirs (a buffer bound needs samples, a cell bound needs n, before the
-# integer checks that name them).
-IS_INT_READERS = {"reduction.py": {"_check_run", "c0_simplex_quad"}}
+# Readers of _is_int outside multiindex: one reduction check reads it only to
+# order its own (a cell bound needs n before the dimension check that names it).
+IS_INT_READERS = {"reduction.py": {"c0_simplex_quad"}}
 
 
 def is_int_reads(source: str, allowed=frozenset()) -> list[str]:

@@ -31,7 +31,6 @@ from toeplab.reduction import (
     MAX_SAMPLES,
     c0_simplex_quad,
     c0_sphere_mc,
-    mean_stderr,
     sample_sphere,
     sphere_sigma_volume,
 )
@@ -402,7 +401,6 @@ INTEGER_ARGUMENTS = {
                                     "batch_size", 2, None),
     "sphere_sigma_volume.n": (sphere_sigma_volume, "n", 1, None),
     "sample_sphere.n": (lambda v: sample_sphere(v, 4, np.random.default_rng(0)), "n", 1, None),
-    "mean_stderr.samples": (lambda v: mean_stderr([np.ones(2)], v), "samples", 2, None),
     "c0_sphere_mc.n": (lambda v: c0_sphere_mc(A1, F_X, v, samples=10_000), "n", 1, None),
     "c0_sphere_mc.samples": (lambda v: c0_sphere_mc(A1, F_X, 2, samples=v), "samples", 10_000, MAX_SAMPLES),
     "c0_sphere_mc.seed": (lambda v: c0_sphere_mc(A1, F_X, 2, samples=10_000, seed=v), "seed", 0, None),
@@ -487,8 +485,6 @@ REAL_ARGUMENTS = {
     "TestFunction.coeffs": (lambda v: TestFunction(coeffs=(0.0, v)), "coefficient", None),
     "spectral_distinguishability.tol": (lambda v: spectral_distinguishability(circle_spectrum, circle_spectrum, 2, tol=v),
                                         "tol", 0),
-    "theorem2_leading.volume": (lambda v: theorem2_leading(A1, F_X, diagonal_circle(2), samples=10_000, volume=v),
-                                "volume", 0),
     "SymbolPoly.from_json.re": (lambda v: SymbolPoly.from_json(
         {"terms": [{"gamma": [1, 0], "delta": [1, 0], "re": v, "im": 0.0}]}), "re", None),
     "SymbolPoly.from_json.im": (lambda v: SymbolPoly.from_json(
@@ -576,7 +572,6 @@ BYTE_GUARDS = {
     "block sectors": (lambda: assemble_block(SymbolPoly.from_terms(
         [((1, 0, 0), (0, 1, 0), 0.25), ((0, 1, 0), (0, 0, 1), -0.5j), ((0, 0, 1), (0, 0, 1), 0.75)], hermitize=True), 3, 400),
                       "hardy_sphere.assemble_block"),
-    "value buffer": (lambda: c0_sphere_mc(A1, F_X, 2, samples=2**40, batch_size=2**40), "reduction.c0_sphere_mc"),
     "ray reads": (lambda: reconstruct(_no_oracle, 3, [(Fraction(1, 3),) * 3], 10**12, spacing="all"), "inverse.reconstruct"),
 }
 

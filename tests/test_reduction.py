@@ -9,12 +9,14 @@ import pytest
 from toeplab import reduction
 from toeplab.errors import ToeplabError, ValidationError
 from toeplab.hardy_sphere import InvariantSymbol, SymbolPoly
+from toeplab.multiindex import MAX_SECTOR_BYTES
 from toeplab.reduction import (
+    MAX_SAMPLES,
+    _mean_stderr,
     _pieces,
     _staircase_cells,
     c0_simplex_quad,
     c0_sphere_mc,
-    mean_stderr,
     sample_sphere,
     sphere_sigma_volume,
 )
@@ -90,7 +92,7 @@ def test_mc_pieces_keep_the_bits_of_one_pass(monkeypatch):
     def values(chunk, batch_size):
         monkeypatch.setattr(reduction, "_CHUNK", chunk)
         seen = []
-        monkeypatch.setattr(reduction, "mean_stderr", lambda batches, samples: (seen.extend(b.copy() for b in batches), (0.0, 0.0))[1])
+        monkeypatch.setattr(reduction, "_mean_stderr", lambda batches, samples: (seen.extend(b.copy() for b in batches), (0.0, 0.0))[1])
         c0_sphere_mc(sym, F_X2, 3, samples=10_000, seed=6, batch_size=batch_size)
         return np.concatenate(seen)
 
@@ -106,11 +108,18 @@ def test_mc_rejects_empty_batches(batch_size):
 
 
 def test_mc_refuses_oversized_batch_before_drawing():
-    with pytest.raises(ValidationError, match="bytes"):
+    # 2**40 samples are refused by their count, past MAX_SAMPLES, before the buffer is made
+    with pytest.raises(ValidationError, match="samples must be an integer"):
         c0_sphere_mc(A1_2, F_X, 2, samples=2**40, batch_size=2**40)
     # only min(batch_size, samples) points are ever drawn at once
     est, _ = c0_sphere_mc(A1_2, F_X, 2, samples=10_000, batch_size=2**40)
     assert np.isfinite(est)
+
+
+def test_value_buffer_fits_the_byte_limit():
+    # _check_run bounds the one buffer of min(batch_size, samples) values by MAX_SAMPLES
+    # alone; past 2**28 samples the buffer could pass the byte limit unrefused
+    assert 8 * MAX_SAMPLES <= MAX_SECTOR_BYTES
 
 
 @pytest.mark.parametrize(
@@ -153,7 +162,7 @@ def test_mc_peak_memory_is_one_batch_of_values():
 
 
 def mean_stderr_before_in_place(batches, samples):
-    """mean_stderr as it was before it squared its batches in place."""
+    """_mean_stderr as it was before it squared its batches in place."""
     total = total_sq = 0.0
     for vals in batches:
         total += float(np.sum(vals))
@@ -170,16 +179,7 @@ def test_mean_stderr_in_place_keeps_the_bits(seed):
     sizes = [2, 300_000] if seed == 0 else rng.integers(2, 300_001, size=rng.integers(1, 4)).tolist()
     batches = [rng.standard_normal(s) * 10.0 ** rng.integers(-3, 4) + rng.random() for s in sizes]
     want = mean_stderr_before_in_place([b.copy() for b in batches], sum(sizes))
-    assert repr(mean_stderr(iter(batches), sum(sizes))) == repr(want)
-
-
-def test_mean_stderr_counts_its_values():
-    # five ones counted as ten samples would give mean 0.5
-    with pytest.raises(ValidationError, match="5 values"):
-        mean_stderr([np.ones(5)], 10)
-    with pytest.raises(ValidationError, match="15 values"):
-        mean_stderr([np.ones(5), np.ones(10)], 10)
-    assert mean_stderr([np.ones(5), np.ones(5)], 10) == (1.0, 0.0)
+    assert repr(_mean_stderr(iter(batches), sum(sizes))) == repr(want)
 
 
 @pytest.mark.parametrize("values", [[np.inf, 1.0], [-np.inf, 1.0], [np.nan, 1.0], [1e200, -1e200]],
@@ -188,17 +188,9 @@ def test_mean_stderr_counts_its_values():
 def test_mean_stderr_refuses_non_finite_results(values):
     # [inf, 1.0] gave (inf, 0.0): max(0.0, nan) hid the NaN variance
     with pytest.raises(ToeplabError, match="not finite") as info:
-        mean_stderr([np.array(values)], 2)
+        _mean_stderr([np.array(values)], 2)
     assert not isinstance(info.value, ValidationError)
-    assert info.value.operation == "reduction.mean_stderr"
-
-
-def test_mean_stderr_needs_two_values():
-    # the variance divides by samples - 1
-    with pytest.raises(ValidationError):
-        mean_stderr([np.ones(1)], 1)
-    with pytest.raises(ValidationError):
-        mean_stderr([], 0)
+    assert info.value.operation == "reduction._mean_stderr"
 
 
 def _batches_before_the_shared_loop(symbol, f, n, samples, seed, batch_size):
@@ -228,7 +220,7 @@ def test_mc_shared_loop_keeps_the_values_of_each_batch(monkeypatch, samples, bat
         got.extend(b.copy() for b in batches)  # each batch is a view of one reused buffer
         return 0.0, 0.0
 
-    monkeypatch.setattr(reduction, "mean_stderr", capture)
+    monkeypatch.setattr(reduction, "_mean_stderr", capture)
     c0_sphere_mc(sym, f, 3, samples=samples, seed=9, batch_size=batch_size)
     want = _batches_before_the_shared_loop(sym, f, 3, samples, 9, batch_size)
     assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
@@ -256,7 +248,7 @@ def test_mc_batches_share_one_value_buffer(monkeypatch):
         handed.extend(batches)
         return 0.0, 0.0
 
-    monkeypatch.setattr(reduction, "mean_stderr", capture)
+    monkeypatch.setattr(reduction, "_mean_stderr", capture)
     c0_sphere_mc(A1_3, F_X, 3, samples=25_000, seed=7, batch_size=10_000)
     assert [len(b) for b in handed] == [10_000, 10_000, 5_000]
     assert all(np.shares_memory(b, handed[0]) for b in handed)

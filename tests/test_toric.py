@@ -40,6 +40,12 @@ F_X2 = TestFunction.polynomial([0.0, 0.0, 1.0])
 A1_2 = InvariantSymbol.coordinate(0, 2)
 
 
+@pytest.fixture
+def unit_volume(monkeypatch):
+    """theorem2_leading's volume pinned to 1.0, so a run returns its raw mean and stderr."""
+    monkeypatch.setattr(toric, "fiber_volume", lambda sub: 1.0)
+
+
 def exact(spec):
     """The spectrum's eigenvalues as Fractions, fiber order."""
     return tuple(Fraction(num, spec.denominator) for num in spec.numerators)
@@ -235,17 +241,11 @@ def test_fiber_volume_examples(name, target):
     assert fiber_volume(EXAMPLE_SUBTORI[name]) == pytest.approx(target, rel=1e-13)
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_fiber_volume_default_window_high_codimension(n):
-    # m = n - d = 3, 4: the level polytope is one unimodular simplex of dimension m
-    m = n - 1
-    assert fiber_volume(diagonal_circle(n)) == pytest.approx((2 * pi) ** m / factorial(m), rel=1e-9)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_fiber_volume_is_sphere_volume(n):
-    # C(k+n-1, n-1) / k^(n-1) is a polynomial in 1/k, so the limit is exact
-    assert fiber_volume(diagonal_circle(n)) == pytest.approx(sphere_sigma_volume(n), rel=1e-14, abs=0)
+    # the level polytope is one unimodular simplex of dimension n - 1, so both sides
+    # round (2 pi)^(n-1) / (n-1)! in the same float steps
+    assert fiber_volume(diagonal_circle(n)) == sphere_sigma_volume(n)
 
 
 @pytest.mark.parametrize(
@@ -438,23 +438,26 @@ EXACT_MEANS = {**{f"diagonal_circle_{n}": (diagonal_circle(n), 1 / n) for n in r
                "product_of_lines": (EXAMPLE_SUBTORI["product_of_lines"], 1 / 4)}
 
 
+@pytest.mark.usefixtures("unit_volume")
 @pytest.mark.parametrize("name", sorted(EXACT_MEANS))
 def test_theorem2_lands_on_the_exact_mean(name):
     sub, want = EXACT_MEANS[name]
-    est, se = theorem2_leading(InvariantSymbol.coordinate(0, sub.n), F_X, sub, samples=50_000, seed=17, volume=1.0)
+    est, se = theorem2_leading(InvariantSymbol.coordinate(0, sub.n), F_X, sub, samples=50_000, seed=17)
     assert abs(est - want) < 5 * se
 
 
+@pytest.mark.usefixtures("unit_volume")
 def test_theorem2_weighs_simplices_by_volume():
     # on the trapezoid |a|_1 = 5 - x and a_1 = x, so the mean of x / (5 - x) over it is
     # (6 - 10 ln(5/3)) / 4 = 0.2229; equal weights on its two triangles would give 0.2772
-    est, se = theorem2_leading(InvariantSymbol.coordinate(0, 4), F_X, TRAPEZOID, samples=100_000, seed=1, volume=1.0)
+    est, se = theorem2_leading(InvariantSymbol.coordinate(0, 4), F_X, TRAPEZOID, samples=100_000, seed=1)
     assert abs(est - (1.5 - 2.5 * log(5 / 3))) < 5 * se
 
 
+@pytest.mark.usefixtures("unit_volume")
 def test_theorem2_samples_diagonal_circle_11():
     # the box sampler kept one draw in 10! here and was refused; a simplex keeps every draw
-    est, se = theorem2_leading(InvariantSymbol.coordinate(0, 11), F_X, diagonal_circle(11), samples=50_000, volume=1.0)
+    est, se = theorem2_leading(InvariantSymbol.coordinate(0, 11), F_X, diagonal_circle(11), samples=50_000)
     assert abs(est - 1 / 11) < 5 * se
 
 
@@ -480,44 +483,57 @@ def test_theorem2_refuses_a_large_triangulation_before_any_draw(monkeypatch):
     assert info.value.operation == "toric.theorem2_leading"
 
 
-def test_theorem2_bits_frozen():
+def test_theorem2_bits_frozen(monkeypatch):
     # exact output of the simplex sampler's per-batch accumulator: two
     # 8,000-point batches, then one of 4,000
     sym = InvariantSymbol.from_poly([((2, 0, 0), 1), ((0, 1, 1), Fraction(1, 2))], 3)
     # pinned volume: the exact 19.739208802178716 would move the last digits
-    sub = EXAMPLE_SUBTORI["diagonal_circle_3"]
-    got = theorem2_leading(sym, F_X2, sub, samples=20_000, seed=3, batch_size=8_000, volume=19.73920880217942)
+    monkeypatch.setattr(toric, "fiber_volume", lambda sub: 19.73920880217942)
+    got = theorem2_leading(sym, F_X2, EXAMPLE_SUBTORI["diagonal_circle_3"], samples=20_000, seed=3, batch_size=8_000)
     assert repr(got) == "(1.4872008325666233, 0.01860761696762866)"
-    default = theorem2_leading(sym, F_X2, sub, samples=20_000, seed=3, batch_size=8_000)
-    assert default == theorem2_leading(
-        sym, F_X2, sub, samples=20_000, seed=3, batch_size=8_000, volume=fiber_volume(diagonal_circle(3))
-    )
 
 
-def test_theorem2_bits_frozen_codimension_3():
-    # m = 3: the level polytope is one simplex, sampled by Dirichlet weights,
-    # with volume 1 so the raw mean and stderr are pinned
+@pytest.mark.parametrize("name", ["diagonal_circle_4", "product_of_lines"])
+def test_theorem2_multiplies_by_the_volume_once(monkeypatch, name):
+    # the raw mean and stderr of a run, each times V = fiber_volume(sub) and nothing else
+    sub = EXACT_MEANS[name][0]
     sym = InvariantSymbol.from_poly([((1, 0, 0, 0), 1), ((0, 1, 1, 0), Fraction(1, 2)), ((0, 0, 0, 2), 3)], 4)
     f = TestFunction.polynomial([0.25, -1.0, 2.0])
-    got = theorem2_leading(sym, f, diagonal_circle(4), samples=20_000, seed=5, batch_size=7_000, volume=1.0)
+    run = lambda: theorem2_leading(sym, f, sub, samples=20_000, seed=5, batch_size=7_000)
+    volume = fiber_volume(sub)
+    with monkeypatch.context() as patch:
+        patch.setattr(toric, "fiber_volume", lambda sub: 1.0)
+        mean, stderr = run()
+    assert volume != 1.0 and run() == (volume * mean, volume * stderr)
+
+
+@pytest.mark.usefixtures("unit_volume")
+def test_theorem2_bits_frozen_codimension_3():
+    # m = 3: the level polytope is one simplex, sampled by Dirichlet weights,
+    # with the volume patched to 1 so the raw mean and stderr are pinned
+    sym = InvariantSymbol.from_poly([((1, 0, 0, 0), 1), ((0, 1, 1, 0), Fraction(1, 2)), ((0, 0, 0, 2), 3)], 4)
+    f = TestFunction.polynomial([0.25, -1.0, 2.0])
+    got = theorem2_leading(sym, f, diagonal_circle(4), samples=20_000, seed=5, batch_size=7_000)
     assert repr(got) == "(0.616141195038071, 0.007546066536876237)"
 
 
+@pytest.mark.usefixtures("unit_volume")
 def test_theorem2_bits_frozen_across_product_pieces():
     # a 40,000-point batch draws pieces of 16,384, 16,384 and 7,232 rows,
     # the last 20,000-point batch pieces of 16,384 and 3,616
     sym = InvariantSymbol.from_poly([((1, 0, 0, 0), 1), ((0, 1, 1, 0), Fraction(1, 2)), ((0, 0, 0, 2), 3)], 4)
     f = TestFunction.polynomial([0.25, -1.0, 2.0])
-    got = theorem2_leading(sym, f, diagonal_circle(4), samples=60_000, seed=5, batch_size=40_000, volume=1.0)
+    got = theorem2_leading(sym, f, diagonal_circle(4), samples=60_000, seed=5, batch_size=40_000)
     assert repr(got) == "(0.6203551683324595, 0.004329484839172069)"
 
 
+@pytest.mark.usefixtures("unit_volume")
 def test_theorem2_bits_frozen_product_of_lines():
     # m = 2: the square is two triangles of equal volume; one whole
     # 100,000-point batch, then one of 50,000
     sym = InvariantSymbol.from_poly([((1, 0, 0, 0), 1), ((0, 1, 1, 0), Fraction(1, 2)), ((0, 0, 0, 2), 3)], 4)
     f = TestFunction.polynomial([0.25, -1.0, 2.0])
-    got = theorem2_leading(sym, f, EXAMPLE_SUBTORI["product_of_lines"], samples=150_000, seed=7, volume=1.0)
+    got = theorem2_leading(sym, f, EXAMPLE_SUBTORI["product_of_lines"], samples=150_000, seed=7)
     assert repr(got) == "(0.40079136333308646, 0.0009333755163019898)"
 
 
@@ -579,6 +595,7 @@ def test_theorem2_batch_costs_one_value_per_row():
     # one row left: the last batch draws two and keeps the first
     (10_001, 10_000, [10_000, 2], None),
 ], ids=["150000_samples", "10001_samples"])
+@pytest.mark.usefixtures("unit_volume")
 def test_theorem2_last_batch_stops_once_full(monkeypatch, samples, batch_size, drawn, frozen):
     # every draw is kept, so each batch draws exactly the rows it needs
     make_rng = np.random.default_rng
@@ -598,8 +615,7 @@ def test_theorem2_last_batch_stops_once_full(monkeypatch, samples, batch_size, d
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
     sym = InvariantSymbol.from_poly([((1, 0, 0, 0), 1), ((0, 1, 1, 0), Fraction(1, 2)), ((0, 0, 0, 2), 3)], 4)
     f = TestFunction.polynomial([0.25, -1.0, 2.0])
-    got = theorem2_leading(sym, f, EXAMPLE_SUBTORI["product_of_lines"], samples=samples, seed=7, batch_size=batch_size,
-                           volume=1.0)
+    got = theorem2_leading(sym, f, EXAMPLE_SUBTORI["product_of_lines"], samples=samples, seed=7, batch_size=batch_size)
     assert rows == drawn
     assert frozen is None or repr(got) == frozen
 
@@ -649,8 +665,8 @@ def test_theorem2_values_match_the_plain_sampler(monkeypatch, name, batch_size):
         handed.extend(b.copy() for b in batches)
         return 0.0, 0.0
 
-    monkeypatch.setattr(reduction, "mean_stderr", capture)
-    theorem2_leading(sym, f, sub, samples=12_345, seed=13, batch_size=batch_size, volume=1.0)
+    monkeypatch.setattr(reduction, "_mean_stderr", capture)
+    theorem2_leading(sym, f, sub, samples=12_345, seed=13, batch_size=batch_size)
     want = list(_plain_simplex_batches(sym, f, sub, 12_345, 13, batch_size))
     assert [b.tobytes() for b in handed] == [b.tobytes() for b in want]
 
@@ -668,7 +684,7 @@ def test_theorem2_refuses_oversized_batch_before_drawing(monkeypatch):
     a1 = InvariantSymbol.coordinate(0, sub.n)
     with monkeypatch.context() as patch:
         patch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew points"))
-        with pytest.raises(ValidationError, match="bytes"):
+        with pytest.raises(ValidationError, match="samples must be an integer"):
             theorem2_leading(a1, F_X, sub, samples=2**40, batch_size=2**40)
     # only min(batch_size, samples) values are ever held: this batch was refused for 8 * (m + 2n) bytes a row
     got = theorem2_leading(a1, F_X, sub, samples=10_000, batch_size=2**40)
@@ -680,7 +696,7 @@ def test_theorem2_holds_a_batch_of_one_gibibyte(monkeypatch):
     runs = []
     monkeypatch.setattr(toric, "_monte_carlo", lambda draw, volume, *run: runs.append(run) or (0.0, 0.0))
     sub = EXAMPLE_SUBTORI["product_of_lines"]
-    theorem2_leading(InvariantSymbol.coordinate(0, sub.n), F_X, sub, samples=10**8, batch_size=2**27, volume=1.0)
+    theorem2_leading(InvariantSymbol.coordinate(0, sub.n), F_X, sub, samples=10**8, batch_size=2**27)
     assert runs == [(10**8, 0, 2**27)]
 
 
@@ -692,9 +708,9 @@ def test_theorem2_batches_share_one_value_buffer(monkeypatch):
         handed.extend(batches)
         return 0.0, 0.0
 
-    monkeypatch.setattr(reduction, "mean_stderr", capture)
+    monkeypatch.setattr(reduction, "_mean_stderr", capture)
     sub = EXAMPLE_SUBTORI["product_of_lines"]
-    theorem2_leading(InvariantSymbol.coordinate(0, sub.n), F_X, sub, samples=25_000, batch_size=10_000, volume=1.0)
+    theorem2_leading(InvariantSymbol.coordinate(0, sub.n), F_X, sub, samples=25_000, batch_size=10_000)
     assert [len(b) for b in handed] == [10_000, 10_000, 5_000]
     assert all(np.shares_memory(b, handed[0]) for b in handed)
 
@@ -740,9 +756,10 @@ def test_theorem2_point_fiber_checks_its_samples(samples):
         theorem2_leading(A1_2, F_X, EXAMPLE_SUBTORI["full_torus_12"], samples=samples)
 
 
-def test_theorem2_supplied_volume():
-    est, se = theorem2_leading(A1_2, F_ONE, diagonal_circle(2), samples=10_000, volume=5.0)
-    assert est == 5.0 and se == 0.0
+def test_theorem2_of_one_is_the_volume():
+    # every value is 1.0, so the mean is 1.0 and its stderr 0.0, each times V
+    got = theorem2_leading(A1_2, F_ONE, diagonal_circle(2), samples=10_000)
+    assert got == (fiber_volume(diagonal_circle(2)), 0.0)
 
 
 def test_theorem2_requires_regular_free():
